@@ -39,8 +39,6 @@ from .cohomology import (
 from .fpmatrix import (
     FpMatrix,
     generalized_eigenspace,
-    kernel_basis,
-    rank,
     subquotient_dim,
 )
 from .lie import (
@@ -48,8 +46,6 @@ from .lie import (
     RestrictedLieAlgebra,
     borel,
     casimir_operator,
-    check_jacobi,
-    check_restricted,
     nilradical,
     sl2,
 )

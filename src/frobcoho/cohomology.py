@@ -32,7 +32,13 @@ from math import comb
 import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
-from .fpmatrix import FpMatrix, graded_kernel, independent_columns
+from .fpmatrix import (
+    FpMatrix,
+    graded_complement,
+    graded_image,
+    graded_kernel,
+    graded_solve,
+)
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
@@ -62,13 +68,11 @@ class PeriodicCohomology:
     def __init__(self, M: WeightModule):
         self.M = M
         p = M.p
-        F = M.action("f")
-        if not (F ** p).is_zero():
+        self.F = M.action("f")
+        self.Fq = self.F ** (p - 1)
+        # F @ Fq = Fq @ F = F^p: both differentials square to zero iff f^p = 0
+        if not (self.F @ self.Fq).is_zero():
             raise ValueError("f-action is not p-nilpotent")
-        self.F = F
-        self.Fq = F ** (p - 1)
-        if not (self.F @ self.Fq).is_zero() or not (self.Fq @ self.F).is_zero():
-            raise ValueError("periodic differentials do not compose to zero")
         self._cache: dict[str, tuple] = {}
 
     def _kind(self, n: int) -> str:
@@ -84,37 +88,20 @@ class PeriodicCohomology:
             raise ValueError("no incoming differential in degree 0")
         return self.F if n % 2 else self.Fq
 
-    def _column_weights(self, mat: FpMatrix) -> list[int]:
-        weights = []
-        for j in range(mat.cols):
-            nz = np.nonzero(mat.a[:, j])[0]
-            weights.append(self.M.weights[int(nz[0])])
-        return weights
-
     def _data(self, n: int):
-        """(cocycle basis, cocycle weights, boundary basis, rep positions)."""
+        """(cocycle basis, cocycle weights, boundary basis, boundary
+        weights, rep positions)."""
         kind = self._kind(n)
         if kind in self._cache:
             return self._cache[kind]
-        p = self.M.p
-        K, kweights = graded_kernel(self.d_out(n), self.M.weights)
+        weights = self.M.weights
+        K, kweights = graded_kernel(self.d_out(n), weights)
         if kind == "deg0":
-            B = FpMatrix.zeros(p, self.M.dim, 0)
-            bweights: list[int] = []
+            B, bweights = FpMatrix.zeros(self.M.p, self.M.dim, 0), []
         else:
-            B = self.d_in(n).column_space_basis()
-            bweights = self._column_weights(B)
-        reps = []
-        for w in sorted(set(kweights)):
-            bcols = [B.a[:, j] for j in range(B.cols) if bweights[j] == w]
-            kpos = [j for j in range(K.cols) if kweights[j] == w]
-            kcols = [K.a[:, j] for j in kpos]
-            mat = FpMatrix.from_columns(p, bcols + kcols, self.M.dim)
-            pivots = set(independent_columns(mat))
-            for local, j in enumerate(kpos):
-                if len(bcols) + local in pivots:
-                    reps.append(j)
-        data = (K, kweights, B, tuple(reps))
+            B, bweights = graded_image(self.d_in(n), weights)
+        reps = tuple(graded_complement(B, bweights, K, kweights))
+        data = (K, kweights, B, bweights, reps)
         self._cache[kind] = data
         return data
 
@@ -125,7 +112,7 @@ class PeriodicCohomology:
         """Cocycle representatives of H^n with their raw module weights."""
         if self.M.dim == 0:
             return []
-        K, kweights, _, reps = self._data(n)
+        K, kweights, _, _, reps = self._data(n)
         return [(K.a[:, j].copy(), kweights[j]) for j in reps]
 
     def character(self, n: int) -> LaurentCharacter:
@@ -143,14 +130,13 @@ class PeriodicCohomology:
         """Coordinates of a cocycle's class over representatives(n)."""
         if not self.is_cocycle(n, vec):
             raise ValueError("not a cocycle")
-        K, _, B, reps = self._data(n)
+        K, kweights, B, bweights, reps = self._data(n)
         if self.M.dim == 0:
             return np.zeros(0, dtype=np.int64)
         p = self.M.p
-        cols = [B.a[:, j] for j in range(B.cols)] + [K.a[:, j] for j in reps]
-        basis = FpMatrix.from_columns(p, cols, self.M.dim)
+        basis = FpMatrix(p, np.concatenate([B.a, K.a[:, list(reps)]], axis=1))
         rhs = FpMatrix(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-        sol = basis.solve(rhs)
+        sol = graded_solve(basis, bweights + [kweights[j] for j in reps], rhs)
         return sol.a[B.cols:, 0].copy()
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
@@ -176,28 +162,13 @@ def u_cohomology_reps(M: WeightModule, j: int) -> list[tuple[np.ndarray, int]]:
     if j >= 2 or M.dim == 0:
         return []
     F = M.action("f")
-    p = M.p
     if j == 0:
         K, kweights = graded_kernel(F, M.weights)
         return [(K.a[:, i].copy(), kweights[i]) for i in range(K.cols)]
-    B = F.column_space_basis()
-    bweights = []
-    for col in range(B.cols):
-        nz = np.nonzero(B.a[:, col])[0]
-        bweights.append(M.weights[int(nz[0])])
-    reps = []
-    for w in sorted(set(M.weights)):
-        bcols = [B.a[:, c] for c in range(B.cols) if bweights[c] == w]
-        epos = [i for i in range(M.dim) if M.weights[i] == w]
-        ecols = [np.eye(M.dim, dtype=np.int64)[:, i] for i in epos]
-        mat = FpMatrix.from_columns(p, bcols + ecols, M.dim)
-        pivots = set(independent_columns(mat))
-        for local, i in enumerate(epos):
-            if len(bcols) + local in pivots:
-                v = np.zeros(M.dim, dtype=np.int64)
-                v[i] = 1
-                reps.append((v, w + 2))
-    return reps
+    B, bweights = graded_image(F, M.weights)
+    std = FpMatrix.identity(M.p, M.dim)
+    return [(std.column(i), M.weights[i] + 2)
+            for i in graded_complement(B, bweights, std, M.weights)]
 
 
 def b1_cohomology(M: WeightModule, n: int) -> LaurentCharacter:
@@ -378,14 +349,22 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
     p = alg.p
     if diagonal is None:
         diagonal = standard_diagonal(p)
-    F = engine.F
+    terms = diagonal.component(a_deg, b_deg)
+    left = _f_iterates(engine.F, a_vec, max((s for s, _, _ in terms), default=0))
+    right = _f_iterates(engine.F, b_vec, max((t for _, t, _ in terms), default=0))
     out = np.zeros(alg.dim, dtype=np.int64)
     sign = -1 if (a_deg % 2 and b_deg % 2) else 1
-    for (s, t, co) in diagonal.component(a_deg, b_deg):
-        left = (F ** s) @ a_vec if s else np.asarray(a_vec) % p
-        right = (F ** t) @ b_vec if t else np.asarray(b_vec) % p
-        out = (out + co * alg.mult(left, right)) % p
+    for (s, t, co) in terms:
+        out = (out + co * alg.mult(left[s], right[t])) % p
     return (sign * out) % p
+
+
+def _f_iterates(F: FpMatrix, vec: np.ndarray, k: int) -> list[np.ndarray]:
+    """vec, F vec, ..., F^k vec."""
+    out = [np.asarray(vec, dtype=np.int64) % F.p]
+    for _ in range(k):
+        out.append(F @ out[-1])
+    return out
 
 
 # -- the G_1 route and assembled tables -------------------------------------
@@ -463,16 +442,14 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
             for d in range(maxdeg + 1):
                 char, exact = g1_cohomology_char(M0, d, p)
                 entries.append((str(n), d, char, "exact" if exact else "euler-only"))
-    elif target == "b1":
-        M = TruncatedSymAlgebra(borel(p)).module
-        engine = PeriodicCohomology(M)
+    elif target in ("b1", "u1"):
+        alg = borel(p) if target == "b1" else nilradical(p)
+        engine = PeriodicCohomology(TruncatedSymAlgebra(alg).module)
         for d in range(maxdeg + 1):
-            entries.append(("total", d, t1_invariants(engine.character(d), p), "exact"))
-    elif target == "u1":
-        M = TruncatedSymAlgebra(nilradical(p)).module
-        engine = PeriodicCohomology(M)
-        for d in range(maxdeg + 1):
-            entries.append(("total", d, engine.character(d), "exact"))
+            char = engine.character(d)
+            if target == "b1":
+                char = t1_invariants(char, p)
+            entries.append(("total", d, char, "exact"))
     else:
         raise ValueError(f"unknown table target {target!r}")
     return CohomologyTable(target, p, maxdeg, entries)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, dense and weight-graded.
 
 Everything downstream (Lie algebra actions, cohomology of periodic
 complexes, Hom spaces) reduces to rank/kernel/solve computations over
@@ -9,6 +9,14 @@ bounded by p^2 * max(dim) << 2^53.
 
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
+
+FpMatrix is the dense primitive.  The graded_* functions take a
+weight-graded map, whose columns of one weight reach rows that no column
+of another weight reaches, as every action matrix does (it maps weight w
+to w + wt(x)).  _split, the one place that cuts a map by weight, raises
+on any other map; the dense primitive then runs per weight block, and
+greedy pivots, kernels and free-variables-zero solutions equal the dense
+ones up to column order.
 """
 
 from __future__ import annotations
@@ -92,13 +100,6 @@ class FpMatrix:
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
-        cols = list(columns)
-        if not cols:
-            return cls.zeros(p, nrows, 0)
-        return cls(p, np.column_stack(cols))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -117,9 +118,6 @@ class FpMatrix:
 
     def column(self, j: int) -> np.ndarray:
         return self.a[:, j].copy()
-
-    def columns(self):
-        return [self.a[:, j].copy() for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -170,14 +168,15 @@ class FpMatrix:
             raise ValueError("matrix power needs a square matrix")
         if n < 0:
             raise ValueError("negative powers unsupported")
-        result = FpMatrix.identity(self.p, self.rows)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if n:
+                base = base @ base
+        return FpMatrix.identity(self.p, self.rows) if result is None else result
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         if self._rref_cache is None:
@@ -195,15 +194,11 @@ class FpMatrix:
         vector has a 1 in its free slot, so the output is deterministic.
         """
         r, pivots = self.rref()
-        n = self.cols
-        free = [j for j in range(n) if j not in set(pivots)]
-        if not free:
-            return FpMatrix.zeros(self.p, n, 0)
-        basis = np.zeros((n, len(free)), dtype=np.int64)
-        for k, j in enumerate(free):
-            basis[j, k] = 1
-            for row, pc in enumerate(pivots):
-                basis[pc, k] = (-int(r.a[row, j])) % self.p
+        pivset = set(pivots)
+        free = [j for j in range(self.cols) if j not in pivset]
+        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
+        basis[free, range(len(free))] = 1
+        basis[list(pivots)] = -r.a[:len(pivots), free] % self.p
         return FpMatrix(self.p, basis)
 
     def column_space_basis(self) -> "FpMatrix":
@@ -221,24 +216,8 @@ class FpMatrix:
         if any(c >= self.cols for c in pivots):
             raise ValueError("inconsistent linear system")
         x = np.zeros((self.cols, rhs.cols), dtype=np.int64)
-        for row, pc in enumerate(pivots):
-            x[pc] = red[row, self.cols:]
+        x[list(pivots)] = red[:len(pivots), self.cols:]
         return FpMatrix(self.p, x)
-
-    def contains_column(self, vec: np.ndarray) -> bool:
-        try:
-            self.solve(FpMatrix(self.p, np.asarray(vec).reshape(-1, 1)))
-            return True
-        except ValueError:
-            return False
-
-
-def rank(m: FpMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: FpMatrix) -> FpMatrix:
-    return m.kernel_basis()
 
 
 def subquotient_dim(kernel_of: FpMatrix, image_of: FpMatrix) -> int:
@@ -256,6 +235,8 @@ def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
         raise ValueError("needs a square matrix")
     n = m.rows
     shifted = m - (lam % m.p) * FpMatrix.identity(m.p, n)
+    if shifted.rank() == n:  # lam is no eigenvalue: skip the power
+        return FpMatrix.zeros(m.p, n, 0)
     return (shifted ** n).kernel_basis()
 
 
@@ -264,27 +245,129 @@ def independent_columns(mat: FpMatrix) -> tuple[int, ...]:
     return mat.rref()[1]
 
 
+# -- weight-graded maps --------------------------------------------------------
+
+
+def _weight_labels(weights) -> tuple[list[int], np.ndarray]:
+    """The distinct weights in increasing order, and per index the position
+    of its weight among them."""
+    values, labels = np.unique(np.asarray(weights, dtype=np.int64), return_inverse=True)
+    return values.tolist(), labels
+
+
+def _groups(labels: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per label 0..k-1, the increasing indices that carry it."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=k)[:k]).tolist()
+    return [order[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _split(mat: FpMatrix, col_weights):
+    """The per-weight blocks of a weight-graded map, by increasing weight.
+
+    Yields (weight, column indices, row indices, block), where the block is
+    the dense map from the columns of that weight to the rows they reach.
+    """
+    if mat.cols != len(col_weights):
+        raise ValueError("weight list does not match column count")
+    values, labels = _weight_labels(col_weights)
+    k = len(values)
+    nonzero = mat.a != 0
+    low = np.where(nonzero, labels, k).min(axis=1, initial=k)
+    high = np.where(nonzero, labels, -1).max(axis=1, initial=-1)
+    reached = low < k
+    if np.any(low[reached] != high[reached]):
+        raise ValueError("map is not weight-graded")
+    for w, cols, rows in zip(values, _groups(labels, k), _groups(low, k)):
+        yield w, cols, rows, FpMatrix(mat.p, mat.a[rows][:, cols])
+
+
+def _embed(n: int, p: int, pieces) -> FpMatrix:
+    """Side by side, the columns of each (indices, block) piece placed at
+    those indices of length-n vectors."""
+    out = np.zeros((n, sum(b.shape[1] for _, b in pieces)), dtype=np.int64)
+    k = 0
+    for idx, b in pieces:
+        out[idx, k:k + b.shape[1]] = b
+        k += b.shape[1]
+    return FpMatrix(p, out)
+
+
 def graded_kernel(mat: FpMatrix, col_weights) -> tuple[FpMatrix, list[int]]:
     """Kernel basis of a weight-graded map, one block per column weight.
 
-    Valid when the nonzero columns of weight w land in a single target
-    weight (true for every action matrix in this package); the kernel then
-    splits across weights and each basis vector is weight-homogeneous.
-    Returns (basis columns, weight per column).
+    Each basis vector is weight-homogeneous.  Returns (basis columns,
+    weight per column).
     """
-    col_weights = list(col_weights)
-    if mat.cols != len(col_weights):
-        raise ValueError("weight list does not match column count")
-    n = mat.cols
-    vecs = []
-    weights = []
-    for w in sorted(set(col_weights)):
-        idx = [j for j in range(n) if col_weights[j] == w]
-        sub = FpMatrix(mat.p, mat.a[:, idx])
-        kb = sub.kernel_basis()
-        for k in range(kb.cols):
-            v = np.zeros(n, dtype=np.int64)
-            v[idx] = kb.a[:, k]
-            vecs.append(v)
-            weights.append(w)
-    return FpMatrix.from_columns(mat.p, vecs, n), weights
+    pieces, weights = [], []
+    for w, cols, _, block in _split(mat, col_weights):
+        kb = block.kernel_basis()
+        pieces.append((cols, kb.a))
+        weights += [w] * kb.cols
+    return _embed(mat.cols, mat.p, pieces), weights
+
+
+def graded_image(mat: FpMatrix, weights) -> tuple[FpMatrix, list[int]]:
+    """Greedy pivot columns of a weight-graded endomorphism (rows and
+    columns carry the same weights), with the weight each one lands in."""
+    picked, out_weights = [], []
+    for _, cols, rows, block in _split(mat, weights):
+        piv = cols[list(independent_columns(block))].tolist()
+        if piv:
+            picked += piv
+            out_weights += [weights[rows[0]]] * len(piv)
+    return FpMatrix(mat.p, mat.a[:, picked]), out_weights
+
+
+def graded_complement(span: FpMatrix, span_weights, vecs: FpMatrix,
+                      vec_weights) -> list[int]:
+    """Positions of the weight-homogeneous columns of vecs that are
+    independent modulo span and the earlier columns of their weight, by
+    increasing weight."""
+    both = FpMatrix(vecs.p, np.concatenate([span.a, vecs.a], axis=1))
+    picked = []
+    for _, cols, _, block in _split(both, [*span_weights, *vec_weights]):
+        picked += [int(c) - span.cols for c in cols[list(independent_columns(block))]
+                   if c >= span.cols]
+    return picked
+
+
+def graded_solve(mat: FpMatrix, col_weights, rhs: FpMatrix) -> FpMatrix:
+    """The solution X of mat @ X = rhs that FpMatrix.solve returns, found
+    block by block on a weight-graded map."""
+    mat._same_field(rhs)
+    if rhs.rows != mat.rows:
+        raise ValueError("shape mismatch")
+    x = np.zeros((mat.cols, rhs.cols), dtype=np.int64)
+    reached = np.zeros(mat.rows, dtype=bool)
+    for _, cols, rows, block in _split(mat, col_weights):
+        x[cols] = block.solve(FpMatrix(mat.p, rhs.a[rows])).a
+        reached[rows] = True
+    if rhs.a[~reached].any():
+        raise ValueError("inconsistent linear system")
+    return FpMatrix(mat.p, x)
+
+
+def graded_eigenspaces(mat: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list[int]]]:
+    """Generalized eigenspaces of a weight-preserving endomorphism.
+
+    Maps each eigenvalue in F_p to (basis columns, weight per column), the
+    columns weight-homogeneous and in increasing weight.  The dimensions add
+    up to the size of mat exactly when its characteristic polynomial splits.
+    """
+    found: dict[int, tuple[list, list[int]]] = {}
+    values, labels = _weight_labels(weights)
+    for w, idx in zip(values, _groups(labels, len(values))):
+        block = FpMatrix(mat.p, mat.a[np.ix_(idx, idx)])
+        left = idx.size
+        for lam in range(mat.p):
+            if not left:
+                break
+            kb = generalized_eigenspace(block, lam)
+            if kb.cols:
+                pieces, ws = found.setdefault(lam, ([], []))
+                pieces.append((idx, kb.a))
+                ws += [w] * kb.cols
+                left -= kb.cols
+    return {lam: (_embed(mat.rows, mat.p, pieces), ws)
+            for lam, (pieces, ws) in sorted(found.items())}

@@ -130,16 +130,6 @@ def nilradical(p: int) -> RestrictedLieAlgebra:
     return RestrictedLieAlgebra(p=p, generators=("f",), bracket={}, p_power={"f": {}})
 
 
-def check_jacobi(alg: RestrictedLieAlgebra) -> bool:
-    alg.validate()
-    return True
-
-
-def check_restricted(alg: RestrictedLieAlgebra) -> bool:
-    alg.validate()
-    return True
-
-
 def casimir_operator(module) -> FpMatrix:
     """Matrix of c = ef + fe + h^2/2 on a module with full sl2-action.
 

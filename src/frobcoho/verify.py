@@ -50,7 +50,7 @@ from .cohomology import (
     t1_invariants,
     u_cohomology,
 )
-from .fpmatrix import FpMatrix, is_prime
+from .fpmatrix import FpMatrix, graded_image, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
@@ -621,7 +621,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
         degs = sorted({total.degrees[i] for i in np.nonzero(vec)[0]})
         nm = "z" if w == 2 * p - 2 else "z'"
         odd_reps.append((f"{nm}@{degs[0]}", vec))
-    sub_cols, sub_weights = _projected_basis(total, proj)
+    sub_cols, sub_weights = graded_image(proj, total.module.weights)
     sub = total.module.submodule(sub_cols, sub_weights, prefix="pb")
     sub_engine = PeriodicCohomology(sub)
     ok = len(odd_reps) == p - 1
@@ -629,7 +629,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
     for na, va in odd_reps:
         cocycle = cup_product(engine, total, 1, va, 1, va)
         projected = (proj @ cocycle) % p
-        coords = sub_cols.solve(_as_col(projected, p)).a[:, 0]
+        coords = graded_solve(sub_cols, sub_weights, _as_col(projected, p)).a[:, 0]
         zero = sub_engine.is_coboundary(2, coords)
         detail.append(f"{na}^2={'0' if zero else 'X'}")
         ok = ok and zero
@@ -646,20 +646,3 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
 
 def _as_col(vec, p):
     return FpMatrix(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-
-
-def _projected_basis(total: TruncatedSymAlgebra, proj: FpMatrix):
-    """Weight-homogeneous column basis of the principal block image."""
-    p = total.p
-    M = total.module
-    cols = []
-    weights = []
-    by_weight = M.weight_indices()
-    for w in sorted(by_weight):
-        idx = by_weight[w]
-        sub = FpMatrix(p, proj.a[:, idx])
-        picked = sub.column_space_basis()
-        for j in range(picked.cols):
-            cols.append(picked.a[:, j])
-            weights.append(w)
-    return FpMatrix.from_columns(p, cols, M.dim), weights

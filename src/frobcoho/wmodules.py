@@ -28,7 +28,7 @@ from .characters import (
     decompose_tilting_greedy,
     weyl_chi,
 )
-from .fpmatrix import FpMatrix, generalized_eigenspace, graded_kernel
+from .fpmatrix import FpMatrix, graded_eigenspaces, graded_kernel, graded_solve
 from .lie import RestrictedLieAlgebra, casimir_operator, sl2
 
 
@@ -63,12 +63,6 @@ class WeightModule:
 
     def character(self) -> LaurentCharacter:
         return LaurentCharacter.from_weights(self.weights)
-
-    def weight_indices(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, w in enumerate(self.weights):
-            out.setdefault(w, []).append(i)
-        return out
 
     def validate(self) -> None:
         p, alg = self.p, self.algebra
@@ -219,8 +213,10 @@ def _derivation_matrix(alg: RestrictedLieAlgebra, basis, index, x: str, cap) -> 
     return FpMatrix(p, m)
 
 
-def _monomial_module(alg: RestrictedLieAlgebra, degree: int, cap) -> WeightModule:
-    basis = list(_monomials(alg.dim, degree, cap))
+def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
+    """The monomials of the given degrees, degree by degree, with the
+    adjoint derivation action."""
+    basis = [e for n in degrees for e in _monomials(alg.dim, n, cap)]
     index = {e: k for k, e in enumerate(basis)}
     weights = [sum(a * w for a, w in zip(e, alg.weights)) for e in basis]
     labels = [monomial_label(e, alg.generators) for e in basis]
@@ -235,14 +231,14 @@ def truncated_sym(alg: RestrictedLieAlgebra, n: int) -> WeightModule:
     top = (alg.p - 1) * alg.dim
     if n < 0 or n > top:
         raise ValueError(f"degree {n} outside [0, {top}]")
-    return _monomial_module(alg, n, alg.p - 1)
+    return _monomial_module(alg, [n], alg.p - 1)
 
 
 def sym_power(alg: RestrictedLieAlgebra, n: int) -> WeightModule:
     """Degree-n ordinary symmetric power, adjoint derivation action."""
     if n < 0:
         raise ValueError("negative degree")
-    return _monomial_module(alg, n, None)
+    return _monomial_module(alg, [n], None)
 
 
 class TruncatedSymAlgebra:
@@ -255,21 +251,10 @@ class TruncatedSymAlgebra:
         self.algebra = alg
         self.p = p
         self.top_degree = cap * alg.dim
-        basis = []
-        degrees = []
-        for n in range(self.top_degree + 1):
-            for e in _monomials(alg.dim, n, cap):
-                basis.append(e)
-                degrees.append(n)
-        self.exponents = basis
-        self.degrees = tuple(degrees)
-        index = {e: k for k, e in enumerate(basis)}
-        self.index = index
-        weights = [sum(a * w for a, w in zip(e, alg.weights)) for e in basis]
-        labels = [monomial_label(e, alg.generators) for e in basis]
-        actions = {x: _derivation_matrix(alg, basis, index, x, cap)
-                   for x in alg.generators}
-        self.module = WeightModule(alg, labels, weights, actions)
+        self.module = _monomial_module(alg, range(self.top_degree + 1), cap)
+        basis = self.exponents = self.module.exponents
+        self.degrees = tuple(sum(e) for e in basis)
+        index = self.index = {e: k for k, e in enumerate(basis)}
         n = len(basis)
         table = np.full((n, n), -1, dtype=np.int64)
         for i, ei in enumerate(basis):
@@ -384,31 +369,13 @@ def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
     The character polynomial must split over F_p (weights are rational),
     so the eigenspace dimensions add up to dim M; otherwise this raises.
     """
-    p = M.p
     c = casimir_operator(M)
     for x in M.algebra.generators:
         a = M.action(x)
         if c @ a != a @ c:
             raise ValueError(f"Casimir does not commute with the action of {x}")
-    by_weight = M.weight_indices()
-    blocks: dict[int, tuple[list[np.ndarray], list[int]]] = {}
-    total = 0
-    for lam in range(p):
-        vecs: list[np.ndarray] = []
-        weights: list[int] = []
-        for w in sorted(by_weight):
-            idx = by_weight[w]
-            sub = FpMatrix(p, c.a[np.ix_(idx, idx)])
-            kb = generalized_eigenspace(sub, lam)
-            for k in range(kb.cols):
-                v = np.zeros(M.dim, dtype=np.int64)
-                v[idx] = kb.a[:, k]
-                vecs.append(v)
-                weights.append(w)
-        if vecs:
-            blocks[lam] = (FpMatrix.from_columns(p, vecs, M.dim), weights)
-            total += len(vecs)
-    if total != M.dim:
+    blocks = graded_eigenspaces(c, M.weights)
+    if sum(cols.cols for cols, _ in blocks.values()) != M.dim:
         raise ValueError("Casimir characteristic polynomial does not split")
     return blocks
 
@@ -439,7 +406,8 @@ def principal_block_projector(M: WeightModule) -> FpMatrix:
         return FpMatrix.zeros(p, M.dim, M.dim)
     order = sorted(blocks)  # eigenvalue 0 comes first
     basis = FpMatrix(p, np.concatenate([blocks[lam][0].a for lam in order], axis=1))
-    inv = basis.solve(FpMatrix.identity(p, M.dim))  # whole-space change of basis
+    weights = [w for lam in order for w in blocks[lam][1]]
+    inv = graded_solve(basis, weights, FpMatrix.identity(p, M.dim))
     n0 = blocks[0][0].cols
     return FpMatrix(p, basis.a[:, :n0]) @ FpMatrix(p, inv.a[:n0, :])
 

@@ -5,8 +5,6 @@ import pytest
 from frobcoho.lie import (
     borel,
     casimir_operator,
-    check_jacobi,
-    check_restricted,
     nilradical,
     sl2,
 )
@@ -36,7 +34,7 @@ def test_p_power_of_h_matches_ad_power():
 def test_validation_sweep():
     for p in PRIMES:
         for alg in (sl2(p), borel(p), nilradical(p)):
-            assert check_jacobi(alg) and check_restricted(alg)
+            alg.validate()  # raises on a Jacobi or restrictedness failure
 
 
 def test_borel_and_nilradical_shapes():
