@@ -28,7 +28,7 @@ for n in range(3 * (p - 1) + 1):
     piece = truncated_sym(g, n)
     labels = summand_labels(piece).format()
     projected = block_projection_principal(piece)
-    dims = [g1_cohomology_char(projected, d, p)[0].dim() for d in range(7)]
+    dims = [g1_cohomology_char(projected, d)[0].dim() for d in range(7)]
     print(f"{n:>2}  {labels:28s} {dims}")
 
 print("\n== per-degree totals across all graded pieces ==")

@@ -370,7 +370,7 @@ def _f_iterates(F: FpMatrix, vec: np.ndarray, k: int) -> list[np.ndarray]:
 # -- the G_1 route and assembled tables -------------------------------------
 
 
-def g1_cohomology_char(M: WeightModule, n: int, p: int) -> tuple[LaurentCharacter, bool]:
+def g1_cohomology_char(M: WeightModule, n: int) -> tuple[LaurentCharacter, bool]:
     """Character of H^n(G_1, M) via the Borel route: untwist the
     T_1-selected answer and apply the induction Euler characteristic.
     The flag is True when all untwisted weights are >= -1, in which case
@@ -378,7 +378,7 @@ def g1_cohomology_char(M: WeightModule, n: int, p: int) -> tuple[LaurentCharacte
     if M.dim == 0:
         return LaurentCharacter.zero(), True
     sel = b1_cohomology(M, n)
-    return euler_induction(sel.untwist(p))
+    return euler_induction(sel.untwist(M.p))
 
 
 @dataclass
@@ -440,7 +440,7 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
         for n in range(3 * (p - 1) + 1):
             M0 = block_projection_principal(truncated_sym(g, n))
             for d in range(maxdeg + 1):
-                char, exact = g1_cohomology_char(M0, d, p)
+                char, exact = g1_cohomology_char(M0, d)
                 entries.append((str(n), d, char, "exact" if exact else "euler-only"))
     elif target in ("b1", "u1"):
         alg = borel(p) if target == "b1" else nilradical(p)

@@ -4,8 +4,9 @@ Everything downstream (Lie algebra actions, cohomology of periodic
 complexes, Hom spaces) reduces to rank/kernel/solve computations over
 F_p with p a small prime.  Matrices are stored as int64 numpy arrays
 with entries in [0, p).  Products are routed through float64 so that
-numpy can use BLAS; this is exact because every intermediate value is
-bounded by p^2 * max(dim) << 2^53.
+numpy can use BLAS; this is exact while every product entry before
+reduction, at most (p-1)^2 times the inner dimension, stays below 2^53,
+and _matmul raises where that bound fails.
 
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
@@ -45,7 +46,9 @@ def _check_prime(p: int) -> None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # float64 BLAS path; exact for these sizes (see module docstring)
+    if (p - 1) ** 2 * a.shape[1] >= 2 ** 53:
+        raise ValueError(f"a product over F_{p} with inner dimension {a.shape[1]} "
+                         "is not exact in float64")
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     c = a.astype(np.float64) @ b.astype(np.float64)

@@ -329,7 +329,7 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
         detail_exp, detail_got = [], []
         for d in range(maxdeg + 1):
             want = pattern_char(row.pattern, d, p)
-            got, exact = g1_cohomology_char(projected, d, p)
+            got, exact = g1_cohomology_char(projected, d)
             if got != want or not exact:
                 ok = False
             detail_exp.append(str(want.dim()))
@@ -424,15 +424,17 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
 
     # principal block structure of the graded pieces
     if p >= 3:
+        pieces0 = [block_projection_principal(truncated_sym(g, n))
+                   for n in range(3 * (p - 1) + 1)]
         ok = True
         got = []
-        for n in range(3 * (p - 1) + 1):
+        for n, piece0 in enumerate(pieces0):
             inside = p - 1 <= n <= 2 * (p - 1)
             if n % 2 == 0:
                 want = tilting_char(2 * p - 2, p) if inside else weyl_chi(0)
             else:
                 want = simple_char(2 * p - 2, p) if inside else LaurentCharacter.zero()
-            char0 = block_projection_principal(truncated_sym(g, n)).character()
+            char0 = piece0.character()
             got.append(str(char0.dim()))
             if char0 != want:
                 ok = False
@@ -500,8 +502,12 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
                    all(r.defect == 0 for r in rows),
                    "defect 0 everywhere", _fmt_dims(r.defect for r in rows))
 
+        # one Casimir split of the whole algebra: the projector, and the
+        # principal block as a submodule on the projector's image
         total = TruncatedSymAlgebra(g)
-        total0 = block_projection_principal(total.module)
+        proj = principal_block_projector(total.module)
+        sub_cols, sub_weights = graded_image(proj, total.module.weights)
+        total0 = total.module.submodule(sub_cols, sub_weights, prefix="pb")
         rows0 = collapse_check(total0, 8)
         wanted = ip_expected_dims(p, 8)
         report.add("collapse-defect-vs-ideal",
@@ -511,7 +517,7 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
         e2tot = [e2_page(taft.module, d // 2, d % 2).dim() for d in range(maxdeg + 1)]
         report.add("taft-e2-collapse", e2tot == taft_dims, _fmt_dims(taft_dims), _fmt_dims(e2tot))
 
-        _cup_checks(report, p, total)
+        _cup_checks(report, p, total, proj, (sub_cols, sub_weights, total0), pieces0)
 
     # identifications of the Borel graded pieces as twisted simples
     ok = True
@@ -543,11 +549,14 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
     return report
 
 
-def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) -> None:
-    """Ring samples on the principal-block coefficients (p >= 3)."""
-    g = total.algebra
+def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
+                proj: FpMatrix, principal, pieces0) -> None:
+    """Ring samples on the principal-block coefficients (p >= 3).
+
+    proj is the principal-block projector of total.module and principal
+    its image as (columns, weights, submodule); pieces0 are the
+    principal-block parts of the graded pieces, by degree."""
     engine = PeriodicCohomology(total.module)
-    proj = principal_block_projector(total.module)
 
     # the invariant quadratic element 4ef + h^2 and its powers
     idx_ef = total.index[(1, 0, 1)]
@@ -584,8 +593,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
 
     # u-cohomology basis pattern per internal degree (weights 0 and 2p)
     ok = True
-    for n in range(3 * (p - 1) + 1):
-        piece0 = block_projection_principal(truncated_sym(g, n))
+    for n, piece0 in enumerate(pieces0):
         h0c = t1_invariants(u_cohomology(piece0, 0), p)
         h1c = t1_invariants(u_cohomology(piece0, 1), p)
         inside = p - 1 <= n <= 2 * (p - 1)
@@ -604,7 +612,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
 
     # the f^(p-1)-type classes live on the E2 page only: the row carrying
     # them restricts projectively, so nothing survives in positive degree
-    row = block_projection_principal(truncated_sym(g, p - 1))
+    row = pieces0[p - 1]
     e2_odd = t1_invariants(u_cohomology(row, 1), p)
     died = all(b1_cohomology(row, d).is_zero() for d in (1, 2, 3))
     report.add("y-family-dies-at-e3",
@@ -621,8 +629,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra) 
         degs = sorted({total.degrees[i] for i in np.nonzero(vec)[0]})
         nm = "z" if w == 2 * p - 2 else "z'"
         odd_reps.append((f"{nm}@{degs[0]}", vec))
-    sub_cols, sub_weights = graded_image(proj, total.module.weights)
-    sub = total.module.submodule(sub_cols, sub_weights, prefix="pb")
+    sub_cols, sub_weights, sub = principal
     sub_engine = PeriodicCohomology(sub)
     ok = len(odd_reps) == p - 1
     detail = []

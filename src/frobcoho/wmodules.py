@@ -156,9 +156,8 @@ class WeightModule:
         labels = [f"{prefix}{k}" for k in range(columns.cols)]
         actions = {}
         for x in self.algebra.generators:
-            mapped = self.action(x) @ columns
             try:
-                actions[x] = columns.solve(mapped)
+                actions[x] = graded_solve(columns, weights, self.action(x) @ columns)
             except ValueError as exc:
                 raise ValueError(f"span is not stable under {x}") from exc
         return WeightModule(self.algebra, labels, weights, actions)
@@ -243,7 +242,15 @@ def sym_power(alg: RestrictedLieAlgebra, n: int) -> WeightModule:
 
 class TruncatedSymAlgebra:
     """The whole truncated symmetric algebra as one weight module with
-    its monomial product, graded by polynomial degree."""
+    its monomial product, graded by polynomial degree.
+
+    Each monomial has a base-p code, its exponents read as digits with
+    the first generator most significant; every code below p^dim is a
+    monomial, since exponents stop at p-1.  Two monomials multiply to a
+    nonzero monomial exactly when adding their codes carries no digit,
+    i.e. when the code sum is below p^dim and its digit sum (the degree)
+    is the sum of the two degrees; the product is the monomial of the
+    code sum."""
 
     def __init__(self, alg: RestrictedLieAlgebra):
         p = alg.p
@@ -254,54 +261,35 @@ class TruncatedSymAlgebra:
         self.module = _monomial_module(alg, range(self.top_degree + 1), cap)
         basis = self.exponents = self.module.exponents
         self.degrees = tuple(sum(e) for e in basis)
-        index = self.index = {e: k for k, e in enumerate(basis)}
-        n = len(basis)
-        table = np.full((n, n), -1, dtype=np.int64)
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                s = tuple(a + b for a, b in zip(ei, ej))
-                if all(a <= cap for a in s):
-                    table[i, j] = index[s]
-        self.table = table
-        self.unit_index = index[(0,) * alg.dim]
+        self.index = {e: k for k, e in enumerate(basis)}
+        self.unit_index = self.index[(0,) * alg.dim]
+        self._codes = np.array(basis, dtype=np.int64) @ (
+            p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64))
+        self._at_code = np.empty(len(basis), dtype=np.int64)
+        self._at_code[self._codes] = np.arange(len(basis))
+        self._degree = np.array(self.degrees, dtype=np.int64)
 
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    def degree_indices(self, n: int) -> list[int]:
-        return [k for k, d in enumerate(self.degrees) if d == n]
 
     def unit_vector(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
         v[self.unit_index] = 1
         return v
 
-    def embed(self, degree: int, vec: np.ndarray) -> np.ndarray:
-        idx = self.degree_indices(degree)
-        if len(idx) != len(vec):
-            raise ValueError("vector does not match the graded piece")
-        out = np.zeros(self.dim, dtype=np.int64)
-        out[idx] = np.asarray(vec, dtype=np.int64) % self.p
-        return out
-
     def mult(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """Bilinear product of coefficient vectors in the monomial basis."""
-        out = np.zeros(self.dim, dtype=np.int64)
         nz1 = np.nonzero(v1)[0]
         nz2 = np.nonzero(v2)[0]
-        for i in nz1:
-            targets = self.table[i, nz2]
-            ok = targets >= 0
-            if ok.any():
-                np.add.at(out, targets[ok], int(v1[i]) * v2[nz2[ok]])
+        sums = self._codes[nz1, None] + self._codes[nz2]
+        ok = sums < self.dim
+        target = self._at_code[np.where(ok, sums, 0)]
+        ok &= self._degree[target] == self._degree[nz1, None] + self._degree[nz2]
+        coeffs = v1[nz1, None] * v2[nz2]
+        out = np.zeros(self.dim, dtype=np.int64)
+        np.add.at(out, target[ok], coeffs[ok])
         return out % self.p
-
-    def power(self, vec: np.ndarray, k: int) -> np.ndarray:
-        out = self.unit_vector()
-        for _ in range(k):
-            out = self.mult(out, vec)
-        return out
 
 
 # -- standard small modules ----------------------------------------------

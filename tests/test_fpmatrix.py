@@ -18,6 +18,16 @@ def test_rank_identity():
     assert FpMatrix.identity(5, 3).rank() == 3
 
 
+def test_matmul_refuses_inexact_float64_products():
+    p = 2 ** 31 - 1  # (p-1)^2 alone exceeds 2^53
+    a = FpMatrix(p, [[1]])
+    with pytest.raises(ValueError, match="not exact in float64"):
+        a @ a
+    with pytest.raises(ValueError, match="not exact in float64"):
+        a @ np.array([1])
+    assert (FpMatrix.identity(13, 3) @ FpMatrix.identity(13, 3)).rank() == 3
+
+
 def test_rank_zero_map():
     assert FpMatrix.zeros(3, 4, 7).rank() == 0
 

@@ -1,9 +1,12 @@
 """Weight modules: constructions, projections, Hom spaces, fingerprints."""
 
+from functools import lru_cache
 from itertools import product as cartesian
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcoho.characters import (
     LaurentCharacter,
@@ -11,6 +14,7 @@ from frobcoho.characters import (
     tilting_char,
     weyl_chi,
 )
+from frobcoho.fpmatrix import FpMatrix
 from frobcoho.lie import borel, nilradical, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
@@ -257,3 +261,57 @@ def test_truncated_algebra_product():
     assert sq[alg.index[(2, 0, 0)]] == 1
     cube = alg.mult(sq, v)
     assert not cube.any()  # e^3 = 0 after truncation
+
+
+@lru_cache(maxsize=None)
+def _algebra(name, p):
+    return TruncatedSymAlgebra({"sl2": sl2, "b": borel, "u": nilradical}[name](p))
+
+
+def _reference_mult(alg, v1, v2):
+    """Add exponent tuples; drop any product with an exponent above p-1."""
+    out = [0] * alg.dim
+    for i in np.flatnonzero(v1):
+        for j in np.flatnonzero(v2):
+            s = tuple(a + b for a, b in zip(alg.exponents[i], alg.exponents[j]))
+            if max(s) <= alg.p - 1:
+                out[alg.index[s]] += int(v1[i]) * int(v2[j])
+    return [c % alg.p for c in out]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("sl2", "b", "u")), st.sampled_from((2, 3, 5)), st.data())
+def test_mult_matches_exponent_addition(name, p, data):
+    alg = _algebra(name, p)
+
+    def sparse_vector():
+        entries = data.draw(st.dictionaries(st.integers(0, alg.dim - 1),
+                                            st.integers(1, p - 1), max_size=8))
+        v = np.zeros(alg.dim, dtype=np.int64)
+        v[list(entries)] = list(entries.values())
+        return v
+
+    v1, v2 = sparse_vector(), sparse_vector()
+    assert alg.mult(v1, v2).tolist() == _reference_mult(alg, v1, v2)
+
+
+def test_submodule_rejects_unstable_span():
+    M = truncated_sym(sl2(3), 1)
+    e_line = np.zeros((M.dim, 1), dtype=np.int64)
+    e_line[M.labels.index("e")] = 1
+    # e and h keep the line of e; f sends e to -h
+    with pytest.raises(ValueError, match="span is not stable under f"):
+        M.submodule(FpMatrix(3, e_line), [2])
+
+
+def test_submodule_actions_equal_dense_solve():
+    p = 5
+    for n in range(3 * (p - 1) + 1):
+        M = truncated_sym(sl2(p), n)
+        blocks = casimir_blocks(M)
+        if 0 not in blocks:
+            continue
+        cols, weights = blocks[0]
+        sub = M.submodule(cols, weights)
+        for x in M.algebra.generators:
+            assert sub.action(x) == cols.solve(M.action(x) @ cols), (n, x)
