@@ -11,6 +11,7 @@ Run:  python3 demos/03_sl2_hochschild_tables.py
 """
 
 from frobcoho import (
+    PeriodicCohomology,
     block_projection_principal,
     g1_cohomology_char,
     g1_invariants,
@@ -27,8 +28,8 @@ print(f"{'n':>2}  {'summands':28s} {'dims of H^0..H^6 (G1 route)'}")
 for n in range(3 * (p - 1) + 1):
     piece = truncated_sym(g, n)
     labels = summand_labels(piece).format()
-    projected = block_projection_principal(piece)
-    dims = [g1_cohomology_char(projected, d)[0].dim() for d in range(7)]
+    engine = PeriodicCohomology(block_projection_principal(piece))
+    dims = [g1_cohomology_char(engine, d)[0].dim() for d in range(7)]
     print(f"{n:>2}  {labels:28s} {dims}")
 
 print("\n== per-degree totals across all graded pieces ==")

@@ -175,13 +175,6 @@ class DecompList:
     virtual: bool = False
     remainder: LaurentCharacter = field(default_factory=LaurentCharacter.zero)
 
-    def multiset(self) -> dict[tuple[str, int], int]:
-        out: dict[tuple[str, int], int] = {}
-        for fam, w, m in self.entries:
-            key = (fam, w)
-            out[key] = out.get(key, 0) + m
-        return out
-
     def format(self) -> str:
         if not self.entries:
             return "0"

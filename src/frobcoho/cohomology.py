@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import matmul
 
 import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     FpMatrix,
+    by_parts,
     graded_complement,
     graded_image,
     graded_kernel,
@@ -69,9 +71,9 @@ class PeriodicCohomology:
         self.M = M
         p = M.p
         self.F = M.action("f")
-        self.Fq = self.F ** (p - 1)
+        self.Fq = by_parts(M.parts, lambda f: f ** (p - 1), self.F)
         # F @ Fq = Fq @ F = F^p: both differentials square to zero iff f^p = 0
-        if not (self.F @ self.Fq).is_zero():
+        if not by_parts(M.parts, matmul, self.F, self.Fq).is_zero():
             raise ValueError("f-action is not p-nilpotent")
         self._cache: dict[str, tuple] = {}
 
@@ -106,7 +108,7 @@ class PeriodicCohomology:
         return data
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
-        return not (self.d_out(n) @ vec).any()
+        return not by_parts(self.M.parts, matmul, self.d_out(n), vec).any()
 
     def representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         """Cocycle representatives of H^n with their raw module weights."""
@@ -167,7 +169,7 @@ def u_cohomology_reps(M: WeightModule, j: int) -> list[tuple[np.ndarray, int]]:
         return [(K.a[:, i].copy(), kweights[i]) for i in range(K.cols)]
     B, bweights = graded_image(F, M.weights)
     std = FpMatrix.identity(M.p, M.dim)
-    return [(std.column(i), M.weights[i] + 2)
+    return [(std.a[:, i].copy(), M.weights[i] + 2)
             for i in graded_complement(B, bweights, std, M.weights)]
 
 
@@ -350,8 +352,8 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
     if diagonal is None:
         diagonal = standard_diagonal(p)
     terms = diagonal.component(a_deg, b_deg)
-    left = _f_iterates(engine.F, a_vec, max((s for s, _, _ in terms), default=0))
-    right = _f_iterates(engine.F, b_vec, max((t for _, t, _ in terms), default=0))
+    left = _f_iterates(engine, a_vec, max((s for s, _, _ in terms), default=0))
+    right = _f_iterates(engine, b_vec, max((t for _, t, _ in terms), default=0))
     out = np.zeros(alg.dim, dtype=np.int64)
     sign = -1 if (a_deg % 2 and b_deg % 2) else 1
     for (s, t, co) in terms:
@@ -359,26 +361,27 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
     return (sign * out) % p
 
 
-def _f_iterates(F: FpMatrix, vec: np.ndarray, k: int) -> list[np.ndarray]:
+def _f_iterates(engine: PeriodicCohomology, vec: np.ndarray, k: int) -> list[np.ndarray]:
     """vec, F vec, ..., F^k vec."""
-    out = [np.asarray(vec, dtype=np.int64) % F.p]
+    out = [np.asarray(vec, dtype=np.int64) % engine.M.p]
     for _ in range(k):
-        out.append(F @ out[-1])
+        out.append(by_parts(engine.M.parts, matmul, engine.F, out[-1]))
     return out
 
 
 # -- the G_1 route and assembled tables -------------------------------------
 
 
-def g1_cohomology_char(M: WeightModule, n: int) -> tuple[LaurentCharacter, bool]:
-    """Character of H^n(G_1, M) via the Borel route: untwist the
-    T_1-selected answer and apply the induction Euler characteristic.
+def g1_cohomology_char(engine: PeriodicCohomology, n: int) -> tuple[LaurentCharacter, bool]:
+    """Character of H^n(G_1, M), M the engine's module, via the Borel route:
+    untwist the T_1-selected answer and apply the induction Euler char.
     The flag is True when all untwisted weights are >= -1, in which case
     higher derived induction vanishes and the character is exact."""
-    if M.dim == 0:
+    if engine.M.dim == 0:
         return LaurentCharacter.zero(), True
-    sel = b1_cohomology(M, n)
-    return euler_induction(sel.untwist(M.p))
+    if n < 0:
+        raise ValueError("negative cohomological degree")
+    return euler_induction(t1_invariants(engine.character(n), engine.M.p).untwist(engine.M.p))
 
 
 @dataclass
@@ -398,13 +401,6 @@ class CohomologyTable:
 
     def degree_total(self, degree: int) -> int:
         return sum(c.dim() for s, d, c, _ in self.entries if d == degree)
-
-    def degree_char(self, degree: int) -> LaurentCharacter:
-        out = LaurentCharacter.zero()
-        for _, d, c, _ in self.entries:
-            if d == degree:
-                out = out + c
-        return out
 
     def to_tsv(self) -> str:
         lines = ["n\tdegree\tdim\tcharacter\tflag"]
@@ -438,9 +434,9 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
     if target == "g1":
         g = sl2(p)
         for n in range(3 * (p - 1) + 1):
-            M0 = block_projection_principal(truncated_sym(g, n))
+            engine = PeriodicCohomology(block_projection_principal(truncated_sym(g, n)))
             for d in range(maxdeg + 1):
-                char, exact = g1_cohomology_char(M0, d)
+                char, exact = g1_cohomology_char(engine, d)
                 entries.append((str(n), d, char, "exact" if exact else "euler-only"))
     elif target in ("b1", "u1"):
         alg = borel(p) if target == "b1" else nilradical(p)

@@ -18,6 +18,11 @@ to w + wt(x)).  _split, the one place that cuts a map by weight, raises
 on any other map; the dense primitive then runs per weight block, and
 greedy pivots, kernels and free-variables-zero solutions equal the dense
 ones up to column order.
+
+Action matrices are also block-diagonal up to a permutation: the parts
+(support_parts) are the connected components of their joint support, and
+by_parts runs a product, power or matrix-vector map part by part and
+scatters the blocks back, off which every such result is zero.
 """
 
 from __future__ import annotations
@@ -118,9 +123,6 @@ class FpMatrix:
     @property
     def T(self) -> "FpMatrix":
         return FpMatrix(self.p, self.a.T)
-
-    def column(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -374,3 +376,46 @@ def graded_eigenspaces(mat: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list
                 left -= kb.cols
     return {lam: (_embed(mat.rows, mat.p, pieces), ws)
             for lam, (pieces, ws) in sorted(found.items())}
+
+
+# -- block-diagonal maps -------------------------------------------------------
+
+
+def support_parts(n: int, mats) -> list[np.ndarray]:
+    """The finest partition of range(n) that no entry of the n x n matrices
+    mats joins across: the connected components of their joint support,
+    each increasing, ordered by first index."""
+    rows, cols = np.nonzero(sum((m.a != 0 for m in mats), np.zeros((n, n), dtype=bool)))
+    label = np.arange(n)
+    while True:  # every index takes the least label it reaches
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def by_parts(parts, fn, *args):
+    """fn run part by part, for square FpMatrix args that no entry joins
+    across parts (support_parts), and the results scattered back.
+
+    fn gets the part x part block of each FpMatrix and the rows at the part
+    of every other (array) arg.  FpMatrix results fill the diagonal blocks
+    of an n x n FpMatrix, array results the rows of an array; the rest is
+    zero.  With one part fn runs on the args themselves."""
+    if len(parts) == 1:
+        return fn(*args)
+    n = sum(idx.size for idx in parts)
+    out = None
+    for idx in parts:
+        res = fn(*(FpMatrix(a.p, a.a[np.ix_(idx, idx)]) if isinstance(a, FpMatrix)
+                   else np.asarray(a)[idx] for a in args))
+        square = isinstance(res, FpMatrix)
+        if out is None:
+            out = np.zeros((n, n) if square else (n, *res.shape[1:]), dtype=np.int64)
+        out[np.ix_(idx, idx) if square else idx] = res.a if square else res
+    return FpMatrix(res.p, out) if square else out

@@ -19,10 +19,11 @@ additivity of the bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .fpmatrix import FpMatrix, _check_prime
+from .fpmatrix import FpMatrix, _check_prime, by_parts
 
 GENERATOR_WEIGHTS = {"e": 2, "h": 0, "f": -2}
 POSITIVE_ROOT = 2
@@ -106,6 +107,8 @@ class RestrictedLieAlgebra:
                 raise ValueError(f"restrictedness fails on {x}")
 
 
+# one instance per prime (the dataclass is frozen): construction validates
+@cache
 def sl2(p: int) -> RestrictedLieAlgebra:
     return RestrictedLieAlgebra(
         p=p,
@@ -115,6 +118,7 @@ def sl2(p: int) -> RestrictedLieAlgebra:
     )
 
 
+@cache
 def borel(p: int) -> RestrictedLieAlgebra:
     """The negative Borel subalgebra b = span{h, f} of sl2."""
     return RestrictedLieAlgebra(
@@ -125,6 +129,7 @@ def borel(p: int) -> RestrictedLieAlgebra:
     )
 
 
+@cache
 def nilradical(p: int) -> RestrictedLieAlgebra:
     """The one-dimensional abelian u = span{f} with trivial p-power map."""
     return RestrictedLieAlgebra(p=p, generators=("f",), bracket={}, p_power={"f": {}})
@@ -143,4 +148,4 @@ def casimir_operator(module) -> FpMatrix:
         raise ValueError("Casimir normalization needs p >= 3")
     e, h, f = module.action("e"), module.action("h"), module.action("f")
     half = pow(2, p - 2, p)
-    return e @ f + f @ e + half * (h @ h)
+    return by_parts(module.parts, lambda e, f, h: e @ f + f @ e + half * (h @ h), e, f, h)

@@ -9,6 +9,11 @@ enforces the four structural invariants exactly:
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
+The basis splits into parts, the connected components of the actions'
+joint support (for the truncated symmetric algebra, its graded pieces).
+Every product of actions is block-diagonal on them, so validation, the
+Casimir, its eigenspaces and projector and submodules run part by part.
+
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
 (TruncatedSymAlgebra) whose product feeds the cup-product machinery.
@@ -19,6 +24,8 @@ trivial module; for p = 2 the projection is the identity.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .characters import (
@@ -28,7 +35,14 @@ from .characters import (
     decompose_tilting_greedy,
     weyl_chi,
 )
-from .fpmatrix import FpMatrix, graded_eigenspaces, graded_kernel, graded_solve
+from .fpmatrix import (
+    FpMatrix,
+    by_parts,
+    graded_eigenspaces,
+    graded_kernel,
+    graded_solve,
+    support_parts,
+)
 from .lie import RestrictedLieAlgebra, casimir_operator, sl2
 
 
@@ -64,6 +78,12 @@ class WeightModule:
     def character(self) -> LaurentCharacter:
         return LaurentCharacter.from_weights(self.weights)
 
+    @cached_property
+    def parts(self) -> list[np.ndarray]:
+        """Basis indices per connected component of the actions' joint
+        support: the finest split that every action respects."""
+        return support_parts(self.dim, self.actions.values())
+
     def validate(self) -> None:
         p, alg = self.p, self.algebra
         w = self._warray
@@ -77,14 +97,15 @@ class WeightModule:
                 lhs = FpMatrix.zeros(p, self.dim, self.dim)
                 for z, c in alg.bracket_coeffs(x, y).items():
                     lhs = lhs + c * self.action(z)
-                rhs = self.action(x) @ self.action(y) - self.action(y) @ self.action(x)
+                rhs = by_parts(self.parts, lambda a, b: a @ b - b @ a,
+                               self.action(x), self.action(y))
                 if lhs != rhs:
                     raise ValueError(f"bracket compatibility fails on ({x},{y})")
         for x in alg.generators:
             target = FpMatrix.zeros(p, self.dim, self.dim)
             for z, c in alg.p_power.get(x, {}).items():
                 target = target + c * self.action(z)
-            if self.action(x) ** p != target:
+            if by_parts(self.parts, lambda a: a ** p, self.action(x)) != target:
                 raise ValueError(f"restricted compatibility fails on {x}")
         if "h" in alg.generators:
             expected = np.diag(w % p).astype(np.int64)
@@ -154,10 +175,18 @@ class WeightModule:
         if columns.cols != len(weights):
             raise ValueError("column/weight mismatch")
         labels = [f"{prefix}{k}" for k in range(columns.cols)]
+
+        def image(a: FpMatrix, c: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(c)
+            used = c.any(axis=0)  # the columns that meet this part
+            out[:, used] = (a @ FpMatrix(self.p, c[:, used])).a
+            return out
+
         actions = {}
         for x in self.algebra.generators:
             try:
-                actions[x] = graded_solve(columns, weights, self.action(x) @ columns)
+                moved = by_parts(self.parts, image, self.action(x), columns.a)
+                actions[x] = graded_solve(columns, weights, FpMatrix(self.p, moved))
             except ValueError as exc:
                 raise ValueError(f"span is not stable under {x}") from exc
         return WeightModule(self.algebra, labels, weights, actions)
@@ -351,53 +380,75 @@ def simple_module(lam: int, p: int) -> WeightModule:
 # -- Casimir blocks and projections ----------------------------------------
 
 
+def _checked_casimir(M: WeightModule) -> FpMatrix:
+    c = casimir_operator(M)
+    for x in M.algebra.generators:
+        if not by_parts(M.parts, lambda c, a: c @ a - a @ c, c, M.action(x)).is_zero():
+            raise ValueError(f"Casimir does not commute with the action of {x}")
+    return c
+
+
+def _split_eigenspaces(c: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list[int]]]:
+    blocks = graded_eigenspaces(c, weights)
+    if sum(cols.cols for cols, _ in blocks.values()) != c.rows:
+        raise ValueError("Casimir characteristic polynomial does not split")
+    return blocks
+
+
 def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
     """Generalized eigenspace of the Casimir per eigenvalue, weight-graded.
 
     The character polynomial must split over F_p (weights are rational),
     so the eigenspace dimensions add up to dim M; otherwise this raises.
+    Found part by part, the columns come in the order of the dense basis:
+    by weight, then by free index, which is the last nonzero row.
     """
-    c = casimir_operator(M)
-    for x in M.algebra.generators:
-        a = M.action(x)
-        if c @ a != a @ c:
-            raise ValueError(f"Casimir does not commute with the action of {x}")
-    blocks = graded_eigenspaces(c, M.weights)
-    if sum(cols.cols for cols, _ in blocks.values()) != M.dim:
-        raise ValueError("Casimir characteristic polynomial does not split")
+    c = _checked_casimir(M)
+    found: dict[int, tuple[list, list[int]]] = {}
+    for idx in M.parts:
+        part = FpMatrix(M.p, c.a[np.ix_(idx, idx)])
+        for lam, (cols, ws) in _split_eigenspaces(part, M._warray[idx]).items():
+            vecs, weights = found.setdefault(lam, ([], []))
+            vecs.append(np.zeros((M.dim, cols.cols), dtype=np.int64))
+            vecs[-1][idx] = cols.a
+            weights += ws
+    blocks = {}
+    for lam, (vecs, ws) in sorted(found.items()):
+        cols = np.concatenate(vecs, axis=1)
+        order = np.lexsort((M.dim - 1 - np.argmax(cols[::-1] != 0, axis=0), ws))
+        blocks[lam] = (FpMatrix(M.p, cols[:, order]), [ws[k] for k in order])
     return blocks
 
 
 def block_projection_principal(M: WeightModule) -> WeightModule:
     """Projection onto the principal block: the generalized 0-eigenspace
     of the Casimir for p >= 3; the identity for p = 2."""
-    if M.p == 2:
+    if M.p == 2 or M.dim == 0:
         return M
-    if M.dim == 0:
-        return M
-    blocks = casimir_blocks(M)
-    if 0 not in blocks:
-        cols = FpMatrix.zeros(M.p, M.dim, 0)
-        return M.submodule(cols, [], prefix="blk")
-    cols, weights = blocks[0]
+    cols, weights = casimir_blocks(M).get(0, (FpMatrix.zeros(M.p, M.dim, 0), []))
     return M.submodule(cols, weights, prefix="blk")
+
+
+def _projector(c: FpMatrix, weights) -> FpMatrix:
+    """Projection onto the generalized 0-eigenspace of c along the others."""
+    blocks = _split_eigenspaces(c, weights)
+    if 0 not in blocks:
+        return FpMatrix.zeros(c.p, c.rows, c.rows)
+    order = sorted(blocks)  # eigenvalue 0 comes first
+    basis = FpMatrix(c.p, np.concatenate([blocks[lam][0].a for lam in order], axis=1))
+    inv = graded_solve(basis, [w for lam in order for w in blocks[lam][1]],
+                       FpMatrix.identity(c.p, c.rows))
+    n0 = blocks[0][0].cols
+    return FpMatrix(c.p, basis.a[:, :n0]) @ FpMatrix(c.p, inv.a[:n0, :])
 
 
 def principal_block_projector(M: WeightModule) -> FpMatrix:
     """Idempotent matrix projecting onto the principal block along the
-    other Casimir blocks (identity for p = 2)."""
-    p = M.p
-    if p == 2:
-        return FpMatrix.identity(p, M.dim)
-    blocks = casimir_blocks(M)
-    if 0 not in blocks:
-        return FpMatrix.zeros(p, M.dim, M.dim)
-    order = sorted(blocks)  # eigenvalue 0 comes first
-    basis = FpMatrix(p, np.concatenate([blocks[lam][0].a for lam in order], axis=1))
-    weights = [w for lam in order for w in blocks[lam][1]]
-    inv = graded_solve(basis, weights, FpMatrix.identity(p, M.dim))
-    n0 = blocks[0][0].cols
-    return FpMatrix(p, basis.a[:, :n0]) @ FpMatrix(p, inv.a[:n0, :])
+    other Casimir blocks (identity for p = 2).  It does not depend on the
+    basis, so it is built part by part."""
+    if M.p == 2:
+        return FpMatrix.identity(M.p, M.dim)
+    return by_parts(M.parts, _projector, _checked_casimir(M), M._warray)
 
 
 # -- Hom spaces, duality pairing, invariants -------------------------------

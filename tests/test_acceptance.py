@@ -49,15 +49,15 @@ def test_criterion_1_appendix_reproduction():
         ok = ok and total == 1
     # pinned spot values
     row3 = block_projection_principal(truncated_sym(sl2(3), 3))
-    dims3 = [g1_cohomology_char(row3, d)[0].dim() for d in range(6)]
+    dims3 = [g1_cohomology_char(PeriodicCohomology(row3), d)[0].dim() for d in range(6)]
     ok = ok and dims3 == [0, 4, 0, 8, 0, 12]
     row0 = block_projection_principal(truncated_sym(sl2(3), 0))
     row6 = block_projection_principal(truncated_sym(sl2(3), 6))
     for row in (row0, row6):
-        dims = [g1_cohomology_char(row, d)[0].dim() for d in range(6)]
+        dims = [g1_cohomology_char(PeriodicCohomology(row), d)[0].dim() for d in range(6)]
         ok = ok and dims == [1, 0, 3, 0, 5, 0]
     p2row2 = block_projection_principal(truncated_sym(sl2(2), 2))
-    char, exact = g1_cohomology_char(p2row2, 0)
+    char, exact = g1_cohomology_char(PeriodicCohomology(p2row2), 0)
     ok = ok and exact and char.dim() == 2
     _criterion("criterion-1 appendix reproduction (p=2,3,5,7, degrees <= 8)", ok)
 

@@ -194,18 +194,18 @@ def test_g1_route_examples():
     # nilpotent cone coordinate ring (dimension 3)
     p = 3
     k = trivial_module(sl2(p))
-    char, exact = g1_cohomology_char(k, 2)
+    char, exact = g1_cohomology_char(PeriodicCohomology(k), 2)
     assert exact and char == weyl_chi(2)
     # the odd row at p=3, degree 1: dimension 4 = ind of weights {2, 0}
     M0 = block_projection_principal(truncated_sym(sl2(3), 3))
-    char, exact = g1_cohomology_char(M0, 1)
+    char, exact = g1_cohomology_char(PeriodicCohomology(M0), 1)
     assert exact and char == weyl_chi(2) + weyl_chi(0) and char.dim() == 4
     # the projective-cover model contributes only in degree zero
     q0 = tilting_t2p2_model(3)
-    char, exact = g1_cohomology_char(q0, 0)
+    char, exact = g1_cohomology_char(PeriodicCohomology(q0), 0)
     assert exact and char == weyl_chi(0)
     for n in (1, 2, 3):
-        char, exact = g1_cohomology_char(q0, n)
+        char, exact = g1_cohomology_char(PeriodicCohomology(q0), n)
         assert exact and char.is_zero()
 
 
