@@ -204,12 +204,17 @@ def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
     defect; defect 0 in a degree means collapse at E_2 there."""
     if M.p == 2:
         raise ValueError("collapse bookkeeping needs p >= 3")
-    engine = PeriodicCohomology(M) if M.dim else None
+    return _collapse_rows(PeriodicCohomology(M), maxdeg)
+
+
+def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]:
+    """collapse_check on the engine's module, read from the engine."""
+    M = engine.M
     rows = []
     for n in range(maxdeg + 1):
         i, j = (n // 2, 0) if n % 2 == 0 else ((n - 1) // 2, 1)
         e2 = e2_page(M, i, j).dim()
-        actual = t1_invariants(engine.character(n), M.p).dim() if engine else 0
+        actual = t1_invariants(engine.character(n), M.p).dim()
         defect = e2 - actual
         if defect < 0:
             raise ValueError(f"E2 smaller than the abutment in degree {n}")

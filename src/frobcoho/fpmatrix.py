@@ -17,7 +17,10 @@ of another weight reaches, as every action matrix does (it maps weight w
 to w + wt(x)).  _split, the one place that cuts a map by weight, raises
 on any other map; the dense primitive then runs per weight block, and
 greedy pivots, kernels and free-variables-zero solutions equal the dense
-ones up to column order.
+ones up to column order.  graded_eigenspaces instead stacks the weight
+blocks of one size and row-reduces the whole stack at once (_rref_stack),
+since a split map has many tiny blocks; _rref stays the reduction for
+single matrices, on which the stacked one is slower.
 
 Action matrices are also block-diagonal up to a permutation: the parts
 (support_parts) are the connected components of their joint support, and
@@ -26,6 +29,8 @@ scatters the blocks back, off which every such result is zero.
 """
 
 from __future__ import annotations
+
+from operator import matmul
 
 import numpy as np
 
@@ -51,13 +56,27 @@ def _check_prime(p: int) -> None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if (p - 1) ** 2 * a.shape[1] >= 2 ** 53:
-        raise ValueError(f"a product over F_{p} with inner dimension {a.shape[1]} "
+    """a @ b mod p, for matrices or for stacks of them."""
+    inner = a.shape[-1]
+    if (p - 1) ** 2 * inner >= 2 ** 53:
+        raise ValueError(f"a product over F_{p} with inner dimension {inner} "
                          "is not exact in float64")
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    if inner == 0:
+        return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
     c = a.astype(np.float64) @ b.astype(np.float64)
     return (c % p).astype(np.int64)
+
+
+def _power(base, n: int, mul):
+    """base ** n for n >= 1 by repeated squaring, multiplying with mul."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -84,6 +103,42 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_rref of every slice of a (B, rows, cols) stack in one pass over the
+    columns: the reduced forms, and per slice a mask of its pivot columns.
+
+    Each slice gets the reduced form and pivots _rref gives it (the reduced
+    echelon form is unique).  The per-column numpy calls act on the whole
+    stack, so this pays off for many small matrices; _rref stays faster on
+    a single one."""
+    a = a.copy()
+    count, rows, cols = a.shape
+    pivot = np.zeros((count, cols), dtype=bool)
+    inv = np.array([0, *(pow(x, p - 2, p) for x in range(1, p))], dtype=np.int64)
+    r = np.zeros(count, dtype=np.int64)  # next pivot row, per slice
+    below = np.arange(rows)
+    for c in range(cols):
+        nz = (a[:, :, c] != 0) & (below >= r[:, None])
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        live = np.flatnonzero(has)
+        sel = slice(None) if live.size == count else live
+        top, k = r[live], nz[live].argmax(axis=1)
+        row = a[live, k]
+        a[live, k] = a[live, top]
+        row = row * inv[row[:, c]][:, None] % p
+        a[live, top] = row
+        col = a[sel, :, c].copy()
+        col[np.arange(live.size), top] = 0
+        a[sel] = (a[sel] - col[:, :, None] * row[:, None, :]) % p
+        pivot[live, c] = True
+        r[live] += 1
+        if r.min() >= rows:
+            break
+    return a, pivot
 
 
 class FpMatrix:
@@ -173,15 +228,9 @@ class FpMatrix:
             raise ValueError("matrix power needs a square matrix")
         if n < 0:
             raise ValueError("negative powers unsupported")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return FpMatrix.identity(self.p, self.rows) if result is None else result
+        if n == 0:
+            return FpMatrix.identity(self.p, self.rows)
+        return _power(self, n, matmul)
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         if self._rref_cache is None:
@@ -357,25 +406,57 @@ def graded_eigenspaces(mat: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list
     """Generalized eigenspaces of a weight-preserving endomorphism.
 
     Maps each eigenvalue in F_p to (basis columns, weight per column), the
-    columns weight-homogeneous and in increasing weight.  The dimensions add
-    up to the size of mat exactly when its characteristic polynomial splits.
+    columns weight-homogeneous and in increasing weight; per weight they are
+    the columns generalized_eigenspace gives on that weight's block.  The
+    dimensions add up to the size of mat exactly when its characteristic
+    polynomial splits.
+
+    The blocks of one size k are done together: one stacked reduction ranks
+    every shift block - lam I, and one more reads the kernels of the k-th
+    powers of the singular ones (k is at least the index).
     """
-    found: dict[int, tuple[list, list[int]]] = {}
+    p = mat.p
     values, labels = _weight_labels(weights)
-    for w, idx in zip(values, _groups(labels, len(values))):
-        block = FpMatrix(mat.p, mat.a[np.ix_(idx, idx)])
-        left = idx.size
-        for lam in range(mat.p):
-            if not left:
-                break
-            kb = generalized_eigenspace(block, lam)
-            if kb.cols:
-                pieces, ws = found.setdefault(lam, ([], []))
-                pieces.append((idx, kb.a))
-                ws += [w] * kb.cols
-                left -= kb.cols
-    return {lam: (_embed(mat.rows, mat.p, pieces), ws)
-            for lam, (pieces, ws) in sorted(found.items())}
+    groups = _groups(labels, len(values))
+    sizes = np.array([idx.size for idx in groups], dtype=np.int64)
+    keys, vecs = [], []  # per kernel vector: (lam, weight position, free slot), entries
+    for k in sorted(set(sizes.tolist())):
+        pos = np.flatnonzero(sizes == k)
+        idx = np.array([groups[j] for j in pos])
+        blocks = mat.a[idx[:, :, None], idx[:, None, :]]
+        eye = np.eye(k, dtype=np.int64)
+        shifted = (blocks[:, None] - np.arange(p)[:, None, None] * eye) % p
+        shifted = shifted.reshape(-1, k, k)  # block j, lam at slice j * p + lam
+        singular = np.flatnonzero(_rref_stack(shifted, p)[1].sum(axis=1) < k)
+        if not singular.size:
+            continue
+        power = _power(shifted[singular], k, lambda x, y: _matmul(x, y, p))
+        red, piv = _rref_stack(power, p)
+        # column f of basis[s] is the kernel vector with a 1 at free slot f
+        basis = np.zeros_like(red)
+        s, c = np.nonzero(piv)
+        basis[s, c] = -red[s, np.cumsum(piv, axis=1)[s, c] - 1] % p
+        s, f = np.nonzero(~piv)
+        basis[s, f, f] = 1
+        block = singular[s] // p
+        keys.append(np.stack([singular[s] % p, pos[block], f]))
+        vecs.append((idx[block], basis[s, :, f]))
+    if not keys:
+        return {}
+    lam, wpos, free = np.concatenate(keys, axis=1)
+    order = np.lexsort((free, wpos, lam))
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    out = np.zeros((mat.rows, order.size), dtype=np.int64)
+    done = 0
+    for rows, entries in vecs:
+        out[rows, place[done:done + len(rows), None]] = entries
+        done += len(rows)
+    lams, starts = np.unique(lam[order], return_index=True)
+    col_weights = np.asarray(values)[wpos[order]].tolist()
+    ends = [*starts[1:].tolist(), order.size]
+    return {lam_: (FpMatrix(p, out[:, a:b]), col_weights[a:b])
+            for lam_, a, b in zip(lams.tolist(), starts.tolist(), ends)}
 
 
 # -- block-diagonal maps -------------------------------------------------------

@@ -41,7 +41,7 @@ from .characters import (
 )
 from .cohomology import (
     PeriodicCohomology,
-    b1_cohomology,
+    _collapse_rows,
     collapse_check,
     cup_product,
     e2_page,
@@ -55,13 +55,15 @@ from .fpmatrix import FpMatrix, by_parts, graded_image, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
+    _class_labels,
+    _principal_part,
     block_projection_principal,
+    casimir_blocks,
     duality_pairing_rank,
     g1_invariants,
     module_hom_dim,
     principal_block_projector,
     simple_model,
-    summand_labels,
     sym_power,
     trivial_module,
     truncated_sym,
@@ -196,20 +198,30 @@ def synthesize_fixture(p: int) -> AppendixFixture:
     """Reference rows recomputed from scratch for a prime without a
     shipped fixture: summand labels from the Casimir-class peel and the
     cohomology pattern from the parity/range rule of the block structure."""
+    return AppendixFixture(p, tuple(_synthesized_row(p, n, blocks)
+                                    for n, (_, blocks) in enumerate(_casimir_split(p))))
+
+
+def _casimir_split(p: int):
+    """Per degree n in turn, the graded piece truncated_sym(sl2(p), n) and
+    its Casimir blocks."""
     if p == 2 or not is_prime(p):
         raise ValueError("synthesis needs an odd prime")
     g = sl2(p)
-    rows = []
     for n in range(3 * (p - 1) + 1):
-        dec = summand_labels(truncated_sym(g, n))
-        inside = p - 1 <= n <= 2 * (p - 1)
-        if n % 2 == 0:
-            pattern = "K_DEG0" if inside else "KNULL"
-        else:
-            pattern = "ODD_IND" if inside else "ZERO"
-        labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
-        rows.append(FixtureRow(n, labels, pattern))
-    return AppendixFixture(p, tuple(rows))
+        piece = truncated_sym(g, n)
+        yield piece, casimir_blocks(piece)
+
+
+def _synthesized_row(p: int, n: int, blocks) -> FixtureRow:
+    dec = _class_labels(blocks, p)
+    inside = p - 1 <= n <= 2 * (p - 1)
+    if n % 2 == 0:
+        pattern = "K_DEG0" if inside else "KNULL"
+    else:
+        pattern = "ODD_IND" if inside else "ZERO"
+    labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
+    return FixtureRow(n, labels, pattern)
 
 
 # -- reports ----------------------------------------------------------------
@@ -298,7 +310,14 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
     synthetic = p not in FIXTURE_PRIMES
     if synthetic and not allow_synth:
         raise ValueError(f"no shipped fixture for p={p}; pass allow_synth=True")
-    fixture = synthesize_fixture(p) if synthetic else load_fixture(p, fixture_dir)
+    if synthetic:  # one Casimir split per piece serves its row and its checks
+        rows, built = [], {}
+        for n, (piece, blocks) in enumerate(_casimir_split(p)):
+            rows.append(_synthesized_row(p, n, blocks))
+            built[n] = (piece.character(), _principal_part(piece, blocks))
+        fixture = AppendixFixture(p, tuple(rows))
+    else:
+        fixture = load_fixture(p, fixture_dir)
     report = VerificationReport(suite=f"appendix p={p} maxdeg={maxdeg}")
 
     top = 3 * (p - 1)
@@ -310,15 +329,18 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
 
     g = sl2(p)
     for row in fixture.rows:
-        piece = truncated_sym(g, row.n)
+        if synthetic:
+            char, principal = built[row.n]
+        else:
+            piece = truncated_sym(g, row.n)
+            char, principal = piece.character(), block_projection_principal(piece)
         claimed = LaurentCharacter.zero()
         for fam, m in row.summands:
             claimed = claimed + label_char(fam, m, p)
-        report.add(f"row{row.n:02d}-summand-character",
-                   piece.character() == claimed,
-                   claimed.serialize(), piece.character().serialize())
+        report.add(f"row{row.n:02d}-summand-character", char == claimed,
+                   claimed.serialize(), char.serialize())
 
-        engine = PeriodicCohomology(block_projection_principal(piece))
+        engine = PeriodicCohomology(principal)
         ok = True
         detail_exp, detail_got = [], []
         for d in range(maxdeg + 1):
@@ -502,7 +524,8 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
         proj = principal_block_projector(total.module)
         sub_cols, sub_weights = graded_image(proj, total.module.weights)
         total0 = total.module.submodule(sub_cols, sub_weights, prefix="pb")
-        rows0 = collapse_check(total0, 8)
+        engine0 = PeriodicCohomology(total0)
+        rows0 = _collapse_rows(engine0, 8)
         wanted = ip_expected_dims(p, 8)
         report.add("collapse-defect-vs-ideal",
                    [r.defect for r in rows0] == wanted,
@@ -511,7 +534,7 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
         e2tot = [e2_page(taft.module, d // 2, d % 2).dim() for d in range(maxdeg + 1)]
         report.add("taft-e2-collapse", e2tot == taft_dims, _fmt_dims(taft_dims), _fmt_dims(e2tot))
 
-        _cup_checks(report, p, total, proj, (sub_cols, sub_weights, total0), pieces0)
+        _cup_checks(report, p, total, proj, (sub_cols, sub_weights, engine0), pieces0)
 
     # identifications of the Borel graded pieces as twisted simples
     ok = True
@@ -548,8 +571,8 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
     """Ring samples on the principal-block coefficients (p >= 3).
 
     proj is the principal-block projector of total.module and principal
-    its image as (columns, weights, submodule); pieces0 are the
-    principal-block parts of the graded pieces, by degree."""
+    its image as (columns, weights, PeriodicCohomology of the submodule);
+    pieces0 are the principal-block parts of the graded pieces, by degree."""
     engine = PeriodicCohomology(total.module)
 
     # the invariant quadratic element 4ef + h^2 and its powers
@@ -608,7 +631,8 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
     # them restricts projectively, so nothing survives in positive degree
     row = pieces0[p - 1]
     e2_odd = t1_invariants(u_cohomology(row, 1), p)
-    died = all(b1_cohomology(row, d).is_zero() for d in (1, 2, 3))
+    row_engine = PeriodicCohomology(row)
+    died = all(t1_invariants(row_engine.character(d), p).is_zero() for d in (1, 2, 3))
     report.add("y-family-dies-at-e3",
                e2_odd == LaurentCharacter.line(2 * p) and died,
                "one E2 class at weight 2p, no surviving positive degree",
@@ -623,8 +647,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
         degs = sorted({total.degrees[i] for i in np.nonzero(vec)[0]})
         nm = "z" if w == 2 * p - 2 else "z'"
         odd_reps.append((f"{nm}@{degs[0]}", vec))
-    sub_cols, sub_weights, sub = principal
-    sub_engine = PeriodicCohomology(sub)
+    sub_cols, sub_weights, sub_engine = principal
     ok = len(odd_reps) == p - 1
     detail = []
     for na, va in odd_reps:

@@ -425,7 +425,12 @@ def block_projection_principal(M: WeightModule) -> WeightModule:
     of the Casimir for p >= 3; the identity for p = 2."""
     if M.p == 2 or M.dim == 0:
         return M
-    cols, weights = casimir_blocks(M).get(0, (FpMatrix.zeros(M.p, M.dim, 0), []))
+    return _principal_part(M, casimir_blocks(M))
+
+
+def _principal_part(M: WeightModule, blocks) -> WeightModule:
+    """The submodule on the 0-block of M's Casimir blocks."""
+    cols, weights = blocks.get(0, (FpMatrix.zeros(M.p, M.dim, 0), []))
     return M.submodule(cols, weights, prefix="blk")
 
 
@@ -544,8 +549,13 @@ def summand_labels(M: WeightModule) -> DecompList:
             fam = "Delta" if module_hom_dim(trivial_module(alg), M) else "Nabla"
             return DecompList([(fam, 2, 1)])
         raise ValueError("p=2 module outside the supported label patterns")
+    return _class_labels(casimir_blocks(M), p)
+
+
+def _class_labels(blocks, p: int) -> DecompList:
+    """summand_labels for odd p, read off the Casimir blocks."""
     entries = []
-    for lam, (cols, weights) in sorted(casimir_blocks(M).items()):
+    for lam, (cols, weights) in sorted(blocks.items()):
         char = LaurentCharacter.from_weights(weights)
         try:
             dec = decompose_tilting_greedy(char, p)

@@ -20,6 +20,8 @@ FAST_OPS = (
     "verify appendix --p 2",
     "verify appendix --p 3",
     "verify appendix --p 5",
+    "verify appendix --p 7",
+    "table g1 --p 11",
     "table b1 --p 13",
     "table u1 --p 13",
 )

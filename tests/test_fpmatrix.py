@@ -5,6 +5,7 @@ import pytest
 
 from frobcoho.fpmatrix import (
     FpMatrix,
+    _matmul,
     generalized_eigenspace,
     graded_kernel,
     independent_columns,
@@ -25,6 +26,8 @@ def test_matmul_refuses_inexact_float64_products():
         a @ a
     with pytest.raises(ValueError, match="not exact in float64"):
         a @ np.array([1])
+    with pytest.raises(ValueError, match="not exact in float64"):  # a stack of products
+        _matmul(np.ones((2, 1, 1), dtype=np.int64), np.ones((2, 1, 1), dtype=np.int64), p)
     assert (FpMatrix.identity(13, 3) @ FpMatrix.identity(13, 3)).rank() == 3
 
 

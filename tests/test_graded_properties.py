@@ -3,7 +3,8 @@
 A random weight-graded endomorphism has a random weight per basis vector
 (basis order shuffled) and sends weight w to weight w + shift through a
 random low-rank block; every graded_* result must agree with the dense
-FpMatrix computation on the whole matrix.
+FpMatrix computation on the whole matrix.  The stacked row reduction
+behind graded_eigenspaces must agree with _rref slice by slice.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from frobcoho.fpmatrix import (
     FpMatrix,
+    _rref,
+    _rref_stack,
     generalized_eigenspace,
     graded_complement,
     graded_eigenspaces,
@@ -20,6 +23,7 @@ from frobcoho.fpmatrix import (
     graded_kernel,
     graded_solve,
 )
+from frobcoho.wmodules import _split_eigenspaces
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -120,17 +124,83 @@ def test_graded_complement_matches_dense_pivots(case, seed):
     assert len(picked) == len(set(picked))
 
 
+def _eigenspaces_per_block(mat: FpMatrix, weights):
+    """The reference for graded_eigenspaces: generalized_eigenspace on each
+    weight block, by increasing weight, embedded in the whole space."""
+    found = {}
+    w = np.array(weights, dtype=np.int64)
+    for weight in sorted(set(weights)):
+        idx = np.flatnonzero(w == weight)
+        block = FpMatrix(mat.p, mat.a[np.ix_(idx, idx)])
+        for lam in range(mat.p):
+            kb = generalized_eigenspace(block, lam)
+            if kb.cols:
+                vecs = np.zeros((mat.rows, kb.cols), dtype=np.int64)
+                vecs[idx] = kb.a
+                cols, ws = found.setdefault(lam, ([], []))
+                cols.append(vecs)
+                ws += [weight] * kb.cols
+    return {lam: (FpMatrix(mat.p, np.concatenate(cols, axis=1)), ws)
+            for lam, (cols, ws) in sorted(found.items())}
+
+
+def _assert_same_eigenspaces(got, want):
+    assert list(got) == list(want)
+    for lam, (basis, bweights) in want.items():
+        assert got[lam][0].shape == basis.shape
+        assert got[lam][0].a.tobytes() == basis.a.tobytes()
+        assert got[lam][1] == bweights
+
+
 @SETTINGS
 @given(graded_maps(shift=0))
 def test_graded_eigenspaces_match_dense(case):
     mat, weights = case
     blocks = graded_eigenspaces(mat, weights)
+    _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
     for lam in range(mat.p):
         dense = generalized_eigenspace(mat, lam).cols
         assert (blocks[lam][0].cols if lam in blocks else 0) == dense
     for basis, bweights in blocks.values():
         for j, w in enumerate(bweights):
             assert _homogeneous(basis.a[:, j], w, weights)
+
+
+def test_graded_eigenspaces_without_split_characteristic_polynomial():
+    # x^2 - 2 has no root mod 5: the weight-0 block has no eigenvalue
+    mat = FpMatrix(5, [[0, 1, 0], [2, 0, 0], [0, 0, 3]])
+    weights = [0, 0, 2]
+    blocks = graded_eigenspaces(mat, weights)
+    _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
+    assert list(blocks) == [3]
+    assert graded_eigenspaces(FpMatrix(5, [[0, 1], [2, 0]]), [0, 0]) == {}
+    with pytest.raises(ValueError, match="does not split"):
+        _split_eigenspaces(mat, weights)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(stack, p): random (B, rows, cols) stacks, slices of random rank."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    count, rows, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.zeros((count, rows, cols), dtype=np.int64)
+    for b in range(count):
+        k = draw(st.integers(0, min(rows, cols)))
+        stack[b] = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+    return stack % p, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks())
+def test_rref_stack_matches_rref_per_slice(case):
+    stack, p = case
+    red, pivots = _rref_stack(stack, p)
+    assert red.shape == stack.shape and pivots.shape == (stack.shape[0], stack.shape[2])
+    for b in range(stack.shape[0]):
+        want, want_pivots = _rref(stack[b], p)
+        assert np.array_equal(red[b], want)
+        assert tuple(np.flatnonzero(pivots[b]).tolist()) == want_pivots
 
 
 def test_split_rejects_an_ungraded_map():
