@@ -24,7 +24,6 @@ from .cohomology import (
     CollapseRow,
     CupDiagonal,
     PeriodicCohomology,
-    b1_cohomology,
     collapse_check,
     cup_product,
     e2_page,

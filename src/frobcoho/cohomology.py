@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import matmul
 
 import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     FpMatrix,
-    by_parts,
+    GradedMap,
     graded_complement,
     graded_image,
     graded_kernel,
@@ -70,10 +69,10 @@ class PeriodicCohomology:
     def __init__(self, M: WeightModule):
         self.M = M
         p = M.p
-        self.F = M.action("f")
-        self.Fq = by_parts(M.parts, lambda f: f ** (p - 1), self.F)
+        self.F = M.maps["f"]
+        self.Fq = self.F ** (p - 1)
         # F @ Fq = Fq @ F = F^p: both differentials square to zero iff f^p = 0
-        if not by_parts(M.parts, matmul, self.F, self.Fq).is_zero():
+        if not (self.F @ self.Fq).is_zero():
             raise ValueError("f-action is not p-nilpotent")
         self._cache: dict[str, tuple] = {}
 
@@ -82,10 +81,10 @@ class PeriodicCohomology:
             return "deg0"
         return "odd" if n % 2 else "even"
 
-    def d_out(self, n: int) -> FpMatrix:
+    def d_out(self, n: int) -> GradedMap:
         return self.F if n % 2 == 0 else self.Fq
 
-    def d_in(self, n: int) -> FpMatrix:
+    def d_in(self, n: int) -> GradedMap:
         if n == 0:
             raise ValueError("no incoming differential in degree 0")
         return self.F if n % 2 else self.Fq
@@ -108,7 +107,7 @@ class PeriodicCohomology:
         return data
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
-        return not by_parts(self.M.parts, matmul, self.d_out(n), vec).any()
+        return not (self.d_out(n) @ vec).any()
 
     def representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         """Cocycle representatives of H^n with their raw module weights."""
@@ -154,28 +153,15 @@ def u1_cohomology(M: WeightModule, n: int) -> LaurentCharacter:
 
 def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     """Lie-algebra cohomology of the one-dimensional u: H^0 = ker f,
-    H^1 = coker f with weights shifted by the root, zero above."""
-    return LaurentCharacter.from_weights(w for _, w in u_cohomology_reps(M, j))
-
-
-def u_cohomology_reps(M: WeightModule, j: int) -> list[tuple[np.ndarray, int]]:
+    H^1 = coker f with weights shifted by the root, zero above.  Both come
+    from the ranks of the weight blocks of f."""
     if j < 0:
         raise ValueError("negative cohomological degree")
-    if j >= 2 or M.dim == 0:
-        return []
-    F = M.action("f")
-    if j == 0:
-        K, kweights = graded_kernel(F, M.weights)
-        return [(K.a[:, i].copy(), kweights[i]) for i in range(K.cols)]
-    B, bweights = graded_image(F, M.weights)
-    std = FpMatrix.identity(M.p, M.dim)
-    return [(std.a[:, i].copy(), M.weights[i] + 2)
-            for i in graded_complement(B, bweights, std, M.weights)]
-
-
-def b1_cohomology(M: WeightModule, n: int) -> LaurentCharacter:
-    """H^n(B_1, M) = T_1-invariants of H^n(U_1, M)."""
-    return t1_invariants(u1_cohomology(M, n), M.p)
+    if j >= 2:
+        return LaurentCharacter.zero()
+    image = LaurentCharacter.from_weights(graded_image(M.maps["f"], M.weights)[1])
+    root = LaurentCharacter.line(2)
+    return M.character() - image * root if j == 0 else (M.character() - image) * root
 
 
 def e2_page(M: WeightModule, i: int, j: int) -> LaurentCharacter:
@@ -370,7 +356,7 @@ def _f_iterates(engine: PeriodicCohomology, vec: np.ndarray, k: int) -> list[np.
     """vec, F vec, ..., F^k vec."""
     out = [np.asarray(vec, dtype=np.int64) % engine.M.p]
     for _ in range(k):
-        out.append(by_parts(engine.M.parts, matmul, engine.F, out[-1]))
+        out.append(engine.F @ out[-1])
     return out
 
 

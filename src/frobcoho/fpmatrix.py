@@ -11,26 +11,22 @@ and _matmul raises where that bound fails.
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
 
-FpMatrix is the dense primitive.  The graded_* functions take a
-weight-graded map, whose columns of one weight reach rows that no column
-of another weight reaches, as every action matrix does (it maps weight w
-to w + wt(x)).  _split, the one place that cuts a map by weight, raises
-on any other map; the dense primitive then runs per weight block, and
-greedy pivots, kernels and free-variables-zero solutions equal the dense
-ones up to column order.  graded_eigenspaces instead stacks the weight
-blocks of one size and row-reduces the whole stack at once (_rref_stack),
-since a split map has many tiny blocks; _rref stays the reduction for
-single matrices, on which the stacked one is slower.
-
-Action matrices are also block-diagonal up to a permutation: the parts
-(support_parts) are the connected components of their joint support, and
-by_parts runs a product, power or matrix-vector map part by part and
-scatters the blocks back, off which every such result is zero.
+FpMatrix is the dense primitive.  Every action matrix maps weight w to
+w + wt(x); a GradedMap stores it as that shift and one dense block per
+source weight, cut once on a Grading of the basis, and runs sums,
+products, powers and application to vectors on all its blocks at once.
+The graded_* functions run the dense primitive per weight block, read
+from a GradedMap or cut from a dense map by _split, which raises unless
+the columns of one weight reach rows that no other weight reaches;
+greedy pivots, kernels and free-variables-zero solutions then equal the
+dense ones up to column order.  The eigenspaces and the 0-eigenspace
+projector of a weight-preserving map are found on the finer connected
+components of its own support (support_parts), all components of one
+size in one stacked row reduction (_rref_stack); _rref stays the
+reduction for single matrices, on which the stacked one is slower.
 """
 
 from __future__ import annotations
-
-from operator import matmul
 
 import numpy as np
 
@@ -56,7 +52,7 @@ def _check_prime(p: int) -> None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, for matrices or for stacks of them."""
+    """a @ b mod p, for matrices or for stacks of them with entries in [0, p)."""
     inner = a.shape[-1]
     if (p - 1) ** 2 * inner >= 2 ** 53:
         raise ValueError(f"a product over F_{p} with inner dimension {inner} "
@@ -64,7 +60,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
     c = a.astype(np.float64) @ b.astype(np.float64)
-    return (c % p).astype(np.int64)
+    return np.fmod(c, p).astype(np.int64)  # c >= 0, where fmod is mod and much faster
 
 
 def _power(base, n: int, mul):
@@ -230,7 +226,7 @@ class FpMatrix:
             raise ValueError("negative powers unsupported")
         if n == 0:
             return FpMatrix.identity(self.p, self.rows)
-        return _power(self, n, matmul)
+        return _power(self, n, FpMatrix.__matmul__)
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         if self._rref_cache is None:
@@ -294,26 +290,119 @@ def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
     return (shifted ** n).kernel_basis()
 
 
-def independent_columns(mat: FpMatrix) -> tuple[int, ...]:
-    """Indices of a maximal independent column set, chosen left to right."""
-    return mat.rref()[1]
-
-
 # -- weight-graded maps --------------------------------------------------------
 
 
-def _weight_labels(weights) -> tuple[list[int], np.ndarray]:
-    """The distinct weights in increasing order, and per index the position
-    of its weight among them."""
-    values, labels = np.unique(np.asarray(weights, dtype=np.int64), return_inverse=True)
-    return values.tolist(), labels
+class Grading:
+    """The weight spaces of a basis with an integer weight per vector.
+
+    values are the distinct weights in increasing order, and pos and slot
+    give per vector the position of its weight and its place among the
+    vectors of that weight.  Row k of index lists the vectors of weight
+    values[k], padded with n to the widest weight space; the extra last row
+    is all padding and stands for a weight that does not occur.
+    """
+
+    def __init__(self, weights):
+        self.weights = np.array(weights, dtype=np.int64).reshape(-1)
+        values, self.pos = np.unique(self.weights, return_inverse=True)
+        self.values = values.tolist()
+        n, counts = self.weights.size, np.bincount(self.pos, minlength=len(self.values))
+        order = np.argsort(self.pos, kind="stable")
+        self.slot = np.empty(n, dtype=np.int64)
+        self.slot[order] = np.arange(n) - (np.cumsum(counts) - counts)[self.pos[order]]
+        self.sizes = np.append(counts, 0)
+        self.index = np.full((counts.size + 1, counts.max(initial=0)), n, dtype=np.int64)
+        self.index[self.pos, self.slot] = np.arange(n)
+
+    def target(self, shift: int) -> np.ndarray:
+        """Per weight position, the index row of that weight plus shift."""
+        values = np.array(self.values, dtype=np.int64)
+        t = np.searchsorted(values, values + shift)
+        return np.where(values[np.minimum(t, values.size - 1)] == values + shift, t, values.size)
 
 
-def _groups(labels: np.ndarray, k: int) -> list[np.ndarray]:
-    """Per label 0..k-1, the increasing indices that carry it."""
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=k)[:k]).tolist()
-    return [order[a:b] for a, b in zip([0, *ends], ends)]
+class GradedMap:
+    """A map on the basis of a Grading that moves every weight by shift.
+
+    stack[k] is the dense block from the vectors of weight values[k] to those
+    of weight values[k] + shift, in the order of the grading's index rows and
+    padded with zeros.  Entries lie in [0, p).  Sums, products, powers and
+    application to vectors or column sets act on the whole stack at once.
+    """
+
+    def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray):
+        self.p, self.grading, self.shift, self.stack = p, grading, shift, stack
+
+    @classmethod
+    def cut(cls, mat: FpMatrix, grading: Grading, shift: int) -> "GradedMap":
+        """The blocks of a dense map; raises ValueError when an entry of mat
+        joins two weights that do not differ by shift."""
+        rows = grading.index[grading.target(shift)]
+        stack = np.pad(mat.a, (0, 1))[rows[:, :, None], grading.index[:-1, None, :]]
+        if np.count_nonzero(stack) != np.count_nonzero(mat.a):
+            raise ValueError(f"map does not move weights by {shift}")
+        return cls(mat.p, grading, shift, stack)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.grading.weights.size, self.grading.weights.size
+
+    def dense(self) -> FpMatrix:
+        g, n = self.grading, self.shape[0]
+        out = np.zeros((n + 1, n + 1), dtype=np.int64)
+        out[g.index[g.target(self.shift)][:, :, None], g.index[:-1, None, :]] = self.stack
+        return FpMatrix(self.p, out[:n, :n])
+
+    def blocks(self):
+        """(weight, column indices, row indices, block) per source weight by
+        increasing weight, as _split yields them for the dense map."""
+        g = self.grading
+        for k, t in enumerate(g.target(self.shift).tolist()):
+            rows, cols = g.index[t, :g.sizes[t]], g.index[k, :g.sizes[k]]
+            yield g.values[k], cols, rows, FpMatrix(self.p, self.stack[k, :rows.size, :cols.size])
+
+    def is_zero(self) -> bool:
+        return not self.stack.any()
+
+    def _with(self, other: "GradedMap", shift: int, stack: np.ndarray) -> "GradedMap":
+        if self.grading is not other.grading or self.p != other.p:
+            raise ValueError("maps on different spaces")
+        return GradedMap(self.p, self.grading, shift, stack % self.p)
+
+    def __add__(self, other: "GradedMap") -> "GradedMap":
+        if self.shift != other.shift:
+            raise ValueError("sum of maps of different weights")
+        return self._with(other, self.shift, self.stack + other.stack)
+
+    def __sub__(self, other: "GradedMap") -> "GradedMap":
+        return self + (self.p - 1) * other
+
+    def __rmul__(self, scalar: int) -> "GradedMap":
+        return self._with(self, self.shift, self.stack * (scalar % self.p))
+
+    def __matmul__(self, other):
+        """self after other for a GradedMap, else self applied to a vector or
+        to the columns of an array."""
+        g = self.grading
+        if isinstance(other, GradedMap):
+            t = g.target(other.shift)
+            live = t < len(g.values)
+            stack = np.zeros_like(other.stack)
+            stack[live] = _matmul(self.stack[t[live]], other.stack[live], self.p)
+            return self._with(other, self.shift + other.shift, stack)
+        x = np.asarray(other, dtype=np.int64) % self.p
+        if x.shape[0] != self.shape[1]:
+            raise ValueError("shape mismatch")
+        cols = np.pad(x[:, None] if x.ndim == 1 else x, ((0, 1), (0, 0)))
+        out = np.zeros_like(cols)
+        out[g.index[g.target(self.shift)]] = _matmul(self.stack, cols[g.index[:-1]], self.p)
+        return out[:-1].reshape(x.shape)
+
+    def __pow__(self, n: int) -> "GradedMap":
+        if n < 1:
+            raise ValueError("only positive powers are supported")
+        return _power(self, n, GradedMap.__matmul__)
 
 
 def _split(mat: FpMatrix, col_weights):
@@ -324,15 +413,16 @@ def _split(mat: FpMatrix, col_weights):
     """
     if mat.cols != len(col_weights):
         raise ValueError("weight list does not match column count")
-    values, labels = _weight_labels(col_weights)
-    k = len(values)
+    g = Grading(col_weights)
+    k = len(g.values)
     nonzero = mat.a != 0
-    low = np.where(nonzero, labels, k).min(axis=1, initial=k)
-    high = np.where(nonzero, labels, -1).max(axis=1, initial=-1)
+    low = np.where(nonzero, g.pos, k).min(axis=1, initial=k)
+    high = np.where(nonzero, g.pos, -1).max(axis=1, initial=-1)
     reached = low < k
     if np.any(low[reached] != high[reached]):
         raise ValueError("map is not weight-graded")
-    for w, cols, rows in zip(values, _groups(labels, k), _groups(low, k)):
+    for j, w in enumerate(g.values):
+        cols, rows = g.index[j, :g.sizes[j]], np.flatnonzero(low == j)
         yield w, cols, rows, FpMatrix(mat.p, mat.a[rows][:, cols])
 
 
@@ -347,30 +437,34 @@ def _embed(n: int, p: int, pieces) -> FpMatrix:
     return FpMatrix(p, out)
 
 
-def graded_kernel(mat: FpMatrix, col_weights) -> tuple[FpMatrix, list[int]]:
+def graded_kernel(mat, col_weights) -> tuple[FpMatrix, list[int]]:
     """Kernel basis of a weight-graded map, one block per column weight.
 
+    mat is a GradedMap or a dense FpMatrix with the given column weights.
     Each basis vector is weight-homogeneous.  Returns (basis columns,
     weight per column).
     """
     pieces, weights = [], []
-    for w, cols, _, block in _split(mat, col_weights):
+    blocks = mat.blocks() if isinstance(mat, GradedMap) else _split(mat, col_weights)
+    for w, cols, _, block in blocks:
         kb = block.kernel_basis()
         pieces.append((cols, kb.a))
         weights += [w] * kb.cols
-    return _embed(mat.cols, mat.p, pieces), weights
+    return _embed(mat.shape[1], mat.p, pieces), weights
 
 
-def graded_image(mat: FpMatrix, weights) -> tuple[FpMatrix, list[int]]:
-    """Greedy pivot columns of a weight-graded endomorphism (rows and
-    columns carry the same weights), with the weight each one lands in."""
-    picked, out_weights = [], []
-    for _, cols, rows, block in _split(mat, weights):
-        piv = cols[list(independent_columns(block))].tolist()
+def graded_image(mat, weights) -> tuple[FpMatrix, list[int]]:
+    """Greedy pivot columns of a weight-graded endomorphism (a GradedMap,
+    or an FpMatrix whose rows and columns carry the given weights), with
+    the weight each one lands in."""
+    pieces, out_weights = [], []
+    blocks = mat.blocks() if isinstance(mat, GradedMap) else _split(mat, weights)
+    for _, _, rows, block in blocks:
+        piv = list(block.rref()[1])
         if piv:
-            picked += piv
+            pieces.append((rows, block.a[:, piv]))
             out_weights += [weights[rows[0]]] * len(piv)
-    return FpMatrix(mat.p, mat.a[:, picked]), out_weights
+    return _embed(mat.shape[0], mat.p, pieces), out_weights
 
 
 def graded_complement(span: FpMatrix, span_weights, vecs: FpMatrix,
@@ -381,7 +475,7 @@ def graded_complement(span: FpMatrix, span_weights, vecs: FpMatrix,
     both = FpMatrix(vecs.p, np.concatenate([span.a, vecs.a], axis=1))
     picked = []
     for _, cols, _, block in _split(both, [*span_weights, *vec_weights]):
-        picked += [int(c) - span.cols for c in cols[list(independent_columns(block))]
+        picked += [int(c) - span.cols for c in cols[list(block.rref()[1])]
                    if c >= span.cols]
     return picked
 
@@ -402,72 +496,15 @@ def graded_solve(mat: FpMatrix, col_weights, rhs: FpMatrix) -> FpMatrix:
     return FpMatrix(mat.p, x)
 
 
-def graded_eigenspaces(mat: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list[int]]]:
-    """Generalized eigenspaces of a weight-preserving endomorphism.
-
-    Maps each eigenvalue in F_p to (basis columns, weight per column), the
-    columns weight-homogeneous and in increasing weight; per weight they are
-    the columns generalized_eigenspace gives on that weight's block.  The
-    dimensions add up to the size of mat exactly when its characteristic
-    polynomial splits.
-
-    The blocks of one size k are done together: one stacked reduction ranks
-    every shift block - lam I, and one more reads the kernels of the k-th
-    powers of the singular ones (k is at least the index).
-    """
-    p = mat.p
-    values, labels = _weight_labels(weights)
-    groups = _groups(labels, len(values))
-    sizes = np.array([idx.size for idx in groups], dtype=np.int64)
-    keys, vecs = [], []  # per kernel vector: (lam, weight position, free slot), entries
-    for k in sorted(set(sizes.tolist())):
-        pos = np.flatnonzero(sizes == k)
-        idx = np.array([groups[j] for j in pos])
-        blocks = mat.a[idx[:, :, None], idx[:, None, :]]
-        eye = np.eye(k, dtype=np.int64)
-        shifted = (blocks[:, None] - np.arange(p)[:, None, None] * eye) % p
-        shifted = shifted.reshape(-1, k, k)  # block j, lam at slice j * p + lam
-        singular = np.flatnonzero(_rref_stack(shifted, p)[1].sum(axis=1) < k)
-        if not singular.size:
-            continue
-        power = _power(shifted[singular], k, lambda x, y: _matmul(x, y, p))
-        red, piv = _rref_stack(power, p)
-        # column f of basis[s] is the kernel vector with a 1 at free slot f
-        basis = np.zeros_like(red)
-        s, c = np.nonzero(piv)
-        basis[s, c] = -red[s, np.cumsum(piv, axis=1)[s, c] - 1] % p
-        s, f = np.nonzero(~piv)
-        basis[s, f, f] = 1
-        block = singular[s] // p
-        keys.append(np.stack([singular[s] % p, pos[block], f]))
-        vecs.append((idx[block], basis[s, :, f]))
-    if not keys:
-        return {}
-    lam, wpos, free = np.concatenate(keys, axis=1)
-    order = np.lexsort((free, wpos, lam))
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    out = np.zeros((mat.rows, order.size), dtype=np.int64)
-    done = 0
-    for rows, entries in vecs:
-        out[rows, place[done:done + len(rows), None]] = entries
-        done += len(rows)
-    lams, starts = np.unique(lam[order], return_index=True)
-    col_weights = np.asarray(values)[wpos[order]].tolist()
-    ends = [*starts[1:].tolist(), order.size]
-    return {lam_: (FpMatrix(p, out[:, a:b]), col_weights[a:b])
-            for lam_, a, b in zip(lams.tolist(), starts.tolist(), ends)}
-
-
-# -- block-diagonal maps -------------------------------------------------------
-
-
-def support_parts(n: int, mats) -> list[np.ndarray]:
-    """The finest partition of range(n) that no entry of the n x n matrices
-    mats joins across: the connected components of their joint support,
-    each increasing, ordered by first index."""
-    rows, cols = np.nonzero(sum((m.a != 0 for m in mats), np.zeros((n, n), dtype=bool)))
-    label = np.arange(n)
+def support_parts(mat: GradedMap) -> list[np.ndarray]:
+    """The connected components of the support of a weight-preserving map,
+    each inside one weight: the finest partition of the basis that no entry
+    joins across, each part increasing, ordered by first index."""
+    if mat.shift:
+        raise ValueError("needs a weight-preserving map")
+    k, i, j = np.nonzero(mat.stack)
+    rows, cols = mat.grading.index[k, i], mat.grading.index[k, j]
+    label = np.arange(mat.shape[0])
     while True:  # every index takes the least label it reaches
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
@@ -477,26 +514,82 @@ def support_parts(n: int, mats) -> list[np.ndarray]:
             break
         label = low
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if order.size else []
 
 
-def by_parts(parts, fn, *args):
-    """fn run part by part, for square FpMatrix args that no entry joins
-    across parts (support_parts), and the results scattered back.
+def _eigenvectors(mat: GradedMap):
+    """The generalized eigenvectors of a weight-preserving map, found on the
+    components of its support (support_parts), each inside one weight.
 
-    fn gets the part x part block of each FpMatrix and the rows at the part
-    of every other (array) arg.  FpMatrix results fill the diagonal blocks
-    of an n x n FpMatrix, array results the rows of an array; the rest is
-    zero.  With one part fn runs on the args themselves."""
-    if len(parts) == 1:
-        return fn(*args)
-    n = sum(idx.size for idx in parts)
-    out = None
-    for idx in parts:
-        res = fn(*(FpMatrix(a.p, a.a[np.ix_(idx, idx)]) if isinstance(a, FpMatrix)
-                   else np.asarray(a)[idx] for a in args))
-        square = isinstance(res, FpMatrix)
-        if out is None:
-            out = np.zeros((n, n) if square else (n, *res.shape[1:]), dtype=np.int64)
-        out[np.ix_(idx, idx) if square else idx] = res.a if square else res
-    return FpMatrix(res.p, out) if square else out
+    Per component size k, yields the components as a (count, k) index
+    array and, per eigenvector, its component, eigenvalue, free slot (where
+    it has its 1) and k entries.  One stacked reduction ranks every shift
+    block - lam I, and one more reads the kernels of the k-th powers of the
+    singular ones (k is at least the index).
+    """
+    p, g, parts = mat.p, mat.grading, support_parts(mat)
+    for k in sorted({idx.size for idx in parts}):
+        idx = np.array([x for x in parts if x.size == k])
+        slot = g.slot[idx]
+        blocks = mat.stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]]
+        shifted = (blocks[:, None] - np.arange(p)[:, None, None] * np.eye(k, dtype=np.int64)) % p
+        shifted = shifted.reshape(-1, k, k)  # block j, lam at slice j * p + lam
+        singular = np.flatnonzero(_rref_stack(shifted, p)[1].sum(axis=1) < k)
+        red, piv = _rref_stack(_power(shifted[singular], k, lambda x, y: _matmul(x, y, p)), p)
+        basis = np.zeros_like(red)  # column f of basis[s]: the kernel vector with a 1 at f
+        s, c = np.nonzero(piv)
+        basis[s, c] = -red[s, np.cumsum(piv, axis=1)[s, c] - 1] % p
+        s, f = np.nonzero(~piv)
+        basis[s, f, f] = 1
+        yield idx, singular[s] // p, singular[s] % p, f, basis[s, :, f]
+
+
+def graded_eigenspaces(mat: GradedMap) -> dict[int, tuple[FpMatrix, list[int]]]:
+    """Generalized eigenspaces of a weight-preserving GradedMap.
+
+    Maps each eigenvalue in F_p to (basis columns, weight per column), the
+    columns weight-homogeneous, ordered by weight and then by the index of
+    the free slot that carries their 1; per weight they are the columns
+    generalized_eigenspace gives on that weight's block, whose eigenspaces
+    split over the components of the map's support.  The dimensions add up
+    to the size of mat exactly when its characteristic polynomial splits.
+    """
+    n = mat.shape[0]
+    keys = [np.zeros((2, 0), dtype=np.int64)]  # per vector: eigenvalue, free index
+    vecs = [np.zeros((n, 0), dtype=np.int64)]
+    for idx, block, lam, f, entries in _eigenvectors(mat):
+        keys.append(np.stack([lam, idx[block, f]]))
+        vecs.append(np.zeros((n, lam.size), dtype=np.int64))
+        vecs[-1][idx[block], np.arange(lam.size)[:, None]] = entries
+    lam, free = np.concatenate(keys, axis=1)
+    order = np.lexsort((free, mat.grading.weights[free], lam))
+    out = np.concatenate(vecs, axis=1)[:, order]
+    lams, starts = np.unique(lam[order], return_index=True)
+    col_weights = mat.grading.weights[free[order]].tolist()
+    ends = [*starts[1:].tolist(), order.size]
+    return {lam_: (FpMatrix(mat.p, out[:, a:b]), col_weights[a:b])
+            for lam_, a, b in zip(lams.tolist(), starts.tolist(), ends)}
+
+
+def graded_projector(mat: GradedMap) -> GradedMap:
+    """Projection onto the generalized 0-eigenspace of a weight-preserving
+    map along its other generalized eigenspaces, which must span the space.
+
+    On each component of the map's support it is B0 B^-1, for an eigenbasis
+    B of the component and B0 its eigenvalue-0 columns with the rest zeroed;
+    the inverses come from one stacked reduction of [B | I] per size.
+    """
+    p, g = mat.p, mat.grading
+    stack = np.zeros_like(mat.stack)
+    for idx, block, lam, _, entries in _eigenvectors(mat):
+        if lam.size != idx.size:  # a component has no eigenbasis
+            raise ValueError("characteristic polynomial does not split")
+        k, order = idx.shape[1], np.lexsort((lam, block))
+        b = entries[order].reshape(-1, k, k).transpose(0, 2, 1)
+        eye = np.broadcast_to(np.eye(k, dtype=np.int64), b.shape)
+        inv = _rref_stack(np.concatenate([b, eye], axis=2), p)[0][:, :, k:]
+        zero = (lam[order] == 0).reshape(-1, 1, k)
+        slot = g.slot[idx]
+        stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]] = _matmul(
+            b * zero, inv, p)
+    return GradedMap(p, g, 0, stack)

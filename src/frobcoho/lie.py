@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .fpmatrix import FpMatrix, _check_prime, by_parts
+from .fpmatrix import FpMatrix, GradedMap, _check_prime
 
 GENERATOR_WEIGHTS = {"e": 2, "h": 0, "f": -2}
 POSITIVE_ROOT = 2
@@ -135,17 +135,16 @@ def nilradical(p: int) -> RestrictedLieAlgebra:
     return RestrictedLieAlgebra(p=p, generators=("f",), bracket={}, p_power={"f": {}})
 
 
-def casimir_operator(module) -> FpMatrix:
-    """Matrix of c = ef + fe + h^2/2 on a module with full sl2-action.
+def casimir_operator(module) -> GradedMap:
+    """The map c = ef + fe + h^2/2 on a module with full sl2-action.
 
     Central in the restricted enveloping algebra for odd p; the returned
-    matrix commutes with all three action matrices.  On a highest-weight
+    map commutes with all three actions.  On a highest-weight
     vector of weight m it acts by m(m+2)/2 mod p, which vanishes exactly
     on the principal block {0, p-2}.
     """
     p = module.p
     if p == 2:
         raise ValueError("Casimir normalization needs p >= 3")
-    e, h, f = module.action("e"), module.action("h"), module.action("f")
-    half = pow(2, p - 2, p)
-    return by_parts(module.parts, lambda e, f, h: e @ f + f @ e + half * (h @ h), e, f, h)
+    e, h, f = module.maps["e"], module.maps["h"], module.maps["f"]
+    return e @ f + f @ e + pow(2, p - 2, p) * (h @ h)

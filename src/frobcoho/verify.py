@@ -26,7 +26,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from operator import matmul
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .cohomology import (
     t1_invariants,
     u_cohomology,
 )
-from .fpmatrix import FpMatrix, by_parts, graded_image, graded_solve, is_prime
+from .fpmatrix import FpMatrix, GradedMap, graded_image, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
@@ -431,17 +430,19 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
             except ValueError as exc:
                 report.add(f"sym-tilting-n{n}", False, "nonnegative tilting peel", str(exc))
 
+    # the graded pieces of each truncated symmetric algebra, by degree
+    pieces = {name: [truncated_sym(alg, i) for i in range((p - 1) * alg.dim + 1)]
+              for name, alg in (("sl2", g), ("b", b), ("u", u))}
+
     # multiplication pairing into the top line is nondegenerate
     for name, alg in (("sl2", g), ("b", b), ("u", u)):
-        top = (p - 1) * alg.dim
-        ranks = [duality_pairing_rank(alg, i) for i in range(top + 1)]
-        dims = [truncated_sym(alg, i).dim for i in range(top + 1)]
+        ranks = [duality_pairing_rank(alg, i) for i in range(len(pieces[name]))]
+        dims = [piece.dim for piece in pieces[name]]
         report.add(f"duality-full-rank-{name}", ranks == dims, _fmt_dims(dims), _fmt_dims(ranks))
 
     # principal block structure of the graded pieces
     if p >= 3:
-        pieces0 = [block_projection_principal(truncated_sym(g, n))
-                   for n in range(3 * (p - 1) + 1)]
+        pieces0 = [block_projection_principal(piece) for piece in pieces["sl2"]]
         ok = True
         got = []
         for n, piece0 in enumerate(pieces0):
@@ -538,8 +539,7 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
 
     # identifications of the Borel graded pieces as twisted simples
     ok = True
-    for n in range(2 * (p - 1) + 1):
-        piece = truncated_sym(b, n)
+    for n, piece in enumerate(pieces["b"]):
         hw = n if n <= p - 1 else 2 * p - 2 - n
         want = simple_char(hw, p) * LaurentCharacter.line(-n)
         if piece.character() != want:
@@ -548,8 +548,7 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
                "L(n) (x) -n below p, reflected above", "as expected" if ok else "mismatch")
 
     # degree-zero bookkeeping: exact invariants against the induction route
-    inv_total = sum(g1_invariants(truncated_sym(g, n)).dim
-                    for n in range(3 * (p - 1) + 1))
+    inv_total = sum(g1_invariants(piece).dim for piece in pieces["sl2"])
     table0 = hh_table("g1", p, 0)
     report.add("degree0-oracle", inv_total == table0.degree_total(0),
                inv_total, table0.degree_total(0))
@@ -567,12 +566,12 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
 
 
 def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
-                proj: FpMatrix, principal, pieces0) -> None:
+                proj: GradedMap, principal, pieces0) -> None:
     """Ring samples on the principal-block coefficients (p >= 3).
 
     proj is the principal-block projector of total.module and principal
     its image as (columns, weights, PeriodicCohomology of the submodule);
-    pieces0 are the principal-block parts of the graded pieces, by degree."""
+    pieces0 are the principal-block projections of the graded pieces, by degree."""
     engine = PeriodicCohomology(total.module)
 
     # the invariant quadratic element 4ef + h^2 and its powers
@@ -597,7 +596,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
     h0 = engine.t1_representatives(0)
     by_degree: dict[int, int] = {}
     for vec, _ in h0:
-        pvec = by_parts(total.module.parts, matmul, proj, vec)
+        pvec = proj @ vec
         if not pvec.any():
             continue
         degs = {total.degrees[i] for i in np.nonzero(pvec)[0]}
@@ -652,7 +651,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
     detail = []
     for na, va in odd_reps:
         cocycle = cup_product(engine, total, 1, va, 1, va)
-        projected = by_parts(total.module.parts, matmul, proj, cocycle)
+        projected = proj @ cocycle
         coords = graded_solve(sub_cols, sub_weights, FpMatrix(p, projected[:, None])).a[:, 0]
         zero = sub_engine.is_coboundary(2, coords)
         detail.append(f"{na}^2={'0' if zero else 'X'}")

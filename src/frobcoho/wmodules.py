@@ -9,10 +9,11 @@ enforces the four structural invariants exactly:
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
-The basis splits into parts, the connected components of the actions'
-joint support (for the truncated symmetric algebra, its graded pieces).
-Every product of actions is block-diagonal on them, so validation, the
-Casimir, its eigenspaces and projector and submodules run part by part.
+Each action matrix is also cut once, at construction, into a GradedMap:
+one dense block per weight, from weight m to m + wt(x).  Validation, the
+Casimir and submodules multiply these blocks; the Casimir's eigenspaces
+and the principal-block projector come from the finer components of the
+Casimir's own support.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -23,8 +24,6 @@ trivial module; for p = 2 the projection is the identity.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +36,12 @@ from .characters import (
 )
 from .fpmatrix import (
     FpMatrix,
-    by_parts,
+    GradedMap,
+    Grading,
     graded_eigenspaces,
     graded_kernel,
+    graded_projector,
     graded_solve,
-    support_parts,
 )
 from .lie import RestrictedLieAlgebra, casimir_operator, sl2
 
@@ -55,12 +55,18 @@ class WeightModule:
         self.labels = tuple(labels)
         self.weights = tuple(int(w) for w in weights)
         self.actions = dict(actions)
-        self._warray = np.array(self.weights, dtype=np.int64)
         if set(self.actions) != set(algebra.generators):
             raise ValueError("need one action matrix per algebra generator")
-        for x, m in self.actions.items():
+        self.grading = Grading(self.weights)
+        self.maps = {}  # generator -> its action cut into weight blocks
+        for x in algebra.generators:
+            m = self.actions[x]
             if m.shape != (self.dim, self.dim) or m.p != algebra.p:
                 raise ValueError(f"action matrix for {x} has wrong shape or modulus")
+            try:
+                self.maps[x] = GradedMap.cut(m, self.grading, algebra.weight(x))
+            except ValueError:
+                raise ValueError(f"action of {x} is not weight-compatible") from None
         if validate:
             self.validate()
 
@@ -78,37 +84,25 @@ class WeightModule:
     def character(self) -> LaurentCharacter:
         return LaurentCharacter.from_weights(self.weights)
 
-    @cached_property
-    def parts(self) -> list[np.ndarray]:
-        """Basis indices per connected component of the actions' joint
-        support: the finest split that every action respects."""
-        return support_parts(self.dim, self.actions.values())
-
     def validate(self) -> None:
-        p, alg = self.p, self.algebra
-        w = self._warray
-        for x in alg.generators:
-            a = self.action(x).a
-            rows, cols = np.nonzero(a)
-            if rows.size and not np.all(w[rows] == w[cols] + alg.weight(x)):
-                raise ValueError(f"action of {x} is not weight-compatible")
+        """The last three invariants; weight compatibility is checked when
+        the actions are cut at construction."""
+        p, alg, maps = self.p, self.algebra, self.maps
         for i, x in enumerate(alg.generators):
             for y in alg.generators[i + 1:]:
-                lhs = FpMatrix.zeros(p, self.dim, self.dim)
+                diff = maps[x] @ maps[y] - maps[y] @ maps[x]
                 for z, c in alg.bracket_coeffs(x, y).items():
-                    lhs = lhs + c * self.action(z)
-                rhs = by_parts(self.parts, lambda a, b: a @ b - b @ a,
-                               self.action(x), self.action(y))
-                if lhs != rhs:
+                    diff = diff - c * maps[z]
+                if not diff.is_zero():
                     raise ValueError(f"bracket compatibility fails on ({x},{y})")
         for x in alg.generators:
-            target = FpMatrix.zeros(p, self.dim, self.dim)
+            diff = maps[x] ** p
             for z, c in alg.p_power.get(x, {}).items():
-                target = target + c * self.action(z)
-            if by_parts(self.parts, lambda a: a ** p, self.action(x)) != target:
+                diff = diff - c * maps[z]
+            if not diff.is_zero():
                 raise ValueError(f"restricted compatibility fails on {x}")
         if "h" in alg.generators:
-            expected = np.diag(w % p).astype(np.int64)
+            expected = np.diag(self.grading.weights % p)
             if not np.array_equal(self.action("h").a, expected):
                 raise ValueError("h does not act by the weight scalars")
 
@@ -175,18 +169,11 @@ class WeightModule:
         if columns.cols != len(weights):
             raise ValueError("column/weight mismatch")
         labels = [f"{prefix}{k}" for k in range(columns.cols)]
-
-        def image(a: FpMatrix, c: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(c)
-            used = c.any(axis=0)  # the columns that meet this part
-            out[:, used] = (a @ FpMatrix(self.p, c[:, used])).a
-            return out
-
         actions = {}
         for x in self.algebra.generators:
             try:
-                moved = by_parts(self.parts, image, self.action(x), columns.a)
-                actions[x] = graded_solve(columns, weights, FpMatrix(self.p, moved))
+                moved = FpMatrix(self.p, self.maps[x] @ columns.a)
+                actions[x] = graded_solve(columns, weights, moved)
             except ValueError as exc:
                 raise ValueError(f"span is not stable under {x}") from exc
         return WeightModule(self.algebra, labels, weights, actions)
@@ -380,19 +367,12 @@ def simple_module(lam: int, p: int) -> WeightModule:
 # -- Casimir blocks and projections ----------------------------------------
 
 
-def _checked_casimir(M: WeightModule) -> FpMatrix:
+def _checked_casimir(M: WeightModule) -> GradedMap:
     c = casimir_operator(M)
     for x in M.algebra.generators:
-        if not by_parts(M.parts, lambda c, a: c @ a - a @ c, c, M.action(x)).is_zero():
+        if not (c @ M.maps[x] - M.maps[x] @ c).is_zero():
             raise ValueError(f"Casimir does not commute with the action of {x}")
     return c
-
-
-def _split_eigenspaces(c: FpMatrix, weights) -> dict[int, tuple[FpMatrix, list[int]]]:
-    blocks = graded_eigenspaces(c, weights)
-    if sum(cols.cols for cols, _ in blocks.values()) != c.rows:
-        raise ValueError("Casimir characteristic polynomial does not split")
-    return blocks
 
 
 def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
@@ -400,23 +380,12 @@ def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
 
     The character polynomial must split over F_p (weights are rational),
     so the eigenspace dimensions add up to dim M; otherwise this raises.
-    Found part by part, the columns come in the order of the dense basis:
-    by weight, then by free index, which is the last nonzero row.
+    The columns come by weight, then by free index, as the eigenspaces of
+    each whole weight block would give them.
     """
-    c = _checked_casimir(M)
-    found: dict[int, tuple[list, list[int]]] = {}
-    for idx in M.parts:
-        part = FpMatrix(M.p, c.a[np.ix_(idx, idx)])
-        for lam, (cols, ws) in _split_eigenspaces(part, M._warray[idx]).items():
-            vecs, weights = found.setdefault(lam, ([], []))
-            vecs.append(np.zeros((M.dim, cols.cols), dtype=np.int64))
-            vecs[-1][idx] = cols.a
-            weights += ws
-    blocks = {}
-    for lam, (vecs, ws) in sorted(found.items()):
-        cols = np.concatenate(vecs, axis=1)
-        order = np.lexsort((M.dim - 1 - np.argmax(cols[::-1] != 0, axis=0), ws))
-        blocks[lam] = (FpMatrix(M.p, cols[:, order]), [ws[k] for k in order])
+    blocks = graded_eigenspaces(_checked_casimir(M))
+    if sum(cols.cols for cols, _ in blocks.values()) != M.dim:
+        raise ValueError("Casimir characteristic polynomial does not split")
     return blocks
 
 
@@ -434,26 +403,13 @@ def _principal_part(M: WeightModule, blocks) -> WeightModule:
     return M.submodule(cols, weights, prefix="blk")
 
 
-def _projector(c: FpMatrix, weights) -> FpMatrix:
-    """Projection onto the generalized 0-eigenspace of c along the others."""
-    blocks = _split_eigenspaces(c, weights)
-    if 0 not in blocks:
-        return FpMatrix.zeros(c.p, c.rows, c.rows)
-    order = sorted(blocks)  # eigenvalue 0 comes first
-    basis = FpMatrix(c.p, np.concatenate([blocks[lam][0].a for lam in order], axis=1))
-    inv = graded_solve(basis, [w for lam in order for w in blocks[lam][1]],
-                       FpMatrix.identity(c.p, c.rows))
-    n0 = blocks[0][0].cols
-    return FpMatrix(c.p, basis.a[:, :n0]) @ FpMatrix(c.p, inv.a[:n0, :])
-
-
-def principal_block_projector(M: WeightModule) -> FpMatrix:
-    """Idempotent matrix projecting onto the principal block along the
-    other Casimir blocks (identity for p = 2).  It does not depend on the
-    basis, so it is built part by part."""
+def principal_block_projector(M: WeightModule) -> GradedMap:
+    """Idempotent map projecting onto the principal block along the other
+    Casimir blocks (identity for p = 2).  It does not depend on the basis,
+    so it is built on each component of the Casimir's support."""
     if M.p == 2:
-        return FpMatrix.identity(M.p, M.dim)
-    return by_parts(M.parts, _projector, _checked_casimir(M), M._warray)
+        return GradedMap.cut(FpMatrix.identity(M.p, M.dim), M.grading, 0)
+    return graded_projector(_checked_casimir(M))
 
 
 # -- Hom spaces, duality pairing, invariants -------------------------------

@@ -17,6 +17,7 @@ EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json
 FAST_OPS = (
     "verify props --p 3",
     "verify props --p 5",
+    "verify props --p 7",
     "verify appendix --p 2",
     "verify appendix --p 3",
     "verify appendix --p 5",

@@ -6,7 +6,6 @@ import pytest
 from frobcoho.characters import LaurentCharacter, weyl_chi
 from frobcoho.cohomology import (
     PeriodicCohomology,
-    b1_cohomology,
     cochain_twist,
     collapse_check,
     e2_page,
@@ -92,16 +91,16 @@ def test_u1_trivial_action_dist_module():
 def test_b1_dimensions():
     for p in (3, 5, 7):
         total = TruncatedSymAlgebra(borel(p)).module
-        dims = [b1_cohomology(total, n).dim() for n in range(11)]
+        dims = [t1_invariants(u1_cohomology(total, n), p).dim() for n in range(11)]
         assert dims == [1] * 11
     total2 = TruncatedSymAlgebra(borel(2)).module
-    assert [b1_cohomology(total2, n).dim() for n in range(11)] == [4] * 11
+    assert [t1_invariants(u1_cohomology(total2, n), 2).dim() for n in range(11)] == [4] * 11
 
 
 def test_b1_trivial_coefficients():
     p = 5
     k = trivial_module(sl2(p))
-    dims = [b1_cohomology(k, n).dim() for n in range(6)]
+    dims = [t1_invariants(u1_cohomology(k, n), p).dim() for n in range(6)]
     assert dims == [1, 0, 1, 0, 1, 0]
 
 
@@ -129,7 +128,7 @@ def test_e2_matches_b1_for_borel_coefficients():
         total = TruncatedSymAlgebra(borel(p)).module
         for n in range(11):
             i, j = (n // 2, 0) if n % 2 == 0 else ((n - 1) // 2, 1)
-            assert e2_page(total, i, j).dim() == b1_cohomology(total, n).dim()
+            assert e2_page(total, i, j).dim() == t1_invariants(u1_cohomology(total, n), p).dim()
 
 
 def test_collapse_trivial_and_projective():
@@ -170,9 +169,14 @@ def test_periodic_complex_structure_checks():
         assert shift + cochain_twist(p, n + 1) - cochain_twist(p, n) == 0
     bad = regular_module(3)  # fine
     PeriodicCohomology(bad)
-    broken = WeightModule(nilradical(2), ("a",), (0,), {"f": FpMatrix(2, [[1]])},
+    with pytest.raises(ValueError, match="not weight-compatible"):
+        WeightModule(nilradical(2), ("a",), (0,), {"f": FpMatrix(2, [[1]])},
+                     validate=False)
+    # weight-compatible, but f^2 != 0 over F_2
+    broken = WeightModule(nilradical(2), ("a", "b", "c"), (0, -2, -4),
+                          {"f": FpMatrix(2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])},
                           validate=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not p-nilpotent"):
         PeriodicCohomology(broken)
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from frobcoho.fpmatrix import (
     FpMatrix,
+    GradedMap,
+    Grading,
     _matmul,
     generalized_eigenspace,
     graded_kernel,
-    independent_columns,
     subquotient_dim,
 )
 
@@ -28,6 +29,11 @@ def test_matmul_refuses_inexact_float64_products():
         a @ np.array([1])
     with pytest.raises(ValueError, match="not exact in float64"):  # a stack of products
         _matmul(np.ones((2, 1, 1), dtype=np.int64), np.ones((2, 1, 1), dtype=np.int64), p)
+    g = GradedMap.cut(a, Grading([0]), 0)
+    with pytest.raises(ValueError, match="not exact in float64"):  # a graded composition
+        g @ g
+    with pytest.raises(ValueError, match="not exact in float64"):
+        g @ np.array([1])
     assert (FpMatrix.identity(13, 3) @ FpMatrix.identity(13, 3)).rank() == 3
 
 
@@ -141,7 +147,7 @@ def test_matrix_power_and_ops():
 
 def test_independent_columns_greedy():
     m = FpMatrix(5, [[1, 2, 0], [2, 4, 1]])
-    assert independent_columns(m) == (0, 2)
+    assert m.rref()[1] == (0, 2)
 
 
 def test_graded_kernel_matches_plain_kernel():

@@ -2,9 +2,10 @@
 
 A random weight-graded endomorphism has a random weight per basis vector
 (basis order shuffled) and sends weight w to weight w + shift through a
-random low-rank block; every graded_* result must agree with the dense
-FpMatrix computation on the whole matrix.  The stacked row reduction
-behind graded_eigenspaces must agree with _rref slice by slice.
+random low-rank block; every graded_* result and every GradedMap
+operation must agree with the dense FpMatrix computation on the whole
+matrix.  The stacked row reduction behind graded_eigenspaces must agree
+with _rref slice by slice.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from frobcoho.fpmatrix import (
     FpMatrix,
+    GradedMap,
+    Grading,
     _rref,
     _rref_stack,
     generalized_eigenspace,
@@ -21,24 +24,25 @@ from frobcoho.fpmatrix import (
     graded_eigenspaces,
     graded_image,
     graded_kernel,
+    graded_projector,
     graded_solve,
 )
-from frobcoho.wmodules import _split_eigenspaces
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def graded_maps(draw, shift=None):
-    """(matrix, weight per basis vector) for a graded endomorphism."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    if shift is None:
-        shift = draw(st.sampled_from((-4, -2, 0, 2)))
+def random_weights(draw):
+    """A shuffled list of even weights with random multiplicities."""
     levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
     dims = [draw(st.integers(0, 4)) for _ in levels]
     weights = [2 * w for w, d in zip(levels, dims) for _ in range(d)]
     perm = draw(st.permutations(range(len(weights))))
-    weights = [weights[i] for i in perm]
+    return [weights[i] for i in perm]
+
+
+def _draw_map(draw, p, weights, shift):
+    """A dense map sending weight w to w + shift by random low-rank blocks."""
     n = len(weights)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = np.array(weights, dtype=np.int64)
@@ -51,7 +55,20 @@ def graded_maps(draw, shift=None):
         k = draw(st.integers(0, min(rows.size, cols.size)))
         block = rng.integers(0, p, size=(rows.size, k)) @ rng.integers(0, p, size=(k, cols.size))
         a[np.ix_(rows, cols)] = block
-    return FpMatrix(p, a), weights
+    return FpMatrix(p, a)
+
+
+SHIFTS = st.sampled_from((-4, -2, 0, 2))
+
+
+@st.composite
+def graded_maps(draw, shift=None):
+    """(matrix, weight per basis vector) for a graded endomorphism."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    if shift is None:
+        shift = draw(SHIFTS)
+    weights = draw(random_weights())
+    return _draw_map(draw, p, weights, shift), weights
 
 
 def _homogeneous(vec, weight, weights):
@@ -156,7 +173,7 @@ def _assert_same_eigenspaces(got, want):
 @given(graded_maps(shift=0))
 def test_graded_eigenspaces_match_dense(case):
     mat, weights = case
-    blocks = graded_eigenspaces(mat, weights)
+    blocks = graded_eigenspaces(GradedMap.cut(mat, Grading(weights), 0))
     _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
     for lam in range(mat.p):
         dense = generalized_eigenspace(mat, lam).cols
@@ -170,12 +187,13 @@ def test_graded_eigenspaces_without_split_characteristic_polynomial():
     # x^2 - 2 has no root mod 5: the weight-0 block has no eigenvalue
     mat = FpMatrix(5, [[0, 1, 0], [2, 0, 0], [0, 0, 3]])
     weights = [0, 0, 2]
-    blocks = graded_eigenspaces(mat, weights)
+    graded = GradedMap.cut(mat, Grading(weights), 0)
+    blocks = graded_eigenspaces(graded)
     _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
     assert list(blocks) == [3]
-    assert graded_eigenspaces(FpMatrix(5, [[0, 1], [2, 0]]), [0, 0]) == {}
+    assert graded_eigenspaces(GradedMap.cut(FpMatrix(5, [[0, 1], [2, 0]]), Grading([0, 0]), 0)) == {}
     with pytest.raises(ValueError, match="does not split"):
-        _split_eigenspaces(mat, weights)
+        graded_projector(graded)
 
 
 @st.composite
@@ -201,6 +219,41 @@ def test_rref_stack_matches_rref_per_slice(case):
         want, want_pivots = _rref(stack[b], p)
         assert np.array_equal(red[b], want)
         assert tuple(np.flatnonzero(pivots[b]).tolist()) == want_pivots
+
+
+@st.composite
+def graded_triples(draw):
+    """On one random grading: maps a and a2 of one random shift and b of
+    another, each with its shift, a vector and a column set."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    weights = draw(random_weights())
+    sa, sb = draw(SHIFTS), draw(SHIFTS)
+    maps = [(_draw_map(draw, p, weights, s), s) for s in (sa, sa, sb)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.integers(-p, 2 * p, size=len(weights))
+    cols = rng.integers(0, p, size=(len(weights), draw(st.integers(0, 3))))
+    return p, weights, maps, vec, cols
+
+
+@SETTINGS
+@given(graded_triples(), st.integers(1, 9), st.integers(-9, 9))
+def test_graded_map_matches_dense(case, power, scalar):
+    p, weights, ((a, sa), (a2, _), (b, sb)), vec, cols = case
+    grading = Grading(weights)
+    ga, ga2, gb = (GradedMap.cut(m, grading, s) for m, s in ((a, sa), (a2, sa), (b, sb)))
+    assert ga.dense() == a
+    assert (ga @ gb).shift == sa + sb
+    assert (ga @ gb).dense() == a @ b
+    assert (gb ** power).dense() == b ** power
+    assert (ga + scalar * ga2).dense() == a + scalar * a2
+    assert (ga - ga2).dense() == a - a2
+    assert np.array_equal(ga @ vec, a @ vec)
+    assert np.array_equal(ga @ cols, (a @ FpMatrix(p, cols)).a)
+    assert graded_kernel(ga, weights) == graded_kernel(a, weights)
+    assert graded_image(ga, weights) == graded_image(a, weights)
+    if sb != sa and not b.is_zero():
+        with pytest.raises(ValueError):
+            GradedMap.cut(b, grading, sa)
 
 
 def test_split_rejects_an_ungraded_map():

@@ -1,13 +1,11 @@
-"""Parts: the connected components of a module's action support.
+"""Weight blocks and the Casimir's support components on whole modules.
 
 support_parts must find the finest partition that no matrix entry joins
-across, by_parts must give the dense product, power and matrix-vector
-results, and everything computed part by part on the whole truncated
-symmetric algebra (validation, the Casimir, its eigenspaces and the
-principal-block projector) must equal the dense computation.
+across, and everything computed on weight blocks or support components of
+the whole truncated symmetric algebra (validation, the Casimir, its
+eigenspaces and the principal-block projector) must equal the dense
+computation.
 """
-
-from operator import matmul
 
 import numpy as np
 import pytest
@@ -15,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobcoho.cohomology import PeriodicCohomology
-from frobcoho.fpmatrix import FpMatrix, by_parts, graded_eigenspaces, graded_solve, support_parts
+from frobcoho.fpmatrix import (
+    FpMatrix,
+    GradedMap,
+    Grading,
+    generalized_eigenspace,
+    graded_solve,
+    support_parts,
+)
 from frobcoho.lie import borel, casimir_operator, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
@@ -29,8 +34,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def block_diagonal(draw):
-    """(p, matrices, vector, columns): square matrices that share random
-    diagonal blocks, with the basis shuffled by a random permutation."""
+    """(p, matrices): square matrices that share random diagonal blocks,
+    with the basis shuffled by a random permutation."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     n = sum(sizes)
@@ -46,9 +51,7 @@ def block_diagonal(draw):
             a[start:start + s, start:start + s] = block
             start += s
         mats.append(FpMatrix(p, a[np.ix_(perm, perm)]))
-    vec = rng.integers(-p, 2 * p, size=n)
-    cols = rng.integers(0, p, size=(n, draw(st.integers(0, 3))))
-    return p, mats, vec, cols
+    return p, mats
 
 
 def _reference_components(n, mats):
@@ -76,9 +79,10 @@ def _reference_components(n, mats):
 @SETTINGS
 @given(block_diagonal())
 def test_support_parts_is_the_finest_invariant_partition(case):
-    p, mats, _, _ = case
+    _, mats = case
     n = mats[0].rows
-    parts = support_parts(n, mats)
+    joint = FpMatrix(2, sum(m.a != 0 for m in mats) != 0)  # one weight: one block
+    parts = support_parts(GradedMap.cut(joint, Grading([0] * n), 0))
     assert [part.tolist() for part in parts] == _reference_components(n, mats)
     label = np.empty(n, dtype=np.int64)
     for k, part in enumerate(parts):
@@ -88,22 +92,26 @@ def test_support_parts_is_the_finest_invariant_partition(case):
         assert np.array_equal(label[rows], label[cols])
 
 
-@SETTINGS
-@given(block_diagonal(), st.integers(0, 9))
-def test_by_parts_equals_dense(case, power):
-    p, mats, vec, cols = case
-    a, b = mats[0], mats[-1]
-    parts = support_parts(a.rows, mats)
-    assert by_parts(parts, matmul, a, b) == a @ b
-    assert by_parts(parts, lambda m, n: m @ n - n @ m, a, b) == a @ b - b @ a
-    assert by_parts(parts, lambda m: m ** power, a) == a ** power
-    assert np.array_equal(by_parts(parts, matmul, a, vec), a @ vec)
-    moved = by_parts(parts, lambda m, c: (m @ FpMatrix(p, c)).a, a, cols)
-    assert np.array_equal(moved, (a @ FpMatrix(p, cols)).a)
+def _per_weight_eigenspaces(c: FpMatrix, weights):
+    """The reference for casimir_blocks: generalized_eigenspace on each whole
+    weight block, by increasing weight, embedded in the whole space."""
+    w, found = np.array(weights), {}
+    for weight in sorted(set(weights)):
+        idx = np.flatnonzero(w == weight)
+        for lam in range(c.p):
+            kb = generalized_eigenspace(FpMatrix(c.p, c.a[np.ix_(idx, idx)]), lam)
+            vecs = np.zeros((w.size, kb.cols), dtype=np.int64)
+            vecs[idx] = kb.a
+            cols, ws = found.setdefault(lam, ([], []))
+            cols.append(vecs)
+            ws += [weight] * kb.cols
+    return {lam: (FpMatrix(c.p, np.concatenate(cols, axis=1)), ws)
+            for lam, (cols, ws) in sorted(found.items()) if ws}
 
 
 def _shuffled(M: WeightModule, seed: int) -> WeightModule:
-    """M with its basis permuted, so that its parts interleave."""
+    """M with its basis permuted, so that its weights and graded pieces
+    interleave."""
     perm = np.random.default_rng(seed).permutation(M.dim)
     return WeightModule(M.algebra, [M.labels[i] for i in perm], [M.weights[i] for i in perm],
                         {x: FpMatrix(M.p, a.a[np.ix_(perm, perm)]) for x, a in M.actions.items()})
@@ -114,12 +122,15 @@ def test_whole_algebra_by_parts_equals_dense(p, shuffle):
     M = TruncatedSymAlgebra(sl2(p)).module
     if shuffle:
         M = _shuffled(M, p)
-    assert len(M.parts) == 3 * (p - 1) + 1
     e, h, f = M.action("e"), M.action("h"), M.action("f")
+    dense_c = e @ f + f @ e + pow(2, p - 2, p) * (h @ h)
     c = casimir_operator(M)
-    assert c == e @ f + f @ e + pow(2, p - 2, p) * (h @ h)
+    assert c.dense() == dense_c
+    parts = support_parts(c)
+    assert all(len(set(M.grading.weights[idx].tolist())) == 1 for idx in parts)
+    assert sorted(np.concatenate(parts).tolist()) == list(range(M.dim))
     blocks = casimir_blocks(M)
-    dense = graded_eigenspaces(c, M.weights)
+    dense = _per_weight_eigenspaces(dense_c, M.weights)
     assert list(blocks) == list(dense)
     for lam, (cols, weights) in dense.items():
         assert blocks[lam][1] == weights
@@ -130,10 +141,18 @@ def test_whole_algebra_by_parts_equals_dense(p, shuffle):
     inv = graded_solve(basis, [w for lam in order for w in dense[lam][1]],
                        FpMatrix.identity(p, M.dim))
     n0 = dense[0][0].cols
-    assert principal_block_projector(M) == FpMatrix(p, basis.a[:, :n0]) @ FpMatrix(p, inv.a[:n0])
+    proj = principal_block_projector(M)
+    assert proj.dense() == FpMatrix(p, basis.a[:, :n0]) @ FpMatrix(p, inv.a[:n0])
+    # a second route with no eigenspace and no solve: on a generalized
+    # eigenspace of c at lam != 0, c^((p-1) p^j) = (lam^(p^j) + n^(p^j))^(p-1)
+    # = 1 once p^j >= dim M kills the nilpotent part n; at lam = 0 it is 0
+    j = 0
+    while p ** j < M.dim:
+        j += 1
+    assert proj.dense() == FpMatrix.identity(p, M.dim) - dense_c ** ((p - 1) * p ** j)
 
 
-# -- validation catches a corrupted entry inside one part -------------------------
+# -- validation catches a corrupted entry inside one weight block -------------------------
 
 
 def _corrupted_f():
@@ -151,9 +170,7 @@ def _corrupted_f():
 def test_validate_rejects_bracket_failure_inside_a_part():
     M, f = _corrupted_f()
     actions = dict(M.actions, f=f)
-    parts = support_parts(M.dim, actions.values())
-    assert len(parts) == len(M.parts) > 1
-    assert all(np.array_equal(a, b) for a, b in zip(parts, M.parts))
+    assert not (GradedMap.cut(f, M.grading, -2) - M.maps["f"]).is_zero()  # inside one weight block
     with pytest.raises(ValueError, match=r"bracket compatibility fails on \(e,f\)"):
         WeightModule(sl2(3), M.labels, M.weights, actions)
 
@@ -165,6 +182,5 @@ def test_validate_rejects_restricted_failure_inside_a_part():
     with pytest.raises(ValueError, match="restricted compatibility fails on f"):
         WeightModule(borel(3), M.labels, M.weights, actions)
     broken = WeightModule(borel(3), M.labels, M.weights, actions, validate=False)
-    assert len(broken.parts) > 1
     with pytest.raises(ValueError, match="f-action is not p-nilpotent"):
         PeriodicCohomology(broken)
