@@ -79,6 +79,9 @@ def run_cli(argv=None) -> int:
         print(f"error: --p must be a prime <= {MAX_PRIME}, got {args.p}",
               file=sys.stderr)
         return USAGE_EXIT
+    if getattr(args, "maxdeg", 0) < 0:
+        print("error: --maxdeg must be nonnegative", file=sys.stderr)
+        return USAGE_EXIT
 
     if args.command == "verify":
         if args.suite == "appendix":
@@ -94,9 +97,6 @@ def run_cli(argv=None) -> int:
         return report.exit_code()
 
     if args.command == "table":
-        if args.maxdeg < 0:
-            print("error: --maxdeg must be nonnegative", file=sys.stderr)
-            return USAGE_EXIT
         tab = hh_table(args.target, args.p, args.maxdeg)
         if args.format == "json":
             sys.stdout.write(json.dumps(tab.to_json_dict(), indent=2) + "\n")

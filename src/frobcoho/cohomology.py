@@ -95,13 +95,12 @@ class PeriodicCohomology:
         kind = self._kind(n)
         if kind in self._cache:
             return self._cache[kind]
-        weights = self.M.weights
-        K, kweights = graded_kernel(self.d_out(n), weights)
+        K, kweights = graded_kernel(self.d_out(n))
         if kind == "deg0":
             B, bweights = FpMatrix.zeros(self.M.p, self.M.dim, 0), []
         else:
-            B, bweights = graded_image(self.d_in(n), weights)
-        reps = tuple(graded_complement(B, bweights, K, kweights))
+            B, bweights = graded_image(self.d_in(n))
+        reps = tuple(graded_complement(self.M.grading, B, bweights, K, kweights))
         data = (K, kweights, B, bweights, reps)
         self._cache[kind] = data
         return data
@@ -137,7 +136,7 @@ class PeriodicCohomology:
         p = self.M.p
         basis = FpMatrix(p, np.concatenate([B.a, K.a[:, list(reps)]], axis=1))
         rhs = FpMatrix(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-        sol = graded_solve(basis, bweights + [kweights[j] for j in reps], rhs)
+        sol = graded_solve(self.M.grading, basis, bweights + [kweights[j] for j in reps], rhs)
         return sol.a[B.cols:, 0].copy()
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
@@ -159,7 +158,7 @@ def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
         raise ValueError("negative cohomological degree")
     if j >= 2:
         return LaurentCharacter.zero()
-    image = LaurentCharacter.from_weights(graded_image(M.maps["f"], M.weights)[1])
+    image = LaurentCharacter.from_weights(graded_image(M.maps["f"])[1])
     root = LaurentCharacter.line(2)
     return M.character() - image * root if j == 0 else (M.character() - image) * root
 

@@ -15,15 +15,15 @@ FpMatrix is the dense primitive.  Every action matrix maps weight w to
 w + wt(x); a GradedMap stores it as that shift and one dense block per
 source weight, cut once on a Grading of the basis, and runs sums,
 products, powers and application to vectors on all its blocks at once.
-The graded_* functions run the dense primitive per weight block, read
-from a GradedMap or cut from a dense map by _split, which raises unless
-the columns of one weight reach rows that no other weight reaches;
-greedy pivots, kernels and free-variables-zero solutions then equal the
-dense ones up to column order.  The eigenspaces and the 0-eigenspace
-projector of a weight-preserving map are found on the finer connected
-components of its own support (support_parts), all components of one
-size in one stacked row reduction (_rref_stack); _rref stays the
-reduction for single matrices, on which the stacked one is slower.
+The graded_* functions run the dense primitive per weight block: on the
+blocks of GradedMaps, or on the columns of one weight against the rows
+of that weight in the Grading; greedy pivots, kernels and
+free-variables-zero solutions then equal the dense ones up to column
+order.  The eigenspaces and the 0-eigenspace projector of a
+weight-preserving map are found on the finer connected components of
+its own support (support_parts), all components of one size in one
+stacked row reduction (_rref_stack); _rref stays the reduction for
+single matrices, on which the stacked one is slower.
 """
 
 from __future__ import annotations
@@ -315,11 +315,15 @@ class Grading:
         self.index = np.full((counts.size + 1, counts.max(initial=0)), n, dtype=np.int64)
         self.index[self.pos, self.slot] = np.arange(n)
 
+    def find(self, weights) -> np.ndarray:
+        """Per given weight, its index row; the padding row if it does not occur."""
+        values, w = np.array(self.values, dtype=np.int64), np.asarray(weights, dtype=np.int64)
+        t = np.searchsorted(values, w)
+        return np.where(values[np.minimum(t, values.size - 1)] == w, t, values.size)
+
     def target(self, shift: int) -> np.ndarray:
         """Per weight position, the index row of that weight plus shift."""
-        values = np.array(self.values, dtype=np.int64)
-        t = np.searchsorted(values, values + shift)
-        return np.where(values[np.minimum(t, values.size - 1)] == values + shift, t, values.size)
+        return self.find(np.array(self.values, dtype=np.int64) + shift)
 
 
 class GradedMap:
@@ -338,6 +342,8 @@ class GradedMap:
     def cut(cls, mat: FpMatrix, grading: Grading, shift: int) -> "GradedMap":
         """The blocks of a dense map; raises ValueError when an entry of mat
         joins two weights that do not differ by shift."""
+        if mat.shape != (grading.weights.size,) * 2:
+            raise ValueError("map does not match the grading")
         rows = grading.index[grading.target(shift)]
         stack = np.pad(mat.a, (0, 1))[rows[:, :, None], grading.index[:-1, None, :]]
         if np.count_nonzero(stack) != np.count_nonzero(mat.a):
@@ -355,8 +361,8 @@ class GradedMap:
         return FpMatrix(self.p, out[:n, :n])
 
     def blocks(self):
-        """(weight, column indices, row indices, block) per source weight by
-        increasing weight, as _split yields them for the dense map."""
+        """(weight, column indices, row indices, unpadded block) per source
+        weight, by increasing weight."""
         g = self.grading
         for k, t in enumerate(g.target(self.shift).tolist()):
             rows, cols = g.index[t, :g.sizes[t]], g.index[k, :g.sizes[k]]
@@ -405,27 +411,6 @@ class GradedMap:
         return _power(self, n, GradedMap.__matmul__)
 
 
-def _split(mat: FpMatrix, col_weights):
-    """The per-weight blocks of a weight-graded map, by increasing weight.
-
-    Yields (weight, column indices, row indices, block), where the block is
-    the dense map from the columns of that weight to the rows they reach.
-    """
-    if mat.cols != len(col_weights):
-        raise ValueError("weight list does not match column count")
-    g = Grading(col_weights)
-    k = len(g.values)
-    nonzero = mat.a != 0
-    low = np.where(nonzero, g.pos, k).min(axis=1, initial=k)
-    high = np.where(nonzero, g.pos, -1).max(axis=1, initial=-1)
-    reached = low < k
-    if np.any(low[reached] != high[reached]):
-        raise ValueError("map is not weight-graded")
-    for j, w in enumerate(g.values):
-        cols, rows = g.index[j, :g.sizes[j]], np.flatnonzero(low == j)
-        yield w, cols, rows, FpMatrix(mat.p, mat.a[rows][:, cols])
-
-
 def _embed(n: int, p: int, pieces) -> FpMatrix:
     """Side by side, the columns of each (indices, block) piece placed at
     those indices of length-n vectors."""
@@ -437,58 +422,72 @@ def _embed(n: int, p: int, pieces) -> FpMatrix:
     return FpMatrix(p, out)
 
 
-def graded_kernel(mat, col_weights) -> tuple[FpMatrix, list[int]]:
-    """Kernel basis of a weight-graded map, one block per column weight.
-
-    mat is a GradedMap or a dense FpMatrix with the given column weights.
-    Each basis vector is weight-homogeneous.  Returns (basis columns,
-    weight per column).
-    """
+def graded_kernel(*maps: GradedMap) -> tuple[FpMatrix, list[int]]:
+    """Basis of the joint kernel of weight-graded maps on one grading, per
+    weight from the blocks of all maps at that weight, stacked.  Returns
+    (weight-homogeneous basis columns, weight per column)."""
+    g, p = maps[0].grading, maps[0].p
+    if any(m.grading is not g or m.p != p for m in maps):
+        raise ValueError("maps on different spaces")
     pieces, weights = [], []
-    blocks = mat.blocks() if isinstance(mat, GradedMap) else _split(mat, col_weights)
-    for w, cols, _, block in blocks:
-        kb = block.kernel_basis()
+    for parts in zip(*(m.blocks() for m in maps)):
+        w, cols, _, _ = parts[0]
+        kb = FpMatrix(p, np.concatenate([block.a for *_, block in parts])).kernel_basis()
         pieces.append((cols, kb.a))
         weights += [w] * kb.cols
-    return _embed(mat.shape[1], mat.p, pieces), weights
+    return _embed(g.weights.size, p, pieces), weights
 
 
-def graded_image(mat, weights) -> tuple[FpMatrix, list[int]]:
-    """Greedy pivot columns of a weight-graded endomorphism (a GradedMap,
-    or an FpMatrix whose rows and columns carry the given weights), with
-    the weight each one lands in."""
+def graded_image(mat: GradedMap) -> tuple[FpMatrix, list[int]]:
+    """Greedy pivot columns of a weight-graded map, with the weight each
+    one lands in."""
     pieces, out_weights = [], []
-    blocks = mat.blocks() if isinstance(mat, GradedMap) else _split(mat, weights)
-    for _, _, rows, block in blocks:
+    for w, _, rows, block in mat.blocks():
         piv = list(block.rref()[1])
         if piv:
             pieces.append((rows, block.a[:, piv]))
-            out_weights += [weights[rows[0]]] * len(piv)
+            out_weights += [w + mat.shift] * len(piv)
     return _embed(mat.shape[0], mat.p, pieces), out_weights
 
 
-def graded_complement(span: FpMatrix, span_weights, vecs: FpMatrix,
+def _column_blocks(grading: Grading, mat: FpMatrix, col_weights):
+    """Per column weight by increasing weight: (column indices, row
+    indices, block), the rows being the vectors of that weight in grading.
+    Raises ValueError when a column has an entry outside those rows."""
+    if mat.shape != (grading.weights.size, len(col_weights)):
+        raise ValueError("weights do not match the matrix")
+    cg = Grading(col_weights)
+    out = []
+    for k, t in enumerate(grading.find(cg.values).tolist()):
+        cols, rows = cg.index[k, :cg.sizes[k]], grading.index[t, :grading.sizes[t]]
+        out.append((cols, rows, FpMatrix(mat.p, mat.a[np.ix_(rows, cols)])))
+    if sum(np.count_nonzero(b.a) for *_, b in out) != np.count_nonzero(mat.a):
+        raise ValueError("a column has entries outside the rows of its weight")
+    return out
+
+
+def graded_complement(grading: Grading, span: FpMatrix, span_weights, vecs: FpMatrix,
                       vec_weights) -> list[int]:
     """Positions of the weight-homogeneous columns of vecs that are
     independent modulo span and the earlier columns of their weight, by
     increasing weight."""
     both = FpMatrix(vecs.p, np.concatenate([span.a, vecs.a], axis=1))
     picked = []
-    for _, cols, _, block in _split(both, [*span_weights, *vec_weights]):
+    for cols, _, block in _column_blocks(grading, both, [*span_weights, *vec_weights]):
         picked += [int(c) - span.cols for c in cols[list(block.rref()[1])]
                    if c >= span.cols]
     return picked
 
 
-def graded_solve(mat: FpMatrix, col_weights, rhs: FpMatrix) -> FpMatrix:
+def graded_solve(grading: Grading, mat: FpMatrix, col_weights, rhs: FpMatrix) -> FpMatrix:
     """The solution X of mat @ X = rhs that FpMatrix.solve returns, found
-    block by block on a weight-graded map."""
+    block by block on weight-homogeneous columns."""
     mat._same_field(rhs)
     if rhs.rows != mat.rows:
         raise ValueError("shape mismatch")
     x = np.zeros((mat.cols, rhs.cols), dtype=np.int64)
     reached = np.zeros(mat.rows, dtype=bool)
-    for _, cols, rows, block in _split(mat, col_weights):
+    for cols, rows, block in _column_blocks(grading, mat, col_weights):
         x[cols] = block.solve(FpMatrix(mat.p, rhs.a[rows])).a
         reached[rows] = True
     if rhs.a[~reached].any():

@@ -1,18 +1,19 @@
 """Finite-dimensional weight modules for the rank-one algebras.
 
 A WeightModule is a labeled basis with an integer weight per basis
-vector and one action matrix per available Lie generator.  Validation
-enforces the four structural invariants exactly:
+vector and one action per available Lie generator.  Validation enforces
+the four structural invariants exactly:
 
   * each generator moves the weight-m subspace into weight m + wt(x),
   * action([x,y]) equals the commutator of the action matrices,
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
-Each action matrix is also cut once, at construction, into a GradedMap:
-one dense block per weight, from weight m to m + wt(x).  Validation, the
-Casimir and submodules multiply these blocks; the Casimir's eigenspaces
-and the principal-block projector come from the finer components of the
+Constructors pass dense action matrices; each is cut once into a
+GradedMap, one dense block per weight from m to m + wt(x), and only the
+blocks are kept (action(x) rebuilds the dense matrix).  Validation, the
+Casimir and submodules multiply the blocks; the Casimir's eigenspaces and
+the principal-block projector come from the finer components of the
 Casimir's own support.
 
 Truncated symmetric powers carry the adjoint derivation action with
@@ -54,13 +55,12 @@ class WeightModule:
         self.algebra = algebra
         self.labels = tuple(labels)
         self.weights = tuple(int(w) for w in weights)
-        self.actions = dict(actions)
-        if set(self.actions) != set(algebra.generators):
+        if set(actions) != set(algebra.generators):
             raise ValueError("need one action matrix per algebra generator")
         self.grading = Grading(self.weights)
         self.maps = {}  # generator -> its action cut into weight blocks
         for x in algebra.generators:
-            m = self.actions[x]
+            m = actions[x]
             if m.shape != (self.dim, self.dim) or m.p != algebra.p:
                 raise ValueError(f"action matrix for {x} has wrong shape or modulus")
             try:
@@ -79,7 +79,8 @@ class WeightModule:
         return len(self.labels)
 
     def action(self, x: str) -> FpMatrix:
-        return self.actions[x]
+        """The dense action matrix of x, rebuilt from its weight blocks."""
+        return self.maps[x].dense()
 
     def character(self) -> LaurentCharacter:
         return LaurentCharacter.from_weights(self.weights)
@@ -102,8 +103,9 @@ class WeightModule:
             if not diff.is_zero():
                 raise ValueError(f"restricted compatibility fails on {x}")
         if "h" in alg.generators:
-            expected = np.diag(self.grading.weights % p)
-            if not np.array_equal(self.action("h").a, expected):
+            g, expected = self.grading, np.zeros_like(maps["h"].stack)
+            expected[g.pos, g.slot, g.slot] = g.weights % p
+            if not np.array_equal(maps["h"].stack, expected):
                 raise ValueError("h does not act by the weight scalars")
 
     # -- derived modules -------------------------------------------------
@@ -148,7 +150,7 @@ class WeightModule:
         if any(w % p for w in self.weights):
             raise ValueError("untwist needs all weights divisible by p")
         for x in self.algebra.generators:
-            if x != "h" and not self.action(x).is_zero():
+            if x != "h" and not self.maps[x].is_zero():
                 raise ValueError("untwist needs a trivial nilpotent action")
         new_weights = [w // p for w in self.weights]
         actions = {x: FpMatrix.zeros(p, self.dim, self.dim)
@@ -173,7 +175,7 @@ class WeightModule:
         for x in self.algebra.generators:
             try:
                 moved = FpMatrix(self.p, self.maps[x] @ columns.a)
-                actions[x] = graded_solve(columns, weights, moved)
+                actions[x] = graded_solve(self.grading, columns, weights, moved)
             except ValueError as exc:
                 raise ValueError(f"span is not stable under {x}") from exc
         return WeightModule(self.algebra, labels, weights, actions)
@@ -464,9 +466,7 @@ def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:
 
 def g1_invariants(M: WeightModule) -> WeightModule:
     """Joint kernel of all generator actions, as a weighted submodule."""
-    stacked = FpMatrix(M.p, np.concatenate(
-        [M.action(x).a for x in M.algebra.generators], axis=0))
-    cols, weights = graded_kernel(stacked, M.weights)
+    cols, weights = graded_kernel(*(M.maps[x] for x in M.algebra.generators))
     return M.submodule(cols, weights, prefix="inv")
 
 

@@ -2,9 +2,10 @@
 
 A random weight-graded endomorphism has a random weight per basis vector
 (basis order shuffled) and sends weight w to weight w + shift through a
-random low-rank block; every graded_* result and every GradedMap
-operation must agree with the dense FpMatrix computation on the whole
-matrix.  The stacked row reduction behind graded_eigenspaces must agree
+random low-rank block; every graded_* result, on the map cut into a
+GradedMap or on weight-homogeneous columns with the Grading of the
+basis, and every GradedMap operation must agree with the dense FpMatrix
+computation on the whole matrix.  The stacked row reduction behind graded_eigenspaces must agree
 with _rref slice by slice.
 """
 
@@ -63,12 +64,14 @@ SHIFTS = st.sampled_from((-4, -2, 0, 2))
 
 @st.composite
 def graded_maps(draw, shift=None):
-    """(matrix, weight per basis vector) for a graded endomorphism."""
+    """(matrix, weight per basis vector, the matrix cut into a GradedMap)
+    for a graded endomorphism."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     if shift is None:
         shift = draw(SHIFTS)
     weights = draw(random_weights())
-    return _draw_map(draw, p, weights, shift), weights
+    mat = _draw_map(draw, p, weights, shift)
+    return mat, weights, GradedMap.cut(mat, Grading(weights), shift)
 
 
 def _homogeneous(vec, weight, weights):
@@ -82,8 +85,8 @@ def _column_multiset(m: FpMatrix):
 @SETTINGS
 @given(graded_maps())
 def test_graded_image_matches_dense_column_space(case):
-    mat, weights = case
-    image, image_weights = graded_image(mat, weights)
+    mat, weights, graded = case
+    image, image_weights = graded_image(graded)
     assert _column_multiset(image) == _column_multiset(mat.column_space_basis())
     for j, w in enumerate(image_weights):
         assert _homogeneous(image.a[:, j], w, weights)
@@ -92,8 +95,8 @@ def test_graded_image_matches_dense_column_space(case):
 @SETTINGS
 @given(graded_maps())
 def test_graded_kernel_matches_dense_nullity(case):
-    mat, weights = case
-    kb, kweights = graded_kernel(mat, weights)
+    mat, weights, graded = case
+    kb, kweights = graded_kernel(graded)
     assert kb.cols == mat.kernel_basis().cols
     assert (mat @ kb).is_zero()
     assert kb.rank() == kb.cols
@@ -105,7 +108,9 @@ def test_graded_kernel_matches_dense_nullity(case):
 @SETTINGS
 @given(graded_maps(), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_graded_solve_matches_dense_solve(case, seed, consistent):
-    mat, weights = case
+    mat, weights, graded = case
+    # column j of mat is a vector of weight weights[j] + shift
+    col_weights = [w + graded.shift for w in weights]
     rng = np.random.default_rng(seed)
     if consistent:
         rhs = mat @ FpMatrix(mat.p, rng.integers(0, mat.p, size=(mat.cols, 2)))
@@ -115,16 +120,16 @@ def test_graded_solve_matches_dense_solve(case, seed, consistent):
         dense = mat.solve(rhs)
     except ValueError:
         with pytest.raises(ValueError):
-            graded_solve(mat, weights, rhs)
+            graded_solve(graded.grading, mat, col_weights, rhs)
         return
-    assert graded_solve(mat, weights, rhs) == dense
+    assert graded_solve(graded.grading, mat, col_weights, rhs) == dense
 
 
 @SETTINGS
 @given(graded_maps(), st.integers(0, 2 ** 32 - 1))
 def test_graded_complement_matches_dense_pivots(case, seed):
-    mat, weights = case
-    span, span_weights = graded_image(mat, weights)
+    mat, weights, graded = case
+    span, span_weights = graded_image(graded)
     # random weight-homogeneous vectors, some of them dependent
     rng = np.random.default_rng(seed)
     w = np.array(weights, dtype=np.int64)
@@ -134,7 +139,7 @@ def test_graded_complement_matches_dense_pivots(case, seed):
         cols.append(v)
         vec_weights.append(target)
     vecs = FpMatrix(mat.p, np.array(cols, dtype=np.int64).reshape(len(cols), mat.rows).T)
-    picked = graded_complement(span, span_weights, vecs, vec_weights)
+    picked = graded_complement(graded.grading, span, span_weights, vecs, vec_weights)
     both = FpMatrix(mat.p, np.concatenate([span.a, vecs.a], axis=1))
     dense = {j - span.cols for j in both.rref()[1] if j >= span.cols}
     assert sorted(picked) == sorted(dense)
@@ -172,8 +177,8 @@ def _assert_same_eigenspaces(got, want):
 @SETTINGS
 @given(graded_maps(shift=0))
 def test_graded_eigenspaces_match_dense(case):
-    mat, weights = case
-    blocks = graded_eigenspaces(GradedMap.cut(mat, Grading(weights), 0))
+    mat, weights, graded = case
+    blocks = graded_eigenspaces(graded)
     _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
     for lam in range(mat.p):
         dense = generalized_eigenspace(mat, lam).cols
@@ -249,17 +254,41 @@ def test_graded_map_matches_dense(case, power, scalar):
     assert (ga - ga2).dense() == a - a2
     assert np.array_equal(ga @ vec, a @ vec)
     assert np.array_equal(ga @ cols, (a @ FpMatrix(p, cols)).a)
-    assert graded_kernel(ga, weights) == graded_kernel(a, weights)
-    assert graded_image(ga, weights) == graded_image(a, weights)
+    # the joint kernel against the dense kernel of the stacked maps
+    kb, kweights = graded_kernel(ga, gb)
+    stacked = FpMatrix(p, np.concatenate([a.a, b.a]))
+    assert kb.cols == stacked.kernel_basis().cols and kb.rank() == kb.cols
+    assert (stacked @ kb).is_zero()
+    for j, w in enumerate(kweights):
+        assert _homogeneous(kb.a[:, j], w, weights)
+    image, image_weights = graded_image(gb)
+    assert _column_multiset(image) == _column_multiset(b.column_space_basis())
+    assert all(_homogeneous(image.a[:, j], w, weights) for j, w in enumerate(image_weights))
     if sb != sa and not b.is_zero():
         with pytest.raises(ValueError):
             GradedMap.cut(b, grading, sa)
 
 
-def test_split_rejects_an_ungraded_map():
+def test_cut_rejects_an_ungraded_map():
     # columns of weights 0 and 2 both reach row 0
     mat = FpMatrix(3, [[1, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        graded_kernel(mat, [0, 2])
-    with pytest.raises(ValueError):
-        graded_kernel(mat, [0])
+    for shift in (0, -2, 2):
+        with pytest.raises(ValueError, match="does not move weights"):
+            GradedMap.cut(mat, Grading([0, 2]), shift)
+    with pytest.raises(ValueError, match="does not match the grading"):
+        GradedMap.cut(mat, Grading([0]), 0)
+
+
+def test_column_weights_must_match_the_rows():
+    # the column of weight 0 has an entry in the row of weight 2
+    grading = Grading([0, 2])
+    mat = FpMatrix(3, [[1], [1]])
+    with pytest.raises(ValueError, match="outside the rows of its weight"):
+        graded_solve(grading, mat, [0], FpMatrix(3, [[1], [1]]))
+    with pytest.raises(ValueError, match="outside the rows of its weight"):
+        graded_complement(grading, FpMatrix.zeros(3, 2, 0), [], mat, [0])
+    with pytest.raises(ValueError, match="do not match the matrix"):
+        graded_solve(grading, mat, [0, 2], FpMatrix(3, [[1], [1]]))
+    # a column inside the rows of its weight solves: 2 * 2 = 1 mod 3
+    x = graded_solve(grading, FpMatrix(3, [[2], [0]]), [0], FpMatrix(3, [[1], [0]]))
+    assert x.a.tolist() == [[2]]

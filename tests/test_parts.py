@@ -114,7 +114,8 @@ def _shuffled(M: WeightModule, seed: int) -> WeightModule:
     interleave."""
     perm = np.random.default_rng(seed).permutation(M.dim)
     return WeightModule(M.algebra, [M.labels[i] for i in perm], [M.weights[i] for i in perm],
-                        {x: FpMatrix(M.p, a.a[np.ix_(perm, perm)]) for x, a in M.actions.items()})
+                        {x: FpMatrix(M.p, M.action(x).a[np.ix_(perm, perm)])
+                         for x in M.algebra.generators})
 
 
 @pytest.mark.parametrize("p, shuffle", [(3, False), (5, False), (7, False), (5, True)])
@@ -138,7 +139,7 @@ def test_whole_algebra_by_parts_equals_dense(p, shuffle):
         assert blocks[lam][0].a.tobytes() == cols.a.tobytes()
     order = sorted(dense)
     basis = FpMatrix(p, np.concatenate([dense[lam][0].a for lam in order], axis=1))
-    inv = graded_solve(basis, [w for lam in order for w in dense[lam][1]],
+    inv = graded_solve(M.grading, basis, [w for lam in order for w in dense[lam][1]],
                        FpMatrix.identity(p, M.dim))
     n0 = dense[0][0].cols
     proj = principal_block_projector(M)
@@ -169,7 +170,7 @@ def _corrupted_f():
 
 def test_validate_rejects_bracket_failure_inside_a_part():
     M, f = _corrupted_f()
-    actions = dict(M.actions, f=f)
+    actions = {"e": M.action("e"), "h": M.action("h"), "f": f}
     assert not (GradedMap.cut(f, M.grading, -2) - M.maps["f"]).is_zero()  # inside one weight block
     with pytest.raises(ValueError, match=r"bracket compatibility fails on \(e,f\)"):
         WeightModule(sl2(3), M.labels, M.weights, actions)

@@ -14,7 +14,8 @@ def test_tracer_installs_on_every_target():
         "from tracer import TARGETS, install\n"
         "tracer = install()\n"
         "from frobcoho import fpmatrix\n"
-        "fpmatrix.graded_kernel(fpmatrix.FpMatrix(3, [[0, 1], [0, 0]]), [0, 2])\n"
+        "mat = fpmatrix.FpMatrix(3, [[0, 1], [0, 0]])\n"
+        "fpmatrix.graded_kernel(fpmatrix.GradedMap.cut(mat, fpmatrix.Grading([0, 2]), -2))\n"
         "assert tracer.calls['fpmatrix.graded_kernel'] == 1\n"
         "print(len(TARGETS))\n"
     )

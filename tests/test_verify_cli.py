@@ -182,6 +182,10 @@ def test_cli_usage_errors(capsys):
     assert run_cli(["verify", "appendix", "--p", "4"]) == 3
     assert run_cli(["verify", "appendix", "--p", "17"]) == 3
     assert run_cli(["decomp", "tsym", "--p", "3", "--n", "99"]) == 3
+    for cmd in (["verify", "appendix", "--p", "3"], ["table", "g1", "--p", "3"]):
+        assert run_cli([*cmd, "--maxdeg", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--maxdeg must be nonnegative" in captured.err
     with pytest.raises(SystemExit) as exc:
         run_cli(["bogus"])
     assert exc.value.code == 3

@@ -217,7 +217,7 @@ def test_simple_model_and_module():
 def test_validation_rejects_broken_action():
     g3 = sl2(3)
     M = truncated_sym(g3, 1)
-    bad = dict(M.actions)
+    bad = {x: M.action(x) for x in g3.generators}
     from frobcoho.fpmatrix import FpMatrix
 
     bad["e"] = FpMatrix(3, np.eye(3, dtype=np.int64))  # not weight-compatible
