@@ -52,9 +52,6 @@ class LaurentCharacter:
     def coeff(self, w: int) -> int:
         return self.coeffs.get(w, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def dim(self) -> int:
         return sum(self.coeffs.values())
 

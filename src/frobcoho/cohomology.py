@@ -14,6 +14,11 @@ the cokernel shifted by the root; it feeds the two-line E_2 page
 
     E_2^{2i,j} = S^i(u*)^(1) (x) H^j(u, M)^(T_1),  j in {0, 1}.
 
+Cocycle and coboundary bases are column sets: GradedMaps from the
+weights of their columns into the module, one block per weight, so no
+dense n x k basis is built; a representative is made dense one column
+at a time.
+
 Cup products are computed by lifting a diagonal approximation of the
 periodic resolution: the chain map P -> P (x) P is solved degree by
 degree as an exact linear system (deterministic pivoting), and the
@@ -35,6 +40,8 @@ from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     FpMatrix,
     GradedMap,
+    column_set,
+    graded_columns,
     graded_complement,
     graded_image,
     graded_kernel,
@@ -76,11 +83,6 @@ class PeriodicCohomology:
             raise ValueError("f-action is not p-nilpotent")
         self._cache: dict[str, tuple] = {}
 
-    def _kind(self, n: int) -> str:
-        if n == 0:
-            return "deg0"
-        return "odd" if n % 2 else "even"
-
     def d_out(self, n: int) -> GradedMap:
         return self.F if n % 2 == 0 else self.Fq
 
@@ -90,18 +92,14 @@ class PeriodicCohomology:
         return self.F if n % 2 else self.Fq
 
     def _data(self, n: int):
-        """(cocycle basis, cocycle weights, boundary basis, boundary
-        weights, rep positions)."""
-        kind = self._kind(n)
+        """(cocycle basis, boundary basis, rep positions): two column sets,
+        and the cocycle columns that complete the boundaries."""
+        kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
         if kind in self._cache:
             return self._cache[kind]
-        K, kweights = graded_kernel(self.d_out(n))
-        if kind == "deg0":
-            B, bweights = FpMatrix.zeros(self.M.p, self.M.dim, 0), []
-        else:
-            B, bweights = graded_image(self.d_in(n))
-        reps = tuple(graded_complement(self.M.grading, B, bweights, K, kweights))
-        data = (K, kweights, B, bweights, reps)
+        K = graded_kernel(self.d_out(n))
+        B = column_set(self.M.p, self.M.grading, []) if n == 0 else graded_image(self.d_in(n))
+        data = (K, B, tuple(graded_complement(B, K)))
         self._cache[kind] = data
         return data
 
@@ -112,8 +110,8 @@ class PeriodicCohomology:
         """Cocycle representatives of H^n with their raw module weights."""
         if self.M.dim == 0:
             return []
-        K, kweights, _, _, reps = self._data(n)
-        return [(K.a[:, j].copy(), kweights[j]) for j in reps]
+        K, _, reps = self._data(n)
+        return [(K.column(j), int(K.source.weights[j])) for j in reps]
 
     def character(self, n: int) -> LaurentCharacter:
         """Character of H^n(U_1, M), weights twisted per cochain degree."""
@@ -130,14 +128,12 @@ class PeriodicCohomology:
         """Coordinates of a cocycle's class over representatives(n)."""
         if not self.is_cocycle(n, vec):
             raise ValueError("not a cocycle")
-        K, kweights, B, bweights, reps = self._data(n)
+        K, B, reps = self._data(n)
         if self.M.dim == 0:
             return np.zeros(0, dtype=np.int64)
-        p = self.M.p
-        basis = FpMatrix(p, np.concatenate([B.a, K.a[:, list(reps)]], axis=1))
-        rhs = FpMatrix(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-        sol = graded_solve(self.M.grading, basis, bweights + [kweights[j] for j in reps], rhs)
-        return sol.a[B.cols:, 0].copy()
+        # B and the reps are the pivot columns of [B | K]; the others solve to 0
+        coords = graded_solve(graded_columns(B, K), vec)
+        return coords[B.shape[1] + np.array(reps, dtype=np.int64)]
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
         return not self.class_coordinates(n, vec).any()
@@ -158,7 +154,7 @@ def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
         raise ValueError("negative cohomological degree")
     if j >= 2:
         return LaurentCharacter.zero()
-    image = LaurentCharacter.from_weights(graded_image(M.maps["f"])[1])
+    image = LaurentCharacter.from_weights(graded_image(M.maps["f"]).source.weights.tolist())
     root = LaurentCharacter.line(2)
     return M.character() - image * root if j == 0 else (M.character() - image) * root
 

@@ -11,22 +11,23 @@ and _matmul raises where that bound fails.
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
 
-FpMatrix is the dense primitive.  Every action matrix maps weight w to
-w + wt(x); a GradedMap stores it as that shift and one dense block per
-source weight, cut once on a Grading of the basis, and runs sums,
-products, powers and application to vectors on all its blocks at once.
-The graded_* functions run the dense primitive per weight block: on the
-blocks of GradedMaps, or on the columns of one weight against the rows
-of that weight in the Grading; greedy pivots, kernels and
-free-variables-zero solutions then equal the dense ones up to column
-order.  The eigenspaces and the 0-eigenspace projector of a
-weight-preserving map are found on the finer connected components of
-its own support (support_parts), all components of one size in one
-stacked row reduction (_rref_stack); _rref stays the reduction for
-single matrices, on which the stacked one is slower.
+FpMatrix is the dense primitive.  Every action maps weight w to w + wt(x)
+and every kernel, image or eigenspace basis has weight-homogeneous
+columns, so a GradedMap stores either as a shift and one dense block per
+source weight, built from its entries: an action on the Grading of a
+basis, a column set from the Grading of its column weights into that
+one.  The graded_* functions run the dense primitive per weight block;
+greedy pivots, kernels and free-variables-zero solutions then equal the
+dense ones up to column order.  The eigenspaces and the 0-eigenspace
+projector of a weight-preserving map are found on the finer connected
+components of its own support (support_parts), all components of one
+size in one stacked row reduction (_rref_stack); _rref stays the
+reduction for single matrices, on which the stacked one is slower.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -318,63 +319,91 @@ class Grading:
     def find(self, weights) -> np.ndarray:
         """Per given weight, its index row; the padding row if it does not occur."""
         values, w = np.array(self.values, dtype=np.int64), np.asarray(weights, dtype=np.int64)
-        t = np.searchsorted(values, w)
-        return np.where(values[np.minimum(t, values.size - 1)] == w, t, values.size)
-
-    def target(self, shift: int) -> np.ndarray:
-        """Per weight position, the index row of that weight plus shift."""
-        return self.find(np.array(self.values, dtype=np.int64) + shift)
+        at = np.searchsorted(values, w)
+        return np.where(np.searchsorted(values, w, side="right") > at, at, values.size)
 
 
 class GradedMap:
-    """A map on the basis of a Grading that moves every weight by shift.
+    """A map from the basis of the Grading source (grading, for an action)
+    to that of grading that moves every weight by shift; a column set has
+    shift 0.
 
-    stack[k] is the dense block from the vectors of weight values[k] to those
-    of weight values[k] + shift, in the order of the grading's index rows and
-    padded with zeros.  Entries lie in [0, p).  Sums, products, powers and
-    application to vectors or column sets act on the whole stack at once.
+    stack[k] is the dense block from the source vectors of weight
+    source.values[k] to the vectors of weight source.values[k] + shift, in
+    the order of the gradings' index rows and padded with zeros.  Entries
+    lie in [0, p).  Sums, products, powers and application to vectors or
+    column sets act on the whole stack at once.
     """
 
-    def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray):
+    def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray,
+                 source: Grading | None = None):
         self.p, self.grading, self.shift, self.stack = p, grading, shift, stack
+        self.source = source or grading
 
     @classmethod
-    def cut(cls, mat: FpMatrix, grading: Grading, shift: int) -> "GradedMap":
-        """The blocks of a dense map; raises ValueError when an entry of mat
-        joins two weights that do not differ by shift."""
-        if mat.shape != (grading.weights.size,) * 2:
-            raise ValueError("map does not match the grading")
-        rows = grading.index[grading.target(shift)]
-        stack = np.pad(mat.a, (0, 1))[rows[:, :, None], grading.index[:-1, None, :]]
-        if np.count_nonzero(stack) != np.count_nonzero(mat.a):
+    def scatter(cls, p: int, grading: Grading, shift: int, rows, cols, vals,
+                source: Grading | None = None) -> "GradedMap":
+        """The map with entries vals at (rows, cols), repeated positions
+        summed; raises ValueError when an entry joins two weights that do
+        not differ by shift."""
+        source = source or grading
+        if not np.array_equal(grading.weights[rows], source.weights[cols] + shift):
             raise ValueError(f"map does not move weights by {shift}")
-        return cls(mat.p, grading, shift, stack)
+        stack = np.zeros((len(source.values), grading.index.shape[1], source.index.shape[1]),
+                         dtype=np.int64)
+        np.add.at(stack, (source.pos[cols], grading.slot[rows], source.slot[cols]), vals)
+        return cls(p, grading, shift, stack % p, source)
+
+    @classmethod
+    def cut(cls, mat: FpMatrix, grading: Grading, shift: int,
+            source: Grading | None = None) -> "GradedMap":
+        """The blocks of a dense map, read from its nonzero entries; raises
+        ValueError when one joins two weights that do not differ by shift."""
+        if mat.shape != (grading.weights.size, (source or grading).weights.size):
+            raise ValueError("map does not match the grading")
+        rows, cols = np.nonzero(mat.a)
+        return cls.scatter(mat.p, grading, shift, rows, cols, mat.a[rows, cols], source)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.grading.weights.size, self.grading.weights.size
+        return self.grading.weights.size, self.source.weights.size
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """Per source weight, the index row in grading of that weight plus shift."""
+        return self.grading.find(np.array(self.source.values, dtype=np.int64) + self.shift)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices, column indices and values of the nonzero entries."""
+        k, i, j = np.nonzero(self.stack)
+        return self.grading.index[self._targets[k], i], self.source.index[k, j], self.stack[k, i, j]
 
     def dense(self) -> FpMatrix:
-        g, n = self.grading, self.shape[0]
-        out = np.zeros((n + 1, n + 1), dtype=np.int64)
-        out[g.index[g.target(self.shift)][:, :, None], g.index[:-1, None, :]] = self.stack
-        return FpMatrix(self.p, out[:n, :n])
+        out, (rows, cols, vals) = np.zeros(self.shape, dtype=np.int64), self.entries()
+        out[rows, cols] = vals
+        return FpMatrix(self.p, out)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j as a dense vector."""
+        k, out = self.source.pos[j], np.zeros(self.shape[0] + 1, dtype=np.int64)
+        out[self.grading.index[self._targets[k]]] = self.stack[k, :, self.source.slot[j]]
+        return out[:-1]
 
     def blocks(self):
-        """(weight, column indices, row indices, unpadded block) per source
-        weight, by increasing weight."""
-        g = self.grading
-        for k, t in enumerate(g.target(self.shift).tolist()):
-            rows, cols = g.index[t, :g.sizes[t]], g.index[k, :g.sizes[k]]
-            yield g.values[k], cols, rows, FpMatrix(self.p, self.stack[k, :rows.size, :cols.size])
+        """(source weight, column indices, row indices, unpadded block) per
+        source weight, by increasing weight."""
+        g, s = self.grading, self.source
+        for k, t in enumerate(self._targets.tolist()):
+            rows, cols = g.index[t, :g.sizes[t]], s.index[k, :s.sizes[k]]
+            yield s.values[k], cols, rows, FpMatrix(self.p, self.stack[k, :rows.size, :cols.size])
 
     def is_zero(self) -> bool:
         return not self.stack.any()
 
     def _with(self, other: "GradedMap", shift: int, stack: np.ndarray) -> "GradedMap":
-        if self.grading is not other.grading or self.p != other.p:
+        if (self.grading, self.source, self.p) != (other.grading, other.source, other.p):
             raise ValueError("maps on different spaces")
-        return GradedMap(self.p, self.grading, shift, stack % self.p)
+        return GradedMap(self.p, self.grading, shift, stack % self.p, self.source)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if self.shift != other.shift:
@@ -390,20 +419,23 @@ class GradedMap:
     def __matmul__(self, other):
         """self after other for a GradedMap, else self applied to a vector or
         to the columns of an array."""
-        g = self.grading
+        g, s = self.grading, self.source
         if isinstance(other, GradedMap):
-            t = g.target(other.shift)
-            live = t < len(g.values)
-            stack = np.zeros_like(other.stack)
+            if other.grading is not s or other.p != self.p:
+                raise ValueError("maps on different spaces")
+            t = other._targets
+            live = t < len(s.values)
+            stack = np.zeros((len(other.source.values), g.index.shape[1],
+                              other.source.index.shape[1]), dtype=np.int64)
             stack[live] = _matmul(self.stack[t[live]], other.stack[live], self.p)
-            return self._with(other, self.shift + other.shift, stack)
+            return GradedMap(self.p, g, self.shift + other.shift, stack, other.source)
         x = np.asarray(other, dtype=np.int64) % self.p
         if x.shape[0] != self.shape[1]:
             raise ValueError("shape mismatch")
         cols = np.pad(x[:, None] if x.ndim == 1 else x, ((0, 1), (0, 0)))
-        out = np.zeros_like(cols)
-        out[g.index[g.target(self.shift)]] = _matmul(self.stack, cols[g.index[:-1]], self.p)
-        return out[:-1].reshape(x.shape)
+        out = np.zeros((self.shape[0] + 1, cols.shape[1]), dtype=np.int64)
+        out[g.index[self._targets]] = _matmul(self.stack, cols[s.index[:-1]], self.p)
+        return out[:-1].reshape(self.shape[:1] + x.shape[1:])
 
     def __pow__(self, n: int) -> "GradedMap":
         if n < 1:
@@ -411,88 +443,87 @@ class GradedMap:
         return _power(self, n, GradedMap.__matmul__)
 
 
-def _embed(n: int, p: int, pieces) -> FpMatrix:
-    """Side by side, the columns of each (indices, block) piece placed at
-    those indices of length-n vectors."""
-    out = np.zeros((n, sum(b.shape[1] for _, b in pieces)), dtype=np.int64)
-    k = 0
-    for idx, b in pieces:
-        out[idx, k:k + b.shape[1]] = b
-        k += b.shape[1]
-    return FpMatrix(p, out)
+def column_set(p: int, grading: Grading, pieces) -> GradedMap:
+    """The column set with the columns of each (weight, block) piece on the
+    vectors of that weight in grading."""
+    parts, weights = [(np.zeros(0, dtype=np.int64),) * 3], []
+    for w, b in pieces:
+        i, j = np.nonzero(b)
+        parts.append((grading.index[grading.find([w])[0], i], j + len(weights), b[i, j]))
+        weights += [w] * b.shape[1]
+    return GradedMap.scatter(p, grading, 0, *map(np.concatenate, zip(*parts)), Grading(weights))
 
 
-def graded_kernel(*maps: GradedMap) -> tuple[FpMatrix, list[int]]:
-    """Basis of the joint kernel of weight-graded maps on one grading, per
-    weight from the blocks of all maps at that weight, stacked.  Returns
-    (weight-homogeneous basis columns, weight per column)."""
-    g, p = maps[0].grading, maps[0].p
-    if any(m.grading is not g or m.p != p for m in maps):
+def graded_columns(*sets: GradedMap) -> GradedMap:
+    """The columns of column sets into one grading, side by side."""
+    g, source = sets[0].grading, Grading(np.concatenate([m.source.weights for m in sets]))
+    if any(m.grading is not g or m.shift for m in sets):
+        raise ValueError("column sets in different spaces")
+    stack = np.zeros((len(source.values), g.index.shape[1], source.index.shape[1]), dtype=np.int64)
+    start = 0
+    for m in sets:
+        j = np.arange(start, start + m.shape[1])
+        stack[source.pos[j], :, source.slot[j]] = m.stack[m.source.pos, :, m.source.slot]
+        start += m.shape[1]
+    return GradedMap(sets[0].p, g, 0, stack, source)
+
+
+def graded_kernel(*maps: GradedMap) -> GradedMap:
+    """Basis of the joint kernel of weight-graded maps from one grading, per
+    weight from the blocks of all maps at that weight, stacked: a column set
+    into that grading, by increasing weight."""
+    g, p = maps[0].source, maps[0].p
+    if any(m.source is not g or m.p != p for m in maps):
         raise ValueError("maps on different spaces")
-    pieces, weights = [], []
-    for parts in zip(*(m.blocks() for m in maps)):
-        w, cols, _, _ = parts[0]
-        kb = FpMatrix(p, np.concatenate([block.a for *_, block in parts])).kernel_basis()
-        pieces.append((cols, kb.a))
-        weights += [w] * kb.cols
-    return _embed(g.weights.size, p, pieces), weights
+    return column_set(p, g, [
+        (parts[0][0], FpMatrix(p, np.concatenate([b.a for *_, b in parts])).kernel_basis().a)
+        for parts in zip(*(m.blocks() for m in maps))])
 
 
-def graded_image(mat: GradedMap) -> tuple[FpMatrix, list[int]]:
-    """Greedy pivot columns of a weight-graded map, with the weight each
-    one lands in."""
-    pieces, out_weights = [], []
-    for w, _, rows, block in mat.blocks():
-        piv = list(block.rref()[1])
-        if piv:
-            pieces.append((rows, block.a[:, piv]))
-            out_weights += [w + mat.shift] * len(piv)
-    return _embed(mat.shape[0], mat.p, pieces), out_weights
+def graded_image(mat: GradedMap) -> GradedMap:
+    """Greedy pivot columns of a weight-graded map, as a column set."""
+    return column_set(mat.p, mat.grading, [(w + mat.shift, block.a[:, list(block.rref()[1])])
+                                           for w, _, _, block in mat.blocks()])
 
 
-def _column_blocks(grading: Grading, mat: FpMatrix, col_weights):
-    """Per column weight by increasing weight: (column indices, row
-    indices, block), the rows being the vectors of that weight in grading.
-    Raises ValueError when a column has an entry outside those rows."""
-    if mat.shape != (grading.weights.size, len(col_weights)):
-        raise ValueError("weights do not match the matrix")
-    cg = Grading(col_weights)
-    out = []
-    for k, t in enumerate(grading.find(cg.values).tolist()):
-        cols, rows = cg.index[k, :cg.sizes[k]], grading.index[t, :grading.sizes[t]]
-        out.append((cols, rows, FpMatrix(mat.p, mat.a[np.ix_(rows, cols)])))
-    if sum(np.count_nonzero(b.a) for *_, b in out) != np.count_nonzero(mat.a):
-        raise ValueError("a column has entries outside the rows of its weight")
-    return out
-
-
-def graded_complement(grading: Grading, span: FpMatrix, span_weights, vecs: FpMatrix,
-                      vec_weights) -> list[int]:
-    """Positions of the weight-homogeneous columns of vecs that are
-    independent modulo span and the earlier columns of their weight, by
+def graded_complement(span: GradedMap, vecs: GradedMap) -> list[int]:
+    """Positions of the columns of the column set vecs that are independent
+    modulo the column set span and the earlier columns of their weight, by
     increasing weight."""
-    both = FpMatrix(vecs.p, np.concatenate([span.a, vecs.a], axis=1))
-    picked = []
-    for cols, _, block in _column_blocks(grading, both, [*span_weights, *vec_weights]):
-        picked += [int(c) - span.cols for c in cols[list(block.rref()[1])]
-                   if c >= span.cols]
+    n, picked = span.shape[1], []
+    for _, cols, _, block in graded_columns(span, vecs).blocks():
+        picked += [int(c) - n for c in cols[list(block.rref()[1])] if c >= n]
     return picked
 
 
-def graded_solve(grading: Grading, mat: FpMatrix, col_weights, rhs: FpMatrix) -> FpMatrix:
-    """The solution X of mat @ X = rhs that FpMatrix.solve returns, found
-    block by block on weight-homogeneous columns."""
-    mat._same_field(rhs)
-    if rhs.rows != mat.rows:
+def graded_solve(mat: GradedMap, rhs):
+    """The solution X of mat @ X = rhs that FpMatrix.solve gives on the dense
+    matrices, found block by block.  For an array rhs (a vector or columns)
+    X is an array; for a GradedMap rhs into mat's grading it is the
+    GradedMap from rhs's source to mat's."""
+    p, s = mat.p, mat.source
+    if isinstance(rhs, GradedMap):
+        if rhs.grading is not mat.grading or rhs.p != p:
+            raise ValueError("maps on different spaces")
+        shift, r = rhs.shift - mat.shift, rhs.source
+        x = np.zeros((len(r.values), s.index.shape[1], r.index.shape[1]), dtype=np.int64)
+        at = s.find(np.array(r.values, dtype=np.int64) + shift)
+        for k, (_, _, _, b) in enumerate(rhs.blocks()):
+            if at[k] < len(s.values):
+                a = FpMatrix(p, mat.stack[at[k], :b.rows, :s.sizes[at[k]]])
+                x[k, :a.cols, :b.cols] = a.solve(b).a
+            elif b.a.any():  # no column of mat reaches these rows
+                raise ValueError("inconsistent linear system")
+        return GradedMap(p, s, shift, x, r)
+    b = np.asarray(rhs, dtype=np.int64)
+    cols = b[:, None] if b.ndim == 1 else b
+    if cols.shape[0] != mat.shape[0]:
         raise ValueError("shape mismatch")
-    x = np.zeros((mat.cols, rhs.cols), dtype=np.int64)
-    reached = np.zeros(mat.rows, dtype=bool)
-    for cols, rows, block in _column_blocks(grading, mat, col_weights):
-        x[cols] = block.solve(FpMatrix(mat.p, rhs.a[rows])).a
-        reached[rows] = True
-    if rhs.a[~reached].any():
-        raise ValueError("inconsistent linear system")
-    return FpMatrix(mat.p, x)
+    g, m = mat.grading, cols.shape[1]  # rhs split into one column set per weight
+    pad = np.concatenate([cols % p, np.zeros((1, m), dtype=np.int64)])[g.index[:-1]]
+    x = graded_solve(mat, GradedMap(p, g, 0, pad, Grading(np.repeat(g.values, m))))
+    x = x @ np.tile(np.eye(m, dtype=np.int64), (len(g.values), 1))
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def support_parts(mat: GradedMap) -> list[np.ndarray]:
@@ -501,8 +532,7 @@ def support_parts(mat: GradedMap) -> list[np.ndarray]:
     joins across, each part increasing, ordered by first index."""
     if mat.shift:
         raise ValueError("needs a weight-preserving map")
-    k, i, j = np.nonzero(mat.stack)
-    rows, cols = mat.grading.index[k, i], mat.grading.index[k, j]
+    rows, cols, _ = mat.entries()
     label = np.arange(mat.shape[0])
     while True:  # every index takes the least label it reaches
         low = label.copy()
@@ -543,31 +573,28 @@ def _eigenvectors(mat: GradedMap):
         yield idx, singular[s] // p, singular[s] % p, f, basis[s, :, f]
 
 
-def graded_eigenspaces(mat: GradedMap) -> dict[int, tuple[FpMatrix, list[int]]]:
+def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
     """Generalized eigenspaces of a weight-preserving GradedMap.
 
-    Maps each eigenvalue in F_p to (basis columns, weight per column), the
-    columns weight-homogeneous, ordered by weight and then by the index of
-    the free slot that carries their 1; per weight they are the columns
-    generalized_eigenspace gives on that weight's block, whose eigenspaces
-    split over the components of the map's support.  The dimensions add up
-    to the size of mat exactly when its characteristic polynomial splits.
+    Maps each eigenvalue in F_p to a column set, its columns ordered by
+    weight and then by the index of the free slot that carries their 1;
+    per weight they are the columns generalized_eigenspace gives on that
+    weight's block, whose eigenspaces split over the components of the
+    map's support.  The dimensions add up to the size of mat exactly when
+    its characteristic polynomial splits.
     """
-    n = mat.shape[0]
-    keys = [np.zeros((2, 0), dtype=np.int64)]  # per vector: eigenvalue, free index
-    vecs = [np.zeros((n, 0), dtype=np.int64)]
+    g, vecs = mat.grading, []
     for idx, block, lam, f, entries in _eigenvectors(mat):
-        keys.append(np.stack([lam, idx[block, f]]))
-        vecs.append(np.zeros((n, lam.size), dtype=np.int64))
-        vecs[-1][idx[block], np.arange(lam.size)[:, None]] = entries
-    lam, free = np.concatenate(keys, axis=1)
-    order = np.lexsort((free, mat.grading.weights[free], lam))
-    out = np.concatenate(vecs, axis=1)[:, order]
-    lams, starts = np.unique(lam[order], return_index=True)
-    col_weights = mat.grading.weights[free[order]].tolist()
-    ends = [*starts[1:].tolist(), order.size]
-    return {lam_: (FpMatrix(mat.p, out[:, a:b]), col_weights[a:b])
-            for lam_, a, b in zip(lams.tolist(), starts.tolist(), ends)}
+        free = idx[block, f]
+        vecs += zip(lam.tolist(), g.weights[free].tolist(), free.tolist(), idx[block], entries)
+    spaces = {}
+    for lam, w, _, rows, vals in sorted(vecs, key=lambda v: v[:3]):
+        spaces.setdefault(lam, []).append((w, rows, vals))
+    return {lam: GradedMap.scatter(
+        mat.p, g, 0, np.concatenate([r for _, r, _ in vs]),
+        np.repeat(np.arange(len(vs)), [r.size for _, r, _ in vs]),
+        np.concatenate([v for *_, v in vs]), Grading([w for w, *_ in vs]))
+        for lam, vs in spaces.items()}
 
 
 def graded_projector(mat: GradedMap) -> GradedMap:

@@ -9,12 +9,12 @@ the four structural invariants exactly:
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
-Constructors pass dense action matrices; each is cut once into a
-GradedMap, one dense block per weight from m to m + wt(x), and only the
-blocks are kept (action(x) rebuilds the dense matrix).  Validation, the
-Casimir and submodules multiply the blocks; the Casimir's eigenspaces and
-the principal-block projector come from the finer components of the
-Casimir's own support.
+Actions are kept only as GradedMaps, one dense block per weight from m
+to m + wt(x): monomial modules scatter their entries into the blocks,
+small modules cut dense matrices once, and a submodule solves each action
+into blocks on its column set, which is weight blocks too.  The Casimir's
+eigenspaces and the principal-block projector come from the finer
+components of the Casimir's own support.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -39,6 +39,7 @@ from .fpmatrix import (
     FpMatrix,
     GradedMap,
     Grading,
+    column_set,
     graded_eigenspaces,
     graded_kernel,
     graded_projector,
@@ -48,25 +49,30 @@ from .lie import RestrictedLieAlgebra, casimir_operator, sl2
 
 
 class WeightModule:
-    """Weighted module over a rank-one restricted Lie algebra."""
+    """Weighted module over a rank-one restricted Lie algebra; an action is
+    a dense FpMatrix or a GradedMap on the Grading passed as weights."""
 
     def __init__(self, algebra: RestrictedLieAlgebra, labels, weights, actions,
                  validate: bool = True):
         self.algebra = algebra
         self.labels = tuple(labels)
-        self.weights = tuple(int(w) for w in weights)
+        self.grading = weights if isinstance(weights, Grading) else Grading(weights)
+        self.weights = tuple(self.grading.weights.tolist())
         if set(actions) != set(algebra.generators):
             raise ValueError("need one action matrix per algebra generator")
-        self.grading = Grading(self.weights)
-        self.maps = {}  # generator -> its action cut into weight blocks
+        self.maps = {}  # generator -> its action as weight blocks
         for x in algebra.generators:
-            m = actions[x]
-            if m.shape != (self.dim, self.dim) or m.p != algebra.p:
-                raise ValueError(f"action matrix for {x} has wrong shape or modulus")
-            try:
-                self.maps[x] = GradedMap.cut(m, self.grading, algebra.weight(x))
-            except ValueError:
-                raise ValueError(f"action of {x} is not weight-compatible") from None
+            m, shift = actions[x], algebra.weight(x)
+            if not isinstance(m, GradedMap):
+                if m.shape != (self.dim, self.dim) or m.p != algebra.p:
+                    raise ValueError(f"action matrix for {x} has wrong shape or modulus")
+                try:
+                    m = GradedMap.cut(m, self.grading, shift)
+                except ValueError:
+                    raise ValueError(f"action of {x} is not weight-compatible") from None
+            if (m.grading, m.source, m.p, m.shift) != (self.grading, self.grading, self.p, shift):
+                raise ValueError(f"action of {x} is not a map on this grading")
+            self.maps[x] = m
         if validate:
             self.validate()
 
@@ -162,23 +168,22 @@ class WeightModule:
         return WeightModule(self.algebra, self.labels, new_weights, actions,
                             validate=full)
 
-    def submodule(self, columns: FpMatrix, col_weights, prefix: str = "s") -> "WeightModule":
-        """Restrict actions to the span of weight-homogeneous columns.
+    def submodule(self, columns: GradedMap, prefix: str = "s") -> "WeightModule":
+        """Restrict actions to the span of a column set into this module,
+        each solved into blocks on the column grading.
 
         Raises if the span is not stable under every generator.
         """
-        weights = list(col_weights)
-        if columns.cols != len(weights):
-            raise ValueError("column/weight mismatch")
-        labels = [f"{prefix}{k}" for k in range(columns.cols)]
+        if columns.grading is not self.grading or columns.shift:
+            raise ValueError("columns do not lie in this module")
+        labels = [f"{prefix}{k}" for k in range(columns.shape[1])]
         actions = {}
         for x in self.algebra.generators:
             try:
-                moved = FpMatrix(self.p, self.maps[x] @ columns.a)
-                actions[x] = graded_solve(self.grading, columns, weights, moved)
+                actions[x] = graded_solve(columns, self.maps[x] @ columns)
             except ValueError as exc:
                 raise ValueError(f"span is not stable under {x}") from exc
-        return WeightModule(self.algebra, labels, weights, actions)
+        return WeightModule(self.algebra, labels, columns.source, actions)
 
 
 # -- monomial constructions ----------------------------------------------
@@ -207,38 +212,34 @@ def monomial_label(exps, generators) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _derivation_matrix(alg: RestrictedLieAlgebra, basis, index, x: str, cap) -> FpMatrix:
-    """Adjoint action of x on a span of monomials by the Leibniz rule.
-
-    Terms whose exponent reaches cap+1 are dropped (the p-th power ideal)."""
-    p = alg.p
-    gens = alg.generators
-    n = len(basis)
-    m = np.zeros((n, n), dtype=np.int64)
-    for j, exps in enumerate(basis):
-        for i, g in enumerate(gens):
-            if exps[i] == 0:
-                continue
-            for z, c in alg.bracket_coeffs(x, g).items():
-                zi = gens.index(z)
-                new = list(exps)
-                new[i] -= 1
-                new[zi] += 1
-                if cap is not None and new[zi] > cap:
-                    continue
-                m[index[tuple(new)], j] += exps[i] * c
-    return FpMatrix(p, m)
+def _derivation(alg: RestrictedLieAlgebra, exps: np.ndarray, grading: Grading, x: str,
+                cap) -> GradedMap:
+    """Adjoint action of x on the monomials with exponent rows exps by the
+    Leibniz rule, scattered into weight blocks; a monomial is found by its
+    exponents read as digits.  Terms whose exponent reaches cap+1 are
+    dropped (the p-th power ideal)."""
+    gens, unit = alg.generators, np.eye(alg.dim, dtype=np.int64)
+    digit = (exps.max(initial=0) + 2) ** np.arange(alg.dim - 1, -1, -1)
+    codes = exps @ digit
+    order, terms = np.argsort(codes), [(np.zeros(0, dtype=np.int64),) * 3]
+    for i, g in enumerate(gens):
+        for z, c in alg.bracket_coeffs(x, g).items():
+            new, zi = exps - unit[i] + unit[gens.index(z)], gens.index(z)
+            j = np.flatnonzero((exps[:, i] > 0) & (cap is None or new[:, zi] <= cap))
+            terms.append((order[np.searchsorted(codes, new[j] @ digit, sorter=order)],
+                          j, exps[j, i] * c))
+    return GradedMap.scatter(alg.p, grading, alg.weight(x), *map(np.concatenate, zip(*terms)))
 
 
 def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
     """The monomials of the given degrees, degree by degree, with the
     adjoint derivation action."""
     basis = [e for n in degrees for e in _monomials(alg.dim, n, cap)]
-    index = {e: k for k, e in enumerate(basis)}
-    weights = [sum(a * w for a, w in zip(e, alg.weights)) for e in basis]
+    exps = np.array(basis, dtype=np.int64).reshape(len(basis), alg.dim)
+    grading = Grading(exps @ np.array(alg.weights, dtype=np.int64))
     labels = [monomial_label(e, alg.generators) for e in basis]
-    actions = {x: _derivation_matrix(alg, basis, index, x, cap) for x in alg.generators}
-    mod = WeightModule(alg, labels, weights, actions)
+    actions = {x: _derivation(alg, exps, grading, x, cap) for x in alg.generators}
+    mod = WeightModule(alg, labels, grading, actions)
     mod.exponents = basis
     return mod
 
@@ -377,8 +378,8 @@ def _checked_casimir(M: WeightModule) -> GradedMap:
     return c
 
 
-def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
-    """Generalized eigenspace of the Casimir per eigenvalue, weight-graded.
+def casimir_blocks(M: WeightModule) -> dict[int, GradedMap]:
+    """Generalized eigenspace of the Casimir per eigenvalue, a column set.
 
     The character polynomial must split over F_p (weights are rational),
     so the eigenspace dimensions add up to dim M; otherwise this raises.
@@ -386,7 +387,7 @@ def casimir_blocks(M: WeightModule) -> dict[int, tuple[FpMatrix, list[int]]]:
     each whole weight block would give them.
     """
     blocks = graded_eigenspaces(_checked_casimir(M))
-    if sum(cols.cols for cols, _ in blocks.values()) != M.dim:
+    if sum(cols.shape[1] for cols in blocks.values()) != M.dim:
         raise ValueError("Casimir characteristic polynomial does not split")
     return blocks
 
@@ -401,8 +402,8 @@ def block_projection_principal(M: WeightModule) -> WeightModule:
 
 def _principal_part(M: WeightModule, blocks) -> WeightModule:
     """The submodule on the 0-block of M's Casimir blocks."""
-    cols, weights = blocks.get(0, (FpMatrix.zeros(M.p, M.dim, 0), []))
-    return M.submodule(cols, weights, prefix="blk")
+    cols = blocks[0] if 0 in blocks else column_set(M.p, M.grading, [])
+    return M.submodule(cols, prefix="blk")
 
 
 def principal_block_projector(M: WeightModule) -> GradedMap:
@@ -466,8 +467,8 @@ def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:
 
 def g1_invariants(M: WeightModule) -> WeightModule:
     """Joint kernel of all generator actions, as a weighted submodule."""
-    cols, weights = graded_kernel(*(M.maps[x] for x in M.algebra.generators))
-    return M.submodule(cols, weights, prefix="inv")
+    return M.submodule(graded_kernel(*(M.maps[x] for x in M.algebra.generators)),
+                       prefix="inv")
 
 
 def tilting_t2p2_model(p: int) -> WeightModule:
@@ -511,8 +512,8 @@ def summand_labels(M: WeightModule) -> DecompList:
 def _class_labels(blocks, p: int) -> DecompList:
     """summand_labels for odd p, read off the Casimir blocks."""
     entries = []
-    for lam, (cols, weights) in sorted(blocks.items()):
-        char = LaurentCharacter.from_weights(weights)
+    for lam, cols in sorted(blocks.items()):
+        char = LaurentCharacter.from_weights(cols.source.weights.tolist())
         try:
             dec = decompose_tilting_greedy(char, p)
         except ValueError:

@@ -30,6 +30,8 @@ FAST_OPS = (
 PINNED = {  # op: (exit code, stdout bytes, stdout sha256)
     "verify props --p 11": (
         2, 6679, "9a194dd85d21aa1466ad29bae33045e825472278b16ba769176f4681bee49019"),
+    "verify props --p 13": (
+        2, 8163, "bfd0e9152702902844b565afeb3cd530c1dfe96de2dd95dfbf05a343abd5212b"),
 }
 
 

@@ -160,7 +160,8 @@ def test_graded_kernel_matches_plain_kernel():
         [0, 1, 2, 0],
     ])
     weights = [3, 1, 1, -1]
-    kb, kw = graded_kernel(GradedMap.cut(mat, Grading(weights), -2))
+    cols = graded_kernel(GradedMap.cut(mat, Grading(weights), -2))
+    kb, kw = cols.dense(), cols.source.weights.tolist()
     assert kb.cols == mat.kernel_basis().cols
     assert (mat @ kb).is_zero()
     for j, w in enumerate(kw):

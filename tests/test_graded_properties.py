@@ -2,11 +2,12 @@
 
 A random weight-graded endomorphism has a random weight per basis vector
 (basis order shuffled) and sends weight w to weight w + shift through a
-random low-rank block; every graded_* result, on the map cut into a
-GradedMap or on weight-homogeneous columns with the Grading of the
-basis, and every GradedMap operation must agree with the dense FpMatrix
-computation on the whole matrix.  The stacked row reduction behind graded_eigenspaces must agree
-with _rref slice by slice.
+random low-rank block; a random column set has weight-homogeneous
+columns of random weights.  Every graded_* result, on the map or the
+columns cut into GradedMaps, and every GradedMap operation must agree
+with the dense FpMatrix computation on the whole matrix; column sets are
+compared through .dense().  The stacked row reduction behind
+graded_eigenspaces must agree with _rref slice by slice.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from frobcoho.fpmatrix import (
     _rref,
     _rref_stack,
     generalized_eigenspace,
+    graded_columns,
     graded_complement,
     graded_eigenspaces,
     graded_image,
@@ -74,6 +76,11 @@ def graded_maps(draw, shift=None):
     return mat, weights, GradedMap.cut(mat, Grading(weights), shift)
 
 
+def _dense(cols: GradedMap):
+    """A column set as (dense columns, weight per column)."""
+    return cols.dense(), cols.source.weights.tolist()
+
+
 def _homogeneous(vec, weight, weights):
     return all(weights[i] == weight for i in np.flatnonzero(vec))
 
@@ -86,7 +93,7 @@ def _column_multiset(m: FpMatrix):
 @given(graded_maps())
 def test_graded_image_matches_dense_column_space(case):
     mat, weights, graded = case
-    image, image_weights = graded_image(graded)
+    image, image_weights = _dense(graded_image(graded))
     assert _column_multiset(image) == _column_multiset(mat.column_space_basis())
     for j, w in enumerate(image_weights):
         assert _homogeneous(image.a[:, j], w, weights)
@@ -96,7 +103,7 @@ def test_graded_image_matches_dense_column_space(case):
 @given(graded_maps())
 def test_graded_kernel_matches_dense_nullity(case):
     mat, weights, graded = case
-    kb, kweights = graded_kernel(graded)
+    kb, kweights = _dense(graded_kernel(graded))
     assert kb.cols == mat.kernel_basis().cols
     assert (mat @ kb).is_zero()
     assert kb.rank() == kb.cols
@@ -110,7 +117,6 @@ def test_graded_kernel_matches_dense_nullity(case):
 def test_graded_solve_matches_dense_solve(case, seed, consistent):
     mat, weights, graded = case
     # column j of mat is a vector of weight weights[j] + shift
-    col_weights = [w + graded.shift for w in weights]
     rng = np.random.default_rng(seed)
     if consistent:
         rhs = mat @ FpMatrix(mat.p, rng.integers(0, mat.p, size=(mat.cols, 2)))
@@ -120,16 +126,17 @@ def test_graded_solve_matches_dense_solve(case, seed, consistent):
         dense = mat.solve(rhs)
     except ValueError:
         with pytest.raises(ValueError):
-            graded_solve(graded.grading, mat, col_weights, rhs)
+            graded_solve(graded, rhs.a)
         return
-    assert graded_solve(graded.grading, mat, col_weights, rhs) == dense
+    assert FpMatrix(mat.p, graded_solve(graded, rhs.a)) == dense
 
 
 @SETTINGS
 @given(graded_maps(), st.integers(0, 2 ** 32 - 1))
 def test_graded_complement_matches_dense_pivots(case, seed):
     mat, weights, graded = case
-    span, span_weights = graded_image(graded)
+    span_cols = graded_image(graded)
+    span = span_cols.dense()
     # random weight-homogeneous vectors, some of them dependent
     rng = np.random.default_rng(seed)
     w = np.array(weights, dtype=np.int64)
@@ -139,7 +146,8 @@ def test_graded_complement_matches_dense_pivots(case, seed):
         cols.append(v)
         vec_weights.append(target)
     vecs = FpMatrix(mat.p, np.array(cols, dtype=np.int64).reshape(len(cols), mat.rows).T)
-    picked = graded_complement(graded.grading, span, span_weights, vecs, vec_weights)
+    picked = graded_complement(span_cols, GradedMap.cut(vecs, graded.grading, 0,
+                                                        Grading(vec_weights)))
     both = FpMatrix(mat.p, np.concatenate([span.a, vecs.a], axis=1))
     dense = {j - span.cols for j in both.rref()[1] if j >= span.cols}
     assert sorted(picked) == sorted(dense)
@@ -167,6 +175,7 @@ def _eigenspaces_per_block(mat: FpMatrix, weights):
 
 
 def _assert_same_eigenspaces(got, want):
+    got = {lam: _dense(cols) for lam, cols in got.items()}
     assert list(got) == list(want)
     for lam, (basis, bweights) in want.items():
         assert got[lam][0].shape == basis.shape
@@ -182,8 +191,8 @@ def test_graded_eigenspaces_match_dense(case):
     _assert_same_eigenspaces(blocks, _eigenspaces_per_block(mat, weights))
     for lam in range(mat.p):
         dense = generalized_eigenspace(mat, lam).cols
-        assert (blocks[lam][0].cols if lam in blocks else 0) == dense
-    for basis, bweights in blocks.values():
+        assert (blocks[lam].shape[1] if lam in blocks else 0) == dense
+    for basis, bweights in map(_dense, blocks.values()):
         for j, w in enumerate(bweights):
             assert _homogeneous(basis.a[:, j], w, weights)
 
@@ -229,7 +238,9 @@ def test_rref_stack_matches_rref_per_slice(case):
 @st.composite
 def graded_triples(draw):
     """On one random grading: maps a and a2 of one random shift and b of
-    another, each with its shift, a vector and a column set."""
+    another, each with its shift, a vector, an array of columns and a
+    weight-homogeneous column set with its column weights (some of them
+    weights of no basis vector) and a coefficient vector."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     weights = draw(random_weights())
     sa, sb = draw(SHIFTS), draw(SHIFTS)
@@ -237,13 +248,19 @@ def graded_triples(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vec = rng.integers(-p, 2 * p, size=len(weights))
     cols = rng.integers(0, p, size=(len(weights), draw(st.integers(0, 3))))
-    return p, weights, maps, vec, cols
+    col_weights = draw(st.lists(st.sampled_from([*weights, 8]), max_size=5))
+    w = np.array(weights, dtype=np.int64)
+    colset = np.zeros((w.size, len(col_weights)), dtype=np.int64)
+    for j, cw in enumerate(col_weights):
+        colset[:, j] = np.where(w == cw, rng.integers(0, p, size=w.size), 0)
+    coeffs = rng.integers(-p, 2 * p, size=len(col_weights))
+    return p, weights, maps, vec, cols, (FpMatrix(p, colset), col_weights, coeffs)
 
 
 @SETTINGS
 @given(graded_triples(), st.integers(1, 9), st.integers(-9, 9))
 def test_graded_map_matches_dense(case, power, scalar):
-    p, weights, ((a, sa), (a2, _), (b, sb)), vec, cols = case
+    p, weights, ((a, sa), (a2, _), (b, sb)), vec, cols, _ = case
     grading = Grading(weights)
     ga, ga2, gb = (GradedMap.cut(m, grading, s) for m, s in ((a, sa), (a2, sa), (b, sb)))
     assert ga.dense() == a
@@ -255,18 +272,54 @@ def test_graded_map_matches_dense(case, power, scalar):
     assert np.array_equal(ga @ vec, a @ vec)
     assert np.array_equal(ga @ cols, (a @ FpMatrix(p, cols)).a)
     # the joint kernel against the dense kernel of the stacked maps
-    kb, kweights = graded_kernel(ga, gb)
+    kb, kweights = _dense(graded_kernel(ga, gb))
     stacked = FpMatrix(p, np.concatenate([a.a, b.a]))
     assert kb.cols == stacked.kernel_basis().cols and kb.rank() == kb.cols
     assert (stacked @ kb).is_zero()
     for j, w in enumerate(kweights):
         assert _homogeneous(kb.a[:, j], w, weights)
-    image, image_weights = graded_image(gb)
+    image, image_weights = _dense(graded_image(gb))
     assert _column_multiset(image) == _column_multiset(b.column_space_basis())
     assert all(_homogeneous(image.a[:, j], w, weights) for j, w in enumerate(image_weights))
     if sb != sa and not b.is_zero():
         with pytest.raises(ValueError):
             GradedMap.cut(b, grading, sa)
+
+
+@SETTINGS
+@given(graded_triples(), st.integers(-9, 9))
+def test_column_set_matches_dense(case, scalar):
+    """A map from the grading of column weights into the basis grading
+    (source and target differ) against its dense columns."""
+    p, weights, ((a, sa), _, _), _, _, (c, col_weights, coeffs) = case
+    grading = Grading(weights)
+    ga = GradedMap.cut(a, grading, sa)
+    gc = GradedMap.cut(c, grading, 0, Grading(col_weights))
+    assert gc.shape == c.shape and gc.dense() == c
+    assert (gc + scalar * gc).dense() == c + scalar * c
+    assert all(np.array_equal(gc.column(j), c.a[:, j]) for j in range(c.cols))
+    # composition with an action, application to vectors and to columns
+    assert (ga @ gc).shift == sa and (ga @ gc).dense() == a @ c
+    assert np.array_equal(gc @ coeffs, c @ coeffs)
+    assert np.array_equal(gc @ np.eye(c.cols, dtype=np.int64), c.a)
+    # two column sets side by side
+    image = graded_image(ga)
+    both = np.concatenate([c.a, image.dense().a], axis=1)
+    assert graded_columns(gc, image).dense().a.tolist() == both.tolist()
+    # solving against the column set: an action's image of it, and a vector
+    try:
+        dense = c.solve(a @ c)
+    except ValueError:
+        with pytest.raises(ValueError):
+            graded_solve(gc, ga @ gc)
+    else:
+        solved = graded_solve(gc, ga @ gc)
+        assert solved.shift == sa and solved.dense() == dense
+    rhs = c @ coeffs
+    assert np.array_equal(graded_solve(gc, rhs), c.solve(FpMatrix(p, rhs[:, None])).a[:, 0])
+    if not c.is_zero():  # the columns read with other weights are not weight-homogeneous
+        with pytest.raises(ValueError, match="does not move weights"):
+            GradedMap.cut(c, grading, 0, Grading([w + 2 for w in col_weights]))
 
 
 def test_cut_rejects_an_ungraded_map():
@@ -280,15 +333,19 @@ def test_cut_rejects_an_ungraded_map():
 
 
 def test_column_weights_must_match_the_rows():
-    # the column of weight 0 has an entry in the row of weight 2
+    # the column of weight 0 has an entry in the row of weight 2: it is no
+    # column set, so it cannot reach graded_solve or graded_complement
     grading = Grading([0, 2])
     mat = FpMatrix(3, [[1], [1]])
-    with pytest.raises(ValueError, match="outside the rows of its weight"):
-        graded_solve(grading, mat, [0], FpMatrix(3, [[1], [1]]))
-    with pytest.raises(ValueError, match="outside the rows of its weight"):
-        graded_complement(grading, FpMatrix.zeros(3, 2, 0), [], mat, [0])
-    with pytest.raises(ValueError, match="do not match the matrix"):
-        graded_solve(grading, mat, [0, 2], FpMatrix(3, [[1], [1]]))
+    with pytest.raises(ValueError, match="does not move weights"):
+        GradedMap.cut(mat, grading, 0, Grading([0]))
+    with pytest.raises(ValueError, match="does not match the grading"):
+        GradedMap.cut(mat, grading, 0, Grading([0, 2]))
     # a column inside the rows of its weight solves: 2 * 2 = 1 mod 3
-    x = graded_solve(grading, FpMatrix(3, [[2], [0]]), [0], FpMatrix(3, [[1], [0]]))
-    assert x.a.tolist() == [[2]]
+    cols = GradedMap.cut(FpMatrix(3, [[2], [0]]), grading, 0, Grading([0]))
+    assert graded_solve(cols, [[1], [0]]).tolist() == [[2]]
+    # a right-hand side outside the rows of every column
+    with pytest.raises(ValueError, match="inconsistent"):
+        graded_solve(cols, [1, 1])
+    with pytest.raises(ValueError, match="inconsistent"):
+        graded_solve(cols, GradedMap.cut(FpMatrix(3, [[0], [1]]), grading, 0, Grading([2])))

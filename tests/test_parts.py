@@ -134,13 +134,14 @@ def test_whole_algebra_by_parts_equals_dense(p, shuffle):
     dense = _per_weight_eigenspaces(dense_c, M.weights)
     assert list(blocks) == list(dense)
     for lam, (cols, weights) in dense.items():
-        assert blocks[lam][1] == weights
-        assert blocks[lam][0].a.dtype == cols.a.dtype
-        assert blocks[lam][0].a.tobytes() == cols.a.tobytes()
+        assert blocks[lam].source.weights.tolist() == weights
+        assert blocks[lam].dense().a.dtype == cols.a.dtype
+        assert blocks[lam].dense().a.tobytes() == cols.a.tobytes()
     order = sorted(dense)
     basis = FpMatrix(p, np.concatenate([dense[lam][0].a for lam in order], axis=1))
-    inv = graded_solve(M.grading, basis, [w for lam in order for w in dense[lam][1]],
-                       FpMatrix.identity(p, M.dim))
+    col_weights = Grading([w for lam in order for w in dense[lam][1]])
+    columns = GradedMap.cut(basis, M.grading, 0, col_weights)
+    inv = FpMatrix(p, graded_solve(columns, FpMatrix.identity(p, M.dim).a))
     n0 = dense[0][0].cols
     proj = principal_block_projector(M)
     assert proj.dense() == FpMatrix(p, basis.a[:, :n0]) @ FpMatrix(p, inv.a[:n0])

@@ -14,7 +14,7 @@ from frobcoho.characters import (
     tilting_char,
     weyl_chi,
 )
-from frobcoho.fpmatrix import FpMatrix
+from frobcoho.fpmatrix import FpMatrix, GradedMap, Grading
 from frobcoho.lie import borel, nilradical, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
@@ -129,10 +129,10 @@ def test_block_decomposition_is_exhaustive_and_stable():
         for n in (2, 3, p + 1):
             M = truncated_sym(sl2(p), n)
             blocks = casimir_blocks(M)
-            assert sum(cols.cols for cols, _ in blocks.values()) == M.dim
+            assert sum(cols.shape[1] for cols in blocks.values()) == M.dim
             char_sum = LaurentCharacter.zero()
-            for cols, weights in blocks.values():
-                char_sum = char_sum + LaurentCharacter.from_weights(weights)
+            for cols in blocks.values():
+                char_sum = char_sum + LaurentCharacter.from_weights(cols.source.weights.tolist())
             assert char_sum == M.character()
             M0 = block_projection_principal(M)
             M0.validate()
@@ -301,7 +301,7 @@ def test_submodule_rejects_unstable_span():
     e_line[M.labels.index("e")] = 1
     # e and h keep the line of e; f sends e to -h
     with pytest.raises(ValueError, match="span is not stable under f"):
-        M.submodule(FpMatrix(3, e_line), [2])
+        M.submodule(GradedMap.cut(FpMatrix(3, e_line), M.grading, 0, Grading([2])))
 
 
 def test_submodule_actions_equal_dense_solve():
@@ -311,7 +311,7 @@ def test_submodule_actions_equal_dense_solve():
         blocks = casimir_blocks(M)
         if 0 not in blocks:
             continue
-        cols, weights = blocks[0]
-        sub = M.submodule(cols, weights)
+        sub = M.submodule(blocks[0])
+        cols = blocks[0].dense()
         for x in M.algebra.generators:
             assert sub.action(x) == cols.solve(M.action(x) @ cols), (n, x)
