@@ -15,7 +15,7 @@ the cokernel shifted by the root; it feeds the two-line E_2 page
     E_2^{2i,j} = S^i(u*)^(1) (x) H^j(u, M)^(T_1),  j in {0, 1}.
 
 Cocycle and coboundary bases are column sets: GradedMaps from the
-weights of their columns into the module, one block per weight, so no
+cells of their columns into the module, one block per cell, so no
 dense n x k basis is built; a representative is made dense one column
 at a time.
 
@@ -149,7 +149,7 @@ def u1_cohomology(M: WeightModule, n: int) -> LaurentCharacter:
 def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     """Lie-algebra cohomology of the one-dimensional u: H^0 = ker f,
     H^1 = coker f with weights shifted by the root, zero above.  Both come
-    from the ranks of the weight blocks of f."""
+    from the ranks of the cell blocks of f."""
     if j < 0:
         raise ValueError("negative cohomological degree")
     if j >= 2:
@@ -189,12 +189,14 @@ def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
 
 
 def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]:
-    """collapse_check on the engine's module, read from the engine."""
+    """collapse_check on the engine's module, read from the engine.  The
+    E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting by
+    2pi keeps the dimension, so it is read once per j."""
     M = engine.M
+    e2_dims = [e2_page(M, 0, j).dim() for j in (0, 1)]
     rows = []
     for n in range(maxdeg + 1):
-        i, j = (n // 2, 0) if n % 2 == 0 else ((n - 1) // 2, 1)
-        e2 = e2_page(M, i, j).dim()
+        e2 = e2_dims[n % 2]
         actual = t1_invariants(engine.character(n), M.p).dim()
         defect = e2 - actual
         if defect < 0:
@@ -210,16 +212,8 @@ def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
     positive-S family S^i_+ (x) x^j (j = (p-1)/2..p-1) in degrees 2i."""
     if p == 2:
         raise ValueError("the collapse ideal is defined for p >= 3")
-    dims = [0] * (maxdeg + 1)
-    y_count = (p - 1) // 2 + 1
-    x_count = (p - 1) - (p - 1) // 2 + 1
-    for i in range(maxdeg // 2 + 1):
-        d = 2 * i + 1
-        if d <= maxdeg:
-            dims[d] += y_count
-    for i in range(1, maxdeg // 2 + 1):
-        dims[2 * i] += x_count
-    return dims
+    y_count, x_count = (p - 1) // 2 + 1, (p - 1) - (p - 1) // 2 + 1
+    return [y_count if n % 2 else (x_count if n else 0) for n in range(maxdeg + 1)]
 
 
 # -- cup products -----------------------------------------------------------

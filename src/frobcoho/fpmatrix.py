@@ -14,15 +14,19 @@ kernel bases and particular solutions are reproducible across runs.
 FpMatrix is the dense primitive.  Every action maps weight w to w + wt(x)
 and every kernel, image or eigenspace basis has weight-homogeneous
 columns, so a GradedMap stores either as a shift and one dense block per
-source weight, built from its entries: an action on the Grading of a
-basis, a column set from the Grading of its column weights into that
-one.  The graded_* functions run the dense primitive per weight block;
-greedy pivots, kernels and free-variables-zero solutions then equal the
-dense ones up to column order.  The eigenspaces and the 0-eigenspace
-projector of a weight-preserving map are found on the finer connected
-components of its own support (support_parts), all components of one
-size in one stacked row reduction (_rref_stack); _rref stays the
-reduction for single matrices, on which the stacked one is slower.
+source cell, built from its entries: an action on the Grading of a
+basis, a column set from the Grading of its columns into that one.  A
+Grading's cells are its weight spaces or, when the basis also carries a
+degree that every map keeps (the polynomial degree of a truncated
+symmetric algebra), the (weight, degree) spaces.  The graded_* functions
+run the dense primitive per cell; the reduced echelon form of a direct
+sum is that of its summands, so greedy pivots, kernels and
+free-variables-zero solutions equal the dense ones up to column order.
+The eigenspaces and the 0-eigenspace projector of a weight-preserving
+map are found on the finer connected components of its own support
+(support_parts), all components of one size in one stacked row reduction
+(_rref_stack); _rref stays the reduction for single matrices, on which
+the stacked one is slower.
 """
 
 from __future__ import annotations
@@ -153,6 +157,14 @@ class FpMatrix:
         self._rref_cache = None
 
     @classmethod
+    def _reduced(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """The matrix of a 2-d int64 array already in [0, p), p a checked
+        prime, kept as it is."""
+        m = cls.__new__(cls)
+        m.p, m.a, m._rref_cache = p, a, None
+        return m
+
+    @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
         return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
@@ -232,7 +244,7 @@ class FpMatrix:
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         if self._rref_cache is None:
             r, piv = _rref(self.a, self.p)
-            self._rref_cache = (FpMatrix(self.p, r), piv)
+            self._rref_cache = (FpMatrix._reduced(self.p, r), piv)
         return self._rref_cache
 
     def rank(self) -> int:
@@ -250,12 +262,12 @@ class FpMatrix:
         basis = np.zeros((self.cols, len(free)), dtype=np.int64)
         basis[free, range(len(free))] = 1
         basis[list(pivots)] = -r.a[:len(pivots), free] % self.p
-        return FpMatrix(self.p, basis)
+        return FpMatrix._reduced(self.p, basis)
 
     def column_space_basis(self) -> "FpMatrix":
         """Pivot columns of the original matrix (greedy left-to-right)."""
         _, pivots = self.rref()
-        return FpMatrix(self.p, self.a[:, list(pivots)])
+        return FpMatrix._reduced(self.p, self.a[:, list(pivots)])
 
     def solve(self, rhs: "FpMatrix") -> "FpMatrix":
         """A particular solution X of self @ X = rhs (free variables 0)."""
@@ -268,7 +280,7 @@ class FpMatrix:
             raise ValueError("inconsistent linear system")
         x = np.zeros((self.cols, rhs.cols), dtype=np.int64)
         x[list(pivots)] = red[:len(pivots), self.cols:]
-        return FpMatrix(self.p, x)
+        return FpMatrix._reduced(self.p, x)
 
 
 def subquotient_dim(kernel_of: FpMatrix, image_of: FpMatrix) -> int:
@@ -294,21 +306,32 @@ def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
 # -- weight-graded maps --------------------------------------------------------
 
 
-class Grading:
-    """The weight spaces of a basis with an integer weight per vector.
+_CELL = 1 << 32  # a cell key is weight * _CELL + degree, for degrees in [0, _CELL)
 
-    values are the distinct weights in increasing order, and pos and slot
-    give per vector the position of its weight and its place among the
-    vectors of that weight.  Row k of index lists the vectors of weight
-    values[k], padded with n to the widest weight space; the extra last row
-    is all padding and stands for a weight that does not occur.
+
+class Grading:
+    """The cells of a basis with an integer weight per vector and, if
+    given, a degree per vector that every map on it keeps: its weight
+    spaces, or its (weight, degree) spaces ordered by weight, then degree.
+
+    keys holds per vector the key weight * 2^32 + degree of its cell, and
+    values the distinct keys in increasing order; pos and slot give per
+    vector the position of its cell and its place among the vectors of that
+    cell.  Row k of index lists the vectors of cell values[k], padded with n
+    to the widest cell; the extra last row is all padding and stands for a
+    cell that does not occur.
     """
 
-    def __init__(self, weights):
+    def __init__(self, weights, degrees=None):
         self.weights = np.array(weights, dtype=np.int64).reshape(-1)
-        values, self.pos = np.unique(self.weights, return_inverse=True)
-        self.values = values.tolist()
-        n, counts = self.weights.size, np.bincount(self.pos, minlength=len(self.values))
+        self.keys = self.weights * _CELL
+        if degrees is not None:
+            degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
+            if degrees.size and not 0 <= degrees.min() <= degrees.max() < _CELL:
+                raise ValueError("degrees must lie in [0, 2^32)")
+            self.keys += degrees
+        self.values, self.pos = np.unique(self.keys, return_inverse=True)
+        n, counts = self.weights.size, np.bincount(self.pos, minlength=self.values.size)
         order = np.argsort(self.pos, kind="stable")
         self.slot = np.empty(n, dtype=np.int64)
         self.slot[order] = np.arange(n) - (np.cumsum(counts) - counts)[self.pos[order]]
@@ -316,23 +339,28 @@ class Grading:
         self.index = np.full((counts.size + 1, counts.max(initial=0)), n, dtype=np.int64)
         self.index[self.pos, self.slot] = np.arange(n)
 
-    def find(self, weights) -> np.ndarray:
-        """Per given weight, its index row; the padding row if it does not occur."""
-        values, w = np.array(self.values, dtype=np.int64), np.asarray(weights, dtype=np.int64)
-        at = np.searchsorted(values, w)
-        return np.where(np.searchsorted(values, w, side="right") > at, at, values.size)
+    @classmethod
+    def of_keys(cls, keys) -> "Grading":
+        """The grading of vectors with the given cell keys."""
+        keys = np.asarray(keys, dtype=np.int64)
+        return cls(keys // _CELL, keys % _CELL)
+
+    def find(self, keys) -> np.ndarray:
+        """Per given cell key, its index row; the padding row if it does not occur."""
+        at = np.searchsorted(self.values, keys)
+        return np.where(np.searchsorted(self.values, keys, side="right") > at, at, self.values.size)
 
 
 class GradedMap:
     """A map from the basis of the Grading source (grading, for an action)
-    to that of grading that moves every weight by shift; a column set has
-    shift 0.
+    to that of grading that moves every weight by shift and keeps degrees;
+    a column set has shift 0.
 
-    stack[k] is the dense block from the source vectors of weight
-    source.values[k] to the vectors of weight source.values[k] + shift, in
-    the order of the gradings' index rows and padded with zeros.  Entries
-    lie in [0, p).  Sums, products, powers and application to vectors or
-    column sets act on the whole stack at once.
+    stack[k] is the dense block from the source vectors of cell
+    source.values[k] to the vectors of the cell of the same degree and
+    shifted weight, in the order of the gradings' index rows and padded
+    with zeros.  Entries lie in [0, p).  Sums, products, powers and
+    application to vectors or column sets act on the whole stack at once.
     """
 
     def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray,
@@ -344,12 +372,13 @@ class GradedMap:
     def scatter(cls, p: int, grading: Grading, shift: int, rows, cols, vals,
                 source: Grading | None = None) -> "GradedMap":
         """The map with entries vals at (rows, cols), repeated positions
-        summed; raises ValueError when an entry joins two weights that do
-        not differ by shift."""
+        summed; raises ValueError when p is not prime or an entry joins two
+        weights that do not differ by shift (or two degrees)."""
+        _check_prime(p)
         source = source or grading
-        if not np.array_equal(grading.weights[rows], source.weights[cols] + shift):
+        if not np.array_equal(grading.keys[rows], source.keys[cols] + shift * _CELL):
             raise ValueError(f"map does not move weights by {shift}")
-        stack = np.zeros((len(source.values), grading.index.shape[1], source.index.shape[1]),
+        stack = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]),
                          dtype=np.int64)
         np.add.at(stack, (source.pos[cols], grading.slot[rows], source.slot[cols]), vals)
         return cls(p, grading, shift, stack % p, source)
@@ -370,8 +399,8 @@ class GradedMap:
 
     @cached_property
     def _targets(self) -> np.ndarray:
-        """Per source weight, the index row in grading of that weight plus shift."""
-        return self.grading.find(np.array(self.source.values, dtype=np.int64) + self.shift)
+        """Per source cell, the index row in grading of its image cell."""
+        return self.grading.find(self.source.values + self.shift * _CELL)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row indices, column indices and values of the nonzero entries."""
@@ -381,7 +410,7 @@ class GradedMap:
     def dense(self) -> FpMatrix:
         out, (rows, cols, vals) = np.zeros(self.shape, dtype=np.int64), self.entries()
         out[rows, cols] = vals
-        return FpMatrix(self.p, out)
+        return FpMatrix._reduced(self.p, out)
 
     def column(self, j: int) -> np.ndarray:
         """Column j as a dense vector."""
@@ -390,12 +419,12 @@ class GradedMap:
         return out[:-1]
 
     def blocks(self):
-        """(source weight, column indices, row indices, unpadded block) per
-        source weight, by increasing weight."""
+        """(source cell key, column indices, row indices, unpadded block) per
+        source cell, in cell order."""
         g, s = self.grading, self.source
-        for k, t in enumerate(self._targets.tolist()):
+        for k, (key, t) in enumerate(zip(s.values.tolist(), self._targets.tolist())):
             rows, cols = g.index[t, :g.sizes[t]], s.index[k, :s.sizes[k]]
-            yield s.values[k], cols, rows, FpMatrix(self.p, self.stack[k, :rows.size, :cols.size])
+            yield key, cols, rows, FpMatrix._reduced(self.p, self.stack[k, :rows.size, :cols.size])
 
     def is_zero(self) -> bool:
         return not self.stack.any()
@@ -424,8 +453,8 @@ class GradedMap:
             if other.grading is not s or other.p != self.p:
                 raise ValueError("maps on different spaces")
             t = other._targets
-            live = t < len(s.values)
-            stack = np.zeros((len(other.source.values), g.index.shape[1],
+            live = t < s.values.size
+            stack = np.zeros((other.source.values.size, g.index.shape[1],
                               other.source.index.shape[1]), dtype=np.int64)
             stack[live] = _matmul(self.stack[t[live]], other.stack[live], self.p)
             return GradedMap(self.p, g, self.shift + other.shift, stack, other.source)
@@ -444,22 +473,23 @@ class GradedMap:
 
 
 def column_set(p: int, grading: Grading, pieces) -> GradedMap:
-    """The column set with the columns of each (weight, block) piece on the
-    vectors of that weight in grading."""
-    parts, weights = [(np.zeros(0, dtype=np.int64),) * 3], []
-    for w, b in pieces:
-        i, j = np.nonzero(b)
-        parts.append((grading.index[grading.find([w])[0], i], j + len(weights), b[i, j]))
-        weights += [w] * b.shape[1]
-    return GradedMap.scatter(p, grading, 0, *map(np.concatenate, zip(*parts)), Grading(weights))
+    """The column set with the columns of each (cell key, block) piece, by
+    increasing key, on the vectors of that cell in grading (block rows in
+    the order of its index row)."""
+    pieces = [(key, b) for key, b in pieces if b.shape[1]]
+    source = Grading.of_keys([key for key, b in pieces for _ in range(b.shape[1])])
+    stack = np.zeros((len(pieces), grading.index.shape[1], source.index.shape[1]), dtype=np.int64)
+    for k, (_, b) in enumerate(pieces):
+        stack[k, :b.shape[0], :b.shape[1]] = b
+    return GradedMap(p, grading, 0, stack, source)
 
 
 def graded_columns(*sets: GradedMap) -> GradedMap:
     """The columns of column sets into one grading, side by side."""
-    g, source = sets[0].grading, Grading(np.concatenate([m.source.weights for m in sets]))
+    g, source = sets[0].grading, Grading.of_keys(np.concatenate([m.source.keys for m in sets]))
     if any(m.grading is not g or m.shift for m in sets):
         raise ValueError("column sets in different spaces")
-    stack = np.zeros((len(source.values), g.index.shape[1], source.index.shape[1]), dtype=np.int64)
+    stack = np.zeros((source.values.size, g.index.shape[1], source.index.shape[1]), dtype=np.int64)
     start = 0
     for m in sets:
         j = np.arange(start, start + m.shape[1])
@@ -470,26 +500,27 @@ def graded_columns(*sets: GradedMap) -> GradedMap:
 
 def graded_kernel(*maps: GradedMap) -> GradedMap:
     """Basis of the joint kernel of weight-graded maps from one grading, per
-    weight from the blocks of all maps at that weight, stacked: a column set
-    into that grading, by increasing weight."""
+    cell from the blocks of all maps at that cell, stacked: a column set
+    into that grading, in cell order."""
     g, p = maps[0].source, maps[0].p
     if any(m.source is not g or m.p != p for m in maps):
         raise ValueError("maps on different spaces")
     return column_set(p, g, [
-        (parts[0][0], FpMatrix(p, np.concatenate([b.a for *_, b in parts])).kernel_basis().a)
-        for parts in zip(*(m.blocks() for m in maps))])
+        (parts[0][0], FpMatrix._reduced(p, np.concatenate([b.a for *_, b in parts]))
+         .kernel_basis().a) for parts in zip(*(m.blocks() for m in maps))])
 
 
 def graded_image(mat: GradedMap) -> GradedMap:
     """Greedy pivot columns of a weight-graded map, as a column set."""
-    return column_set(mat.p, mat.grading, [(w + mat.shift, block.a[:, list(block.rref()[1])])
-                                           for w, _, _, block in mat.blocks()])
+    return column_set(mat.p, mat.grading, [
+        (key + mat.shift * _CELL, block.a[:, list(block.rref()[1])])
+        for key, _, _, block in mat.blocks()])
 
 
 def graded_complement(span: GradedMap, vecs: GradedMap) -> list[int]:
     """Positions of the columns of the column set vecs that are independent
-    modulo the column set span and the earlier columns of their weight, by
-    increasing weight."""
+    modulo the column set span and the earlier columns of their cell, in
+    cell order."""
     n, picked = span.shape[1], []
     for _, cols, _, block in graded_columns(span, vecs).blocks():
         picked += [int(c) - n for c in cols[list(block.rref()[1])] if c >= n]
@@ -506,11 +537,11 @@ def graded_solve(mat: GradedMap, rhs):
         if rhs.grading is not mat.grading or rhs.p != p:
             raise ValueError("maps on different spaces")
         shift, r = rhs.shift - mat.shift, rhs.source
-        x = np.zeros((len(r.values), s.index.shape[1], r.index.shape[1]), dtype=np.int64)
-        at = s.find(np.array(r.values, dtype=np.int64) + shift)
+        x = np.zeros((r.values.size, s.index.shape[1], r.index.shape[1]), dtype=np.int64)
+        at = s.find(r.values + shift * _CELL)
         for k, (_, _, _, b) in enumerate(rhs.blocks()):
-            if at[k] < len(s.values):
-                a = FpMatrix(p, mat.stack[at[k], :b.rows, :s.sizes[at[k]]])
+            if at[k] < s.values.size:
+                a = FpMatrix._reduced(p, mat.stack[at[k], :b.rows, :s.sizes[at[k]]])
                 x[k, :a.cols, :b.cols] = a.solve(b).a
             elif b.a.any():  # no column of mat reaches these rows
                 raise ValueError("inconsistent linear system")
@@ -519,10 +550,10 @@ def graded_solve(mat: GradedMap, rhs):
     cols = b[:, None] if b.ndim == 1 else b
     if cols.shape[0] != mat.shape[0]:
         raise ValueError("shape mismatch")
-    g, m = mat.grading, cols.shape[1]  # rhs split into one column set per weight
+    g, m = mat.grading, cols.shape[1]  # rhs split into one column set per cell
     pad = np.concatenate([cols % p, np.zeros((1, m), dtype=np.int64)])[g.index[:-1]]
-    x = graded_solve(mat, GradedMap(p, g, 0, pad, Grading(np.repeat(g.values, m))))
-    x = x @ np.tile(np.eye(m, dtype=np.int64), (len(g.values), 1))
+    x = graded_solve(mat, GradedMap(p, g, 0, pad, Grading.of_keys(np.repeat(g.values, m))))
+    x = x @ np.tile(np.eye(m, dtype=np.int64), (g.values.size, 1))
     return x[:, 0] if b.ndim == 1 else x
 
 
@@ -548,7 +579,7 @@ def support_parts(mat: GradedMap) -> list[np.ndarray]:
 
 def _eigenvectors(mat: GradedMap):
     """The generalized eigenvectors of a weight-preserving map, found on the
-    components of its support (support_parts), each inside one weight.
+    components of its support (support_parts), each inside one cell.
 
     Per component size k, yields the components as a (count, k) index
     array and, per eigenvector, its component, eigenvalue, free slot (where
@@ -579,8 +610,8 @@ def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
     Maps each eigenvalue in F_p to a column set, its columns ordered by
     weight and then by the index of the free slot that carries their 1;
     per weight they are the columns generalized_eigenspace gives on that
-    weight's block, whose eigenspaces split over the components of the
-    map's support.  The dimensions add up to the size of mat exactly when
+    weight's block, whose eigenspaces split over the cells and the
+    components of the map's support.  The dimensions add up to the size of mat exactly when
     its characteristic polynomial splits.
     """
     g, vecs = mat.grading, []
@@ -588,12 +619,12 @@ def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
         free = idx[block, f]
         vecs += zip(lam.tolist(), g.weights[free].tolist(), free.tolist(), idx[block], entries)
     spaces = {}
-    for lam, w, _, rows, vals in sorted(vecs, key=lambda v: v[:3]):
-        spaces.setdefault(lam, []).append((w, rows, vals))
+    for lam, _, free, rows, vals in sorted(vecs, key=lambda v: v[:3]):
+        spaces.setdefault(lam, []).append((free, rows, vals))
     return {lam: GradedMap.scatter(
         mat.p, g, 0, np.concatenate([r for _, r, _ in vs]),
         np.repeat(np.arange(len(vs)), [r.size for _, r, _ in vs]),
-        np.concatenate([v for *_, v in vs]), Grading([w for w, *_ in vs]))
+        np.concatenate([v for *_, v in vs]), Grading.of_keys(g.keys[[f for f, *_ in vs]]))
         for lam, vs in spaces.items()}
 
 

@@ -9,12 +9,14 @@ the four structural invariants exactly:
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
-Actions are kept only as GradedMaps, one dense block per weight from m
-to m + wt(x): monomial modules scatter their entries into the blocks,
-small modules cut dense matrices once, and a submodule solves each action
-into blocks on its column set, which is weight blocks too.  The Casimir's
-eigenspaces and the principal-block projector come from the finer
-components of the Casimir's own support.
+Actions are kept only as GradedMaps, one dense block per cell from m to
+m + wt(x): the cells are the weight spaces, and for a monomial module of
+several degrees the (weight, degree) spaces, since the adjoint action
+keeps the polynomial degree.  Monomial modules scatter their entries into
+the blocks, small modules cut dense matrices once, and a submodule solves
+each action into blocks on its column set, whose columns keep their
+cells.  The Casimir's eigenspaces and the principal-block projector come
+from the finer components of the Casimir's own support.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -60,7 +62,7 @@ class WeightModule:
         self.weights = tuple(self.grading.weights.tolist())
         if set(actions) != set(algebra.generators):
             raise ValueError("need one action matrix per algebra generator")
-        self.maps = {}  # generator -> its action as weight blocks
+        self.maps = {}  # generator -> its action as cell blocks
         for x in algebra.generators:
             m, shift = actions[x], algebra.weight(x)
             if not isinstance(m, GradedMap):
@@ -85,7 +87,7 @@ class WeightModule:
         return len(self.labels)
 
     def action(self, x: str) -> FpMatrix:
-        """The dense action matrix of x, rebuilt from its weight blocks."""
+        """The dense action matrix of x, rebuilt from its cell blocks."""
         return self.maps[x].dense()
 
     def character(self) -> LaurentCharacter:
@@ -123,12 +125,10 @@ class WeightModule:
             raise ValueError("tensor factors live over different algebras")
         labels = [f"{a}*{b}" for a in self.labels for b in other.labels]
         weights = [wa + wb for wa in self.weights for wb in other.weights]
-        eyeL = np.eye(self.dim, dtype=np.int64)
-        eyeR = np.eye(other.dim, dtype=np.int64)
-        actions = {}
-        for x in self.algebra.generators:
-            m = np.kron(self.action(x).a, eyeR) + np.kron(eyeL, other.action(x).a)
-            actions[x] = FpMatrix(self.p, m)
+        eyeL, eyeR = np.eye(self.dim, dtype=np.int64), np.eye(other.dim, dtype=np.int64)
+        actions = {x: FpMatrix(self.p, np.kron(self.action(x).a, eyeR)
+                               + np.kron(eyeL, other.action(x).a))
+                   for x in self.algebra.generators}
         return WeightModule(self.algebra, labels, weights, actions)
 
     def dual(self) -> "WeightModule":
@@ -215,7 +215,7 @@ def monomial_label(exps, generators) -> str:
 def _derivation(alg: RestrictedLieAlgebra, exps: np.ndarray, grading: Grading, x: str,
                 cap) -> GradedMap:
     """Adjoint action of x on the monomials with exponent rows exps by the
-    Leibniz rule, scattered into weight blocks; a monomial is found by its
+    Leibniz rule, scattered into cell blocks; a monomial is found by its
     exponents read as digits.  Terms whose exponent reaches cap+1 are
     dropped (the p-th power ideal)."""
     gens, unit = alg.generators, np.eye(alg.dim, dtype=np.int64)
@@ -233,10 +233,12 @@ def _derivation(alg: RestrictedLieAlgebra, exps: np.ndarray, grading: Grading, x
 
 def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
     """The monomials of the given degrees, degree by degree, with the
-    adjoint derivation action."""
+    adjoint derivation action; graded by weight, and by degree too when
+    there are several."""
     basis = [e for n in degrees for e in _monomials(alg.dim, n, cap)]
     exps = np.array(basis, dtype=np.int64).reshape(len(basis), alg.dim)
-    grading = Grading(exps @ np.array(alg.weights, dtype=np.int64))
+    grading = Grading(exps @ np.array(alg.weights, dtype=np.int64),
+                      exps.sum(axis=1) if len(degrees) > 1 else None)
     labels = [monomial_label(e, alg.generators) for e in basis]
     actions = {x: _derivation(alg, exps, grading, x, cap) for x in alg.generators}
     mod = WeightModule(alg, labels, grading, actions)
@@ -435,15 +437,10 @@ def module_hom_dim(M: WeightModule, N: WeightModule) -> int:
     if not allowed:
         return 0
     cols = [i * M.dim + j for i, j in allowed]
-    eyeN = np.eye(N.dim, dtype=np.int64)
-    eyeM = np.eye(M.dim, dtype=np.int64)
-    stacks = []
-    for x in M.algebra.generators:
-        a = N.action(x).a
-        b = M.action(x).a
-        sys = np.kron(a, eyeM) - np.kron(eyeN, b.T)
-        stacks.append(sys[:, cols])
-    big = FpMatrix(p, np.concatenate(stacks, axis=0))
+    eyeN, eyeM = np.eye(N.dim, dtype=np.int64), np.eye(M.dim, dtype=np.int64)
+    big = FpMatrix(p, np.concatenate([
+        (np.kron(N.action(x).a, eyeM) - np.kron(eyeN, M.action(x).a.T))[:, cols]
+        for x in M.algebra.generators]))
     return len(allowed) - big.rank()
 
 
@@ -455,13 +452,10 @@ def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:
     if i < 0 or i > top:
         raise ValueError(f"degree {i} outside [0, {top}]")
     left = list(_monomials(alg.dim, i, cap))
-    right = list(_monomials(alg.dim, top - i, cap))
-    target = tuple(cap for _ in range(alg.dim))
+    right = {e: b for b, e in enumerate(_monomials(alg.dim, top - i, cap))}
     m = np.zeros((len(left), len(right)), dtype=np.int64)
-    for a, ea in enumerate(left):
-        for b, eb in enumerate(right):
-            if tuple(x + y for x, y in zip(ea, eb)) == target:
-                m[a, b] = 1
+    for a, ea in enumerate(left):  # the one partner of ea: its complement to the top
+        m[a, right[tuple(cap - x for x in ea)]] = 1
     return FpMatrix(p, m).rank()
 
 

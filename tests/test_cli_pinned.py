@@ -1,8 +1,8 @@
-"""The fast CLI operations of the benchmark give their recorded output.
+"""Every CLI operation of the benchmark gives its recorded output.
 
 perfbench/expected.json holds the stdout sha256 and exit code of every
-benchmark CLI operation; this runs the quick ones in-process, so a change
-in any byte of their reports or tables fails the test suite.  PINNED
+benchmark CLI operation; this runs all of them in-process, so a change in
+any byte of their reports or tables fails the test suite.  PINNED
 holds the same record for operations the benchmark does not run.
 """
 
@@ -24,8 +24,10 @@ FAST_OPS = (
     "verify appendix --p 5",
     "verify appendix --p 7",
     "table g1 --p 11",
+    "table g1 --p 13",
     "table b1 --p 13",
     "table u1 --p 13",
+    "verify appendix --p 13 --no-fixture",
 )
 PINNED = {  # op: (exit code, stdout bytes, stdout sha256)
     "verify props --p 11": (

@@ -49,6 +49,17 @@ def test_rank_reduces_mod_p():
 def test_modulus_must_be_prime():
     with pytest.raises(ValueError):
         FpMatrix(6, [[1]])
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        GradedMap.scatter(4, Grading([0, 0]), 0, [0], [1], [1])
+
+
+def test_grading_cells_are_weight_then_degree():
+    g = Grading([2, 0, 2, 0], [1, 1, 0, 1])
+    assert [g.weights[g.index[k, 0]] for k in range(3)] == [0, 2, 2]
+    assert g.sizes.tolist() == [2, 1, 1, 0] and g.pos.tolist() == [2, 0, 1, 0]
+    assert Grading.of_keys(g.keys).keys.tolist() == g.keys.tolist()
+    with pytest.raises(ValueError, match="degrees must lie"):
+        Grading([0, 2], [0, -1])
 
 
 def test_kernel_identity_empty():

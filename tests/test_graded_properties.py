@@ -322,6 +322,83 @@ def test_column_set_matches_dense(case, scalar):
             GradedMap.cut(c, grading, 0, Grading([w + 2 for w in col_weights]))
 
 
+@st.composite
+def labelled_maps(draw, shift=None):
+    """(p, weights, labels, matrix, shift): a random weight-graded map that
+    also keeps a second label per basis vector (block-diagonal in it).  The
+    weights are shuffled; the labels never decrease along the basis, as
+    the degrees of a truncated symmetric algebra listed degree by degree."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    shift = draw(SHIFTS) if shift is None else shift
+    weights = draw(random_weights())
+    labels = sorted(draw(st.lists(st.integers(0, 2), min_size=len(weights),
+                                  max_size=len(weights))))
+    lab, mat = np.array(labels), np.zeros((len(weights),) * 2, dtype=np.int64)
+    for label in sorted(set(labels)):
+        idx = np.flatnonzero(lab == label)
+        mat[np.ix_(idx, idx)] = _draw_map(draw, p, [weights[i] for i in idx], shift).a
+    return p, weights, labels, FpMatrix(p, mat), shift
+
+
+@SETTINGS
+@given(labelled_maps(), st.integers(0, 2 ** 32 - 1))
+def test_refined_grading_gives_the_weight_only_columns(case, seed):
+    """On a map that keeps a second label, graded_kernel, graded_image,
+    graded_solve and graded_complement on the (weight, label) cells give
+    the columns they give on the weight cells, in the same order, and
+    agree with the dense FpMatrix route."""
+    p, weights, labels, mat, shift = case
+    fine, coarse = Grading(weights, labels), Grading(weights)
+    assert fine.values.size == len(set(zip(weights, labels)))
+    gf, gc = GradedMap.cut(mat, fine, shift), GradedMap.cut(mat, coarse, shift)
+    for result in (graded_kernel, graded_image):
+        a, b = result(gf), result(gc)
+        assert a.dense() == b.dense()
+        assert a.source.weights.tolist() == b.source.weights.tolist()
+    assert graded_kernel(gf).shape[1] == mat.kernel_basis().cols
+    image = graded_image(gf).dense()
+    assert _column_multiset(image) == _column_multiset(mat.column_space_basis())
+    # solving: a consistent and a random right-hand side
+    rng = np.random.default_rng(seed)
+    for rhs in (mat.a @ rng.integers(0, p, size=(mat.cols, 2)) % p,
+                rng.integers(0, p, size=(mat.rows, 2))):
+        try:
+            dense = mat.solve(FpMatrix(p, rhs)).a
+        except ValueError:
+            for g in (gf, gc):
+                with pytest.raises(ValueError, match="inconsistent"):
+                    graded_solve(g, rhs)
+        else:
+            assert np.array_equal(graded_solve(gf, rhs), dense)
+            assert np.array_equal(graded_solve(gc, rhs), dense)
+    # a complement to the image: random vectors, each inside one (weight,
+    # label) cell, listed label by label like the basis
+    w, lab = np.array(weights, dtype=np.int64), np.array(labels, dtype=np.int64)
+    picks = sorted(rng.integers(0, w.size, size=4).tolist()) if w.size else []
+    vecs = np.zeros((w.size, len(picks)), dtype=np.int64)
+    for j, i in enumerate(picks):
+        vecs[:, j] = np.where((w == w[i]) & (lab == lab[i]), rng.integers(0, p, size=w.size), 0)
+    vecs = FpMatrix(p, vecs)
+    picked = [graded_complement(graded_image(g), GradedMap.cut(vecs, g.grading, 0, src))
+              for g, src in ((gf, Grading(w[picks], lab[picks])), (gc, Grading(w[picks])))]
+    assert picked[0] == picked[1]
+    both = FpMatrix(p, np.concatenate([image.a, vecs.a], axis=1))
+    assert sorted(picked[0]) == [j - image.cols for j in both.rref()[1] if j >= image.cols]
+
+
+@SETTINGS
+@given(labelled_maps(shift=0))
+def test_refined_grading_gives_the_weight_only_eigenspaces(case):
+    p, weights, labels, mat, _ = case
+    fine = graded_eigenspaces(GradedMap.cut(mat, Grading(weights, labels), 0))
+    coarse = graded_eigenspaces(GradedMap.cut(mat, Grading(weights), 0))
+    assert list(fine) == list(coarse)
+    for lam, cols in fine.items():
+        assert cols.dense() == coarse[lam].dense()
+        assert cols.source.weights.tolist() == coarse[lam].source.weights.tolist()
+    _assert_same_eigenspaces(fine, _eigenspaces_per_block(mat, weights))
+
+
 def test_cut_rejects_an_ungraded_map():
     # columns of weights 0 and 2 both reach row 0
     mat = FpMatrix(3, [[1, 1], [0, 0]])

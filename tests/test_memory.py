@@ -1,10 +1,10 @@
-"""The whole-algebra path at p = 11 stores weight blocks, not dense arrays.
+"""The whole-algebra path at p = 11 stores cell blocks, not dense arrays.
 
 TruncatedSymAlgebra(sl2(11)) has 1331 basis vectors.  Its actions and
 every column set on it (kernels, images, cocycle bases) are kept as
-weight blocks, so no step may allocate as much as a few dense 1331 x 1331
-int64 arrays.  tracemalloc sees numpy's buffers; the bounds are on the
-peak of the traced step alone.
+blocks on its (weight, degree) spaces, so no step may allocate as much
+as a few dense 1331 x 1331 int64 arrays.  tracemalloc sees numpy's
+buffers; the bounds are on the peak of the traced step alone.
 """
 
 import tracemalloc
@@ -31,6 +31,13 @@ def test_whole_algebra_build_peaks_below_three_dense_arrays():
     alg, peak = _traced(lambda: TruncatedSymAlgebra(sl2(P)))
     assert alg.dim == P ** 3
     assert peak < 3 * DENSE, f"{peak / 1e6:.1f} MB"
+
+
+def test_whole_algebra_actions_are_cut_by_weight_and_degree():
+    # the widest (weight, degree) space has 6 vectors; a weight space has 121
+    M = TruncatedSymAlgebra(sl2(P)).module
+    for x, m in M.maps.items():
+        assert max(m.stack.shape[1:]) <= 6, (x, m.stack.shape)
 
 
 def test_degree_one_classes_peak_below_one_dense_array():

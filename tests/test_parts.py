@@ -139,8 +139,9 @@ def test_whole_algebra_by_parts_equals_dense(p, shuffle):
         assert blocks[lam].dense().a.tobytes() == cols.a.tobytes()
     order = sorted(dense)
     basis = FpMatrix(p, np.concatenate([dense[lam][0].a for lam in order], axis=1))
-    col_weights = Grading([w for lam in order for w in dense[lam][1]])
-    columns = GradedMap.cut(basis, M.grading, 0, col_weights)
+    # each column lies in one cell of M.grading: read it at the first nonzero row
+    col_cells = Grading.of_keys(M.grading.keys[(basis.a != 0).argmax(axis=0)])
+    columns = GradedMap.cut(basis, M.grading, 0, col_cells)
     inv = FpMatrix(p, graded_solve(columns, FpMatrix.identity(p, M.dim).a))
     n0 = dense[0][0].cols
     proj = principal_block_projector(M)
