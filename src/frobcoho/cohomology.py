@@ -92,16 +92,17 @@ class PeriodicCohomology:
         return self.F if n % 2 else self.Fq
 
     def _data(self, n: int):
-        """(cocycle basis, boundary basis, rep positions): two column sets,
-        and the cocycle columns that complete the boundaries."""
+        """(cocycles K, boundaries B, [B | K], rep positions): three column
+        sets, and the columns of K that complete B."""
         kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
         if kind in self._cache:
             return self._cache[kind]
-        K = graded_kernel(self.d_out(n))
-        B = column_set(self.M.p, self.M.grading, []) if n == 0 else graded_image(self.d_in(n))
-        data = (K, B, tuple(graded_complement(B, K)))
-        self._cache[kind] = data
-        return data
+        M, K = self.M, graded_kernel(self.d_out(n))
+        B = (column_set(M.p, M.grading, [], np.zeros((0, 0, 0)), np.zeros((0, 0))) if n == 0
+             else graded_image(self.d_in(n)))
+        BK = graded_columns(B, K)
+        self._cache[kind] = K, B, BK, tuple(graded_complement(BK, B.shape[1]))
+        return self._cache[kind]
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
         return not (self.d_out(n) @ vec).any()
@@ -110,7 +111,7 @@ class PeriodicCohomology:
         """Cocycle representatives of H^n with their raw module weights."""
         if self.M.dim == 0:
             return []
-        K, _, reps = self._data(n)
+        K, *_, reps = self._data(n)
         return [(K.column(j), int(K.source.weights[j])) for j in reps]
 
     def character(self, n: int) -> LaurentCharacter:
@@ -128,11 +129,11 @@ class PeriodicCohomology:
         """Coordinates of a cocycle's class over representatives(n)."""
         if not self.is_cocycle(n, vec):
             raise ValueError("not a cocycle")
-        K, B, reps = self._data(n)
+        _, B, BK, reps = self._data(n)
         if self.M.dim == 0:
             return np.zeros(0, dtype=np.int64)
         # B and the reps are the pivot columns of [B | K]; the others solve to 0
-        coords = graded_solve(graded_columns(B, K), vec)
+        coords = graded_solve(BK, vec)
         return coords[B.shape[1] + np.array(reps, dtype=np.int64)]
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
@@ -152,9 +153,12 @@ def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     from the ranks of the cell blocks of f."""
     if j < 0:
         raise ValueError("negative cohomological degree")
-    if j >= 2:
-        return LaurentCharacter.zero()
-    image = LaurentCharacter.from_weights(graded_image(M.maps["f"]).source.weights.tolist())
+    return _u_from_image(M, graded_image(M.maps["f"]), j) if j < 2 else LaurentCharacter.zero()
+
+
+def _u_from_image(M: WeightModule, image: GradedMap, j: int) -> LaurentCharacter:
+    """H^j(u, M), j in {0, 1}, from the image of f as a column set."""
+    image = LaurentCharacter.from_weights(image.source.weights.tolist())
     root = LaurentCharacter.line(2)
     return M.character() - image * root if j == 0 else (M.character() - image) * root
 
@@ -191,9 +195,10 @@ def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
 def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]:
     """collapse_check on the engine's module, read from the engine.  The
     E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting by
-    2pi keeps the dimension, so it is read once per j."""
-    M = engine.M
-    e2_dims = [e2_page(M, 0, j).dim() for j in (0, 1)]
+    2pi keeps the dimension, so it is read once per j, from the engine's
+    odd-degree boundaries (the image of f)."""
+    M, image = engine.M, engine._data(1)[1]
+    e2_dims = [t1_invariants(_u_from_image(M, image, j), M.p).dim() for j in (0, 1)]
     rows = []
     for n in range(maxdeg + 1):
         e2 = e2_dims[n % 2]

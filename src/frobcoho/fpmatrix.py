@@ -18,15 +18,16 @@ source cell, built from its entries: an action on the Grading of a
 basis, a column set from the Grading of its columns into that one.  A
 Grading's cells are its weight spaces or, when the basis also carries a
 degree that every map keeps (the polynomial degree of a truncated
-symmetric algebra), the (weight, degree) spaces.  The graded_* functions
-run the dense primitive per cell; the reduced echelon form of a direct
-sum is that of its summands, so greedy pivots, kernels and
-free-variables-zero solutions equal the dense ones up to column order.
-The eigenspaces and the 0-eigenspace projector of a weight-preserving
-map are found on the finer connected components of its own support
-(support_parts), all components of one size in one stacked row reduction
-(_rref_stack); _rref stays the reduction for single matrices, on which
-the stacked one is slower.
+symmetric algebra), the (weight, degree) spaces.  _rref_stack is the
+one row reduction, of a stack of matrices in one pass; a dense matrix is
+a stack of one.  Each graded_* function reduces the zero-padded stack of
+all its cells in one call: the reduced echelon form of a direct sum is
+that of its summands and zero padding never becomes a pivot, so greedy
+pivots, kernels (_kernels) and free-variables-zero solutions
+(_solve_stack) equal the dense ones up to column order.  The eigenspaces
+and the 0-eigenspace projector of a weight-preserving map are found on
+the connected components of its own support (support_parts), all
+components of one size in one stacked reduction.
 """
 
 from __future__ import annotations
@@ -80,40 +81,12 @@ def _power(base, n: int, mul):
     return result
 
 
-def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting."""
-    a = mat.copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
-
-
 def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_rref of every slice of a (B, rows, cols) stack in one pass over the
+    """The reduced row echelon form of every slice of a (B, rows, cols)
+    stack, pivoting on the first nonzero entry, in one pass over the
     columns: the reduced forms, and per slice a mask of its pivot columns.
-
-    Each slice gets the reduced form and pivots _rref gives it (the reduced
-    echelon form is unique).  The per-column numpy calls act on the whole
-    stack, so this pays off for many small matrices; _rref stays faster on
-    a single one."""
+    Zero rows and columns never become pivots, so a slice padded with zeros
+    keeps its pivots and, on its own rows and columns, its reduced form."""
     a = a.copy()
     count, rows, cols = a.shape
     pivot = np.zeros((count, cols), dtype=bool)
@@ -122,24 +95,45 @@ def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     below = np.arange(rows)
     for c in range(cols):
         nz = (a[:, :, c] != 0) & (below >= r[:, None])
-        has = nz.any(axis=1)
-        if not has.any():
+        live = np.flatnonzero(nz.any(axis=1))
+        if not live.size:
             continue
-        live = np.flatnonzero(has)
         sel = slice(None) if live.size == count else live
         top, k = r[live], nz[live].argmax(axis=1)
         row = a[live, k]
-        a[live, k] = a[live, top]
         row = row * inv[row[:, c]][:, None] % p
+        a[live, k] = a[live, top]
+        a[sel] = (a[sel] - a[sel, :, c, None] * row[:, None, :]) % p  # top rows reset below
         a[live, top] = row
-        col = a[sel, :, c].copy()
-        col[np.arange(live.size), top] = 0
-        a[sel] = (a[sel] - col[:, :, None] * row[:, None, :]) % p
         pivot[live, c] = True
         r[live] += 1
         if r.min() >= rows:
             break
     return a, pivot
+
+
+def _kernels(red: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
+    """The kernels of the slices of a reduced stack from _rref_stack, as a
+    (B, cols, cols) stack: per free column f of a slice, its column f is the
+    kernel vector with a 1 at f and 0 at the other free columns."""
+    basis = np.zeros((red.shape[0], red.shape[2], red.shape[2]), dtype=np.int64)
+    basis[piv] = -red[red.any(axis=2)] % p  # row c: minus the reduced row of pivot c
+    s, f = np.nonzero(~piv)
+    basis[s, f, f] = 1
+    return basis
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Per slice of (B, rows, n) and (B, rows, m) stacks, the solution x of
+    a x = b with its free variables 0, from one reduction of [a | b];
+    raises ValueError when some slice has none."""
+    n = a.shape[2]
+    red, piv = _rref_stack(np.concatenate([a, b], axis=2), p)
+    if piv[:, n:].any():
+        raise ValueError("inconsistent linear system")
+    x = np.zeros((a.shape[0], n, b.shape[2]), dtype=np.int64)
+    x[piv[:, :n]] = red[red.any(axis=2)][:, n:]  # row c: the reduced row of pivot c
+    return x
 
 
 class FpMatrix:
@@ -243,8 +237,9 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         if self._rref_cache is None:
-            r, piv = _rref(self.a, self.p)
-            self._rref_cache = (FpMatrix._reduced(self.p, r), piv)
+            red, piv = _rref_stack(self.a[None], self.p)
+            self._rref_cache = (FpMatrix._reduced(self.p, red[0]),
+                                tuple(np.flatnonzero(piv[0]).tolist()))
         return self._rref_cache
 
     def rank(self) -> int:
@@ -256,13 +251,9 @@ class FpMatrix:
         Free variables are enumerated in increasing column order; each basis
         vector has a 1 in its free slot, so the output is deterministic.
         """
-        r, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        basis[free, range(len(free))] = 1
-        basis[list(pivots)] = -r.a[:len(pivots), free] % self.p
-        return FpMatrix._reduced(self.p, basis)
+        red, pivots = self.rref()
+        piv = np.isin(np.arange(self.cols), pivots)
+        return FpMatrix._reduced(self.p, _kernels(red.a[None], piv[None], self.p)[0][:, ~piv])
 
     def column_space_basis(self) -> "FpMatrix":
         """Pivot columns of the original matrix (greedy left-to-right)."""
@@ -274,13 +265,7 @@ class FpMatrix:
         self._same_field(rhs)
         if rhs.rows != self.rows:
             raise ValueError("shape mismatch")
-        aug = np.concatenate([self.a, rhs.a], axis=1)
-        red, pivots = _rref(aug, self.p)
-        if any(c >= self.cols for c in pivots):
-            raise ValueError("inconsistent linear system")
-        x = np.zeros((self.cols, rhs.cols), dtype=np.int64)
-        x[list(pivots)] = red[:len(pivots), self.cols:]
-        return FpMatrix._reduced(self.p, x)
+        return FpMatrix._reduced(self.p, _solve_stack(self.a[None], rhs.a[None], self.p)[0])
 
 
 def subquotient_dim(kernel_of: FpMatrix, image_of: FpMatrix) -> int:
@@ -418,14 +403,6 @@ class GradedMap:
         out[self.grading.index[self._targets[k]]] = self.stack[k, :, self.source.slot[j]]
         return out[:-1]
 
-    def blocks(self):
-        """(source cell key, column indices, row indices, unpadded block) per
-        source cell, in cell order."""
-        g, s = self.grading, self.source
-        for k, (key, t) in enumerate(zip(s.values.tolist(), self._targets.tolist())):
-            rows, cols = g.index[t, :g.sizes[t]], s.index[k, :s.sizes[k]]
-            yield key, cols, rows, FpMatrix._reduced(self.p, self.stack[k, :rows.size, :cols.size])
-
     def is_zero(self) -> bool:
         return not self.stack.any()
 
@@ -472,16 +449,15 @@ class GradedMap:
         return _power(self, n, GradedMap.__matmul__)
 
 
-def column_set(p: int, grading: Grading, pieces) -> GradedMap:
-    """The column set with the columns of each (cell key, block) piece, by
-    increasing key, on the vectors of that cell in grading (block rows in
-    the order of its index row)."""
-    pieces = [(key, b) for key, b in pieces if b.shape[1]]
-    source = Grading.of_keys([key for key, b in pieces for _ in range(b.shape[1])])
-    stack = np.zeros((len(pieces), grading.index.shape[1], source.index.shape[1]), dtype=np.int64)
-    for k, (_, b) in enumerate(pieces):
-        stack[k, :b.shape[0], :b.shape[1]] = b
-    return GradedMap(p, grading, 0, stack, source)
+def column_set(p: int, grading: Grading, keys, stack: np.ndarray, mask) -> GradedMap:
+    """The column set of the columns of stack[k] that mask[k] selects, on
+    the vectors of the cell of key keys[k] in grading (stack rows in the
+    order of its index row), in order; keys increase."""
+    k, j = np.nonzero(mask)
+    source = Grading.of_keys(np.asarray(keys, dtype=np.int64)[k])
+    out = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]), np.int64)
+    out[source.pos, :stack.shape[1], source.slot] = stack[k, :, j]
+    return GradedMap(p, grading, 0, out, source)
 
 
 def graded_columns(*sets: GradedMap) -> GradedMap:
@@ -505,56 +481,48 @@ def graded_kernel(*maps: GradedMap) -> GradedMap:
     g, p = maps[0].source, maps[0].p
     if any(m.source is not g or m.p != p for m in maps):
         raise ValueError("maps on different spaces")
-    return column_set(p, g, [
-        (parts[0][0], FpMatrix._reduced(p, np.concatenate([b.a for *_, b in parts]))
-         .kernel_basis().a) for parts in zip(*(m.blocks() for m in maps))])
+    red, piv = _rref_stack(np.concatenate([m.stack for m in maps], axis=1), p)
+    return column_set(p, g, g.values, _kernels(red, piv, p), ~piv & (g.index[:-1] < g.weights.size))
 
 
 def graded_image(mat: GradedMap) -> GradedMap:
     """Greedy pivot columns of a weight-graded map, as a column set."""
-    return column_set(mat.p, mat.grading, [
-        (key + mat.shift * _CELL, block.a[:, list(block.rref()[1])])
-        for key, _, _, block in mat.blocks()])
+    piv = _rref_stack(mat.stack, mat.p)[1]
+    return column_set(mat.p, mat.grading, mat.source.values + mat.shift * _CELL, mat.stack, piv)
 
 
-def graded_complement(span: GradedMap, vecs: GradedMap) -> list[int]:
-    """Positions of the columns of the column set vecs that are independent
-    modulo the column set span and the earlier columns of their cell, in
-    cell order."""
-    n, picked = span.shape[1], []
-    for _, cols, _, block in graded_columns(span, vecs).blocks():
-        picked += [int(c) - n for c in cols[list(block.rref()[1])] if c >= n]
-    return picked
+def graded_complement(cols: GradedMap, n: int) -> list[int]:
+    """Positions, less n, of the columns of the column set cols after its
+    first n that are independent modulo those n and the earlier columns of
+    their cell, in cell order."""
+    picked = cols.source.index[np.nonzero(_rref_stack(cols.stack, cols.p)[1])]
+    return (picked[picked >= n] - n).tolist()
 
 
 def graded_solve(mat: GradedMap, rhs):
     """The solution X of mat @ X = rhs that FpMatrix.solve gives on the dense
-    matrices, found block by block.  For an array rhs (a vector or columns)
-    X is an array; for a GradedMap rhs into mat's grading it is the
-    GradedMap from rhs's source to mat's."""
-    p, s = mat.p, mat.source
+    matrices, found cell by cell in one stacked solve.  For an array rhs (a
+    vector or columns) X is an array; for a GradedMap rhs into mat's
+    grading it is the GradedMap from rhs's source to mat's."""
+    p, s, g = mat.p, mat.source, mat.grading
     if isinstance(rhs, GradedMap):
-        if rhs.grading is not mat.grading or rhs.p != p:
+        if rhs.grading is not g or rhs.p != p:
             raise ValueError("maps on different spaces")
-        shift, r = rhs.shift - mat.shift, rhs.source
-        x = np.zeros((r.values.size, s.index.shape[1], r.index.shape[1]), dtype=np.int64)
-        at = s.find(r.values + shift * _CELL)
-        for k, (_, _, _, b) in enumerate(rhs.blocks()):
-            if at[k] < s.values.size:
-                a = FpMatrix._reduced(p, mat.stack[at[k], :b.rows, :s.sizes[at[k]]])
-                x[k, :a.cols, :b.cols] = a.solve(b).a
-            elif b.a.any():  # no column of mat reaches these rows
-                raise ValueError("inconsistent linear system")
-        return GradedMap(p, s, shift, x, r)
-    b = np.asarray(rhs, dtype=np.int64)
-    cols = b[:, None] if b.ndim == 1 else b
-    if cols.shape[0] != mat.shape[0]:
-        raise ValueError("shape mismatch")
-    g, m = mat.grading, cols.shape[1]  # rhs split into one column set per cell
-    pad = np.concatenate([cols % p, np.zeros((1, m), dtype=np.int64)])[g.index[:-1]]
-    x = graded_solve(mat, GradedMap(p, g, 0, pad, Grading.of_keys(np.repeat(g.values, m))))
-    x = x @ np.tile(np.eye(m, dtype=np.int64), (g.values.size, 1))
-    return x[:, 0] if b.ndim == 1 else x
+        shift, b = rhs.shift - mat.shift, rhs.stack  # per rhs cell
+        at = s.find(rhs.source.values + shift * _CELL)  # its source cell, or a zero block
+    else:
+        vec = np.asarray(rhs, dtype=np.int64)
+        cols = vec[:, None] if vec.ndim == 1 else vec
+        if cols.shape[0] != mat.shape[0]:
+            raise ValueError("shape mismatch")
+        b = np.pad(cols % p, ((0, 1), (0, 0)))[g.index[:-1]]  # per cell of grading
+        at = s.find(g.values - mat.shift * _CELL)
+    x = _solve_stack(np.pad(mat.stack, ((0, 1), (0, 0), (0, 0)))[at], b, p)
+    if isinstance(rhs, GradedMap):
+        return GradedMap(p, s, shift, x, rhs.source)
+    out = np.zeros((s.weights.size + 1, x.shape[2]), dtype=np.int64)
+    out[s.index[at]] = x
+    return out[:-1, 0] if vec.ndim == 1 else out[:-1]
 
 
 def support_parts(mat: GradedMap) -> list[np.ndarray]:
@@ -596,12 +564,8 @@ def _eigenvectors(mat: GradedMap):
         shifted = shifted.reshape(-1, k, k)  # block j, lam at slice j * p + lam
         singular = np.flatnonzero(_rref_stack(shifted, p)[1].sum(axis=1) < k)
         red, piv = _rref_stack(_power(shifted[singular], k, lambda x, y: _matmul(x, y, p)), p)
-        basis = np.zeros_like(red)  # column f of basis[s]: the kernel vector with a 1 at f
-        s, c = np.nonzero(piv)
-        basis[s, c] = -red[s, np.cumsum(piv, axis=1)[s, c] - 1] % p
         s, f = np.nonzero(~piv)
-        basis[s, f, f] = 1
-        yield idx, singular[s] // p, singular[s] % p, f, basis[s, :, f]
+        yield idx, singular[s] // p, singular[s] % p, f, _kernels(red, piv, p)[s, :, f]
 
 
 def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
@@ -634,7 +598,7 @@ def graded_projector(mat: GradedMap) -> GradedMap:
 
     On each component of the map's support it is B0 B^-1, for an eigenbasis
     B of the component and B0 its eigenvalue-0 columns with the rest zeroed;
-    the inverses come from one stacked reduction of [B | I] per size.
+    the inverses come from one stacked solve of B X = I per size.
     """
     p, g = mat.p, mat.grading
     stack = np.zeros_like(mat.stack)
@@ -643,8 +607,7 @@ def graded_projector(mat: GradedMap) -> GradedMap:
             raise ValueError("characteristic polynomial does not split")
         k, order = idx.shape[1], np.lexsort((lam, block))
         b = entries[order].reshape(-1, k, k).transpose(0, 2, 1)
-        eye = np.broadcast_to(np.eye(k, dtype=np.int64), b.shape)
-        inv = _rref_stack(np.concatenate([b, eye], axis=2), p)[0][:, :, k:]
+        inv = _solve_stack(b, np.broadcast_to(np.eye(k, dtype=np.int64), b.shape), p)
         zero = (lam[order] == 0).reshape(-1, 1, k)
         slot = g.slot[idx]
         stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]] = _matmul(

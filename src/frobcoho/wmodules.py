@@ -404,7 +404,8 @@ def block_projection_principal(M: WeightModule) -> WeightModule:
 
 def _principal_part(M: WeightModule, blocks) -> WeightModule:
     """The submodule on the 0-block of M's Casimir blocks."""
-    cols = blocks[0] if 0 in blocks else column_set(M.p, M.grading, [])
+    cols = blocks[0] if 0 in blocks else column_set(
+        M.p, M.grading, [], np.zeros((0, 0, 0)), np.zeros((0, 0)))
     return M.submodule(cols, prefix="blk")
 
 

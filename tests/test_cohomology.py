@@ -149,6 +149,25 @@ def test_collapse_defect_equals_ideal_dims():
         assert rows[0].defect == 0
 
 
+def test_collapse_check_takes_the_image_of_f_once(monkeypatch):
+    """The E2 totals read the image of f from the engine's odd-degree
+    boundaries, so collapse_check computes it once per module."""
+    from frobcoho import cohomology
+
+    M, seen = truncated_sym(sl2(5), 3), []
+
+    def counted(mat):
+        seen.append(mat)
+        return image_of(mat)
+
+    image_of = cohomology.graded_image
+    monkeypatch.setattr(cohomology, "graded_image", counted)
+    rows = collapse_check(M, 8)
+    assert sum(mat is M.maps["f"] for mat in seen) == 1
+    assert [r.e2_total for r in rows] == [
+        e2_page(M, (n - n % 2) // 2, n % 2).dim() for n in range(9)]
+
+
 def test_ip_expected_dims_shape():
     assert ip_expected_dims(3, 6) == [0, 2, 2, 2, 2, 2, 2]
     assert ip_expected_dims(5, 5) == [0, 3, 3, 3, 3, 3]

@@ -1,12 +1,15 @@
 """The F_p primitives and H^*(U_1, M) against independent implementations.
 
 Every other linear-algebra test compares graded code with the dense
-FpMatrix path, and both run on the same _rref.  Here rank, the reduced
-echelon form and its pivot columns, the kernel dimension and the
-solvability of linear systems are checked against sympy's DomainMatrix
-over GF(p), which is separate code, on random matrices.  The characters
-of H^n(U_1, M) are checked against a closed form in the per-weight ranks
-of f and f^(p-1), taken from sympy.
+FpMatrix path, and both run on the same row reduction, _rref_stack.
+Here rank, the reduced echelon form and its pivot columns, the kernel
+and the solvability of linear systems are checked against sympy's
+DomainMatrix over GF(p), which is separate code: on random matrices
+through FpMatrix, and on random stacks, with and without zero padding,
+through _rref_stack, _kernels and _solve_stack.  The characters of
+H^n(U_1, M) are checked against a closed form in the per-weight ranks of
+f and f^(p-1), taken from sympy, on the truncated symmetric algebras and
+on random modules with a nilpotent f.
 """
 
 import numpy as np
@@ -16,8 +19,16 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from frobcoho import PeriodicCohomology, TruncatedSymAlgebra, borel, nilradical, sl2, truncated_sym
-from frobcoho.fpmatrix import FpMatrix
+from frobcoho import (
+    PeriodicCohomology,
+    TruncatedSymAlgebra,
+    WeightModule,
+    borel,
+    nilradical,
+    sl2,
+    truncated_sym,
+)
+from frobcoho.fpmatrix import FpMatrix, _kernels, _rref_stack, _solve_stack
 
 
 def _oracle(a: np.ndarray, p: int) -> DomainMatrix:
@@ -68,6 +79,98 @@ def test_primitives_match_sympy_gf(case):
     else:
         assert solvable
         assert np.array_equal((a @ x.a - b) % p, np.zeros_like(b))
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(stack, p): random (B, rows, cols) stacks, slices of random rank."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    count, rows, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.zeros((count, rows, cols), dtype=np.int64)
+    for b in range(count):
+        k = draw(st.integers(0, min(rows, cols)))
+        stack[b] = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+    return stack % p, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks())
+def test_rref_stack_matches_sympy_per_slice(case):
+    stack, p = case
+    red, pivots = _rref_stack(stack, p)
+    assert red.shape == stack.shape and pivots.shape == (stack.shape[0], stack.shape[2])
+    for b in range(stack.shape[0]):
+        ref_red, ref_pivots = _oracle(stack[b], p).rref()
+        assert red[b].tolist() == _ints(ref_red, p)
+        assert tuple(np.flatnonzero(pivots[b]).tolist()) == tuple(ref_pivots)
+
+
+@st.composite
+def padded_systems(draw):
+    """(p, a, b, rows, cols): a matrix_stacks stack a in which slice k is
+    zero outside its first rows[k] rows and cols[k] columns, as the padded
+    cells of a graded map are, and a right-hand side b that is zero outside
+    the same rows, in the column space of each slice or random."""
+    stack, p = draw(matrix_stacks())
+    count, height, width = stack.shape
+    rows = np.array([draw(st.integers(0, height)) for _ in range(count)], dtype=np.int64)
+    cols = np.array([draw(st.integers(0, width)) for _ in range(count)], dtype=np.int64)
+    real_rows = (np.arange(height) < rows[:, None])[:, :, None]
+    a = stack * real_rows * (np.arange(width) < cols[:, None])[:, None, :]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        b = a @ rng.integers(0, p, size=(count, width, 2)) % p
+    else:
+        b = rng.integers(0, p, size=(count, height, 2)) * real_rows
+    return p, a, b, rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_systems())
+def test_stacked_kernels_match_sympy(case):
+    """Per slice, the kernel vectors at its real free columns are as many
+    as sympy's nullspace basis of its unpadded block and span the same
+    space (same reduced echelon form); they are zero on the padding."""
+    p, a, _, rows, cols = case
+    red, piv = _rref_stack(a, p)
+    basis = _kernels(red, piv, p)
+    for k in range(a.shape[0]):
+        real = np.arange(a.shape[2]) < cols[k]
+        kernel = basis[k][:, ~piv[k] & real]
+        assert not (a[k] @ kernel % p).any() and not kernel[~real].any()
+        block = a[k, :rows[k], :cols[k]]
+        ref = _oracle(block, p).nullspace()
+        assert kernel.shape[1] == ref.shape[0] == cols[k] - _oracle(block, p).rank()
+        if kernel.size:
+            assert _oracle(kernel[real].T, p).rref()[0] == ref.rref()[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_systems())
+def test_stacked_solve_matches_sympy(case):
+    """A slice solves exactly when sympy's ranks of a and [a | b] agree,
+    then with a x = b and x zero on the padding; the whole stack solves
+    when every slice does."""
+    p, a, b, rows, cols = case
+    solvable = []
+    for k in range(a.shape[0]):
+        block, rhs = a[k, :rows[k], :cols[k]], b[k, :rows[k]]
+        rank = _oracle(block, p).rank()
+        solvable.append(_oracle(np.concatenate([block, rhs], axis=1), p).rank() == rank)
+        try:
+            x = _solve_stack(a[k:k + 1], b[k:k + 1], p)[0]
+        except ValueError:
+            assert not solvable[k]
+        else:
+            assert solvable[k]
+            assert np.array_equal(a[k] @ x % p, b[k]) and not x[cols[k]:].any()
+    try:
+        x = _solve_stack(a, b, p)
+    except ValueError as exc:
+        assert not all(solvable) and "inconsistent" in str(exc)
+    else:
+        assert all(solvable) and np.array_equal(a @ x % p, b)
 
 
 def _closed_form(M, n: int) -> dict[int, int]:
@@ -123,3 +226,32 @@ def test_u1_cohomology_matches_closed_form_on_graded_pieces(make, p):
         engine = PeriodicCohomology(M)
         for n in range(4):
             assert engine.character(n).coeffs == _closed_form(M, n), (degree, n)
+
+
+@st.composite
+def nilpotent_modules(draw):
+    """A WeightModule over nilradical(p), p in {2, 3, 5, 7}: weights from a
+    window of p values two apart, so f^p = 0 follows from the grading, in
+    shuffled order, and f from weight w to w - 2 by random low-rank blocks."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    top = draw(st.integers(-2 * p, 2 * p))
+    weights = [top - 2 * i for i in range(p) for _ in range(draw(st.integers(0, 3)))]
+    weights = [weights[i] for i in draw(st.permutations(range(len(weights))))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = np.array(weights, dtype=np.int64)
+    f = np.zeros((w.size, w.size), dtype=np.int64)
+    for src in set(weights):
+        rows, cols = np.flatnonzero(w == src - 2), np.flatnonzero(w == src)
+        k = draw(st.integers(0, min(rows.size, cols.size)))
+        f[np.ix_(rows, cols)] = rng.integers(0, p, size=(rows.size, k)) @ rng.integers(
+            0, p, size=(k, cols.size))
+    return WeightModule(nilradical(p), [f"v{i}" for i in range(w.size)], weights,
+                        {"f": FpMatrix(p, f)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_modules())
+def test_u1_cohomology_matches_closed_form_on_random_nilpotent_f(M):
+    engine = PeriodicCohomology(M)
+    for n in range(4):
+        assert engine.character(n).coeffs == _closed_form(M, n), n

@@ -6,8 +6,9 @@ random low-rank block; a random column set has weight-homogeneous
 columns of random weights.  Every graded_* result, on the map or the
 columns cut into GradedMaps, and every GradedMap operation must agree
 with the dense FpMatrix computation on the whole matrix; column sets are
-compared through .dense().  The stacked row reduction behind
-graded_eigenspaces must agree with _rref slice by slice.
+compared through .dense().  Each graded_* function row-reduces all its
+cells in one _rref_stack call; tests/test_fp_oracle.py checks that
+reduction against sympy.
 """
 
 import numpy as np
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobcoho import TruncatedSymAlgebra, fpmatrix, sl2
 from frobcoho.fpmatrix import (
     FpMatrix,
     GradedMap,
     Grading,
-    _rref,
     _rref_stack,
     generalized_eigenspace,
     graded_columns,
@@ -146,8 +147,9 @@ def test_graded_complement_matches_dense_pivots(case, seed):
         cols.append(v)
         vec_weights.append(target)
     vecs = FpMatrix(mat.p, np.array(cols, dtype=np.int64).reshape(len(cols), mat.rows).T)
-    picked = graded_complement(span_cols, GradedMap.cut(vecs, graded.grading, 0,
-                                                        Grading(vec_weights)))
+    joined = graded_columns(span_cols, GradedMap.cut(vecs, graded.grading, 0,
+                                                     Grading(vec_weights)))
+    picked = graded_complement(joined, span.cols)
     both = FpMatrix(mat.p, np.concatenate([span.a, vecs.a], axis=1))
     dense = {j - span.cols for j in both.rref()[1] if j >= span.cols}
     assert sorted(picked) == sorted(dense)
@@ -210,29 +212,28 @@ def test_graded_eigenspaces_without_split_characteristic_polynomial():
         graded_projector(graded)
 
 
-@st.composite
-def matrix_stacks(draw):
-    """(stack, p): random (B, rows, cols) stacks, slices of random rank."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
-    count, rows, cols = (draw(st.integers(0, 6)) for _ in range(3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    stack = np.zeros((count, rows, cols), dtype=np.int64)
-    for b in range(count):
-        k = draw(st.integers(0, min(rows, cols)))
-        stack[b] = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
-    return stack % p, p
+def test_each_graded_function_reduces_all_cells_at_once(monkeypatch):
+    """graded_kernel, graded_image, graded_complement and graded_solve (on
+    an array and on a GradedMap) each call _rref_stack once, on a stack of
+    all their cells."""
+    M = TruncatedSymAlgebra(sl2(5)).module
+    e, f = M.maps["e"], M.maps["f"]
+    image = graded_image(f)
+    joined = graded_columns(image, graded_kernel(f))
+    stacks = []
 
+    def counted(a, p):
+        stacks.append(a.shape[0])
+        return _rref_stack(a, p)
 
-@settings(max_examples=150, deadline=None)
-@given(matrix_stacks())
-def test_rref_stack_matches_rref_per_slice(case):
-    stack, p = case
-    red, pivots = _rref_stack(stack, p)
-    assert red.shape == stack.shape and pivots.shape == (stack.shape[0], stack.shape[2])
-    for b in range(stack.shape[0]):
-        want, want_pivots = _rref(stack[b], p)
-        assert np.array_equal(red[b], want)
-        assert tuple(np.flatnonzero(pivots[b]).tolist()) == want_pivots
+    monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
+    for run in (lambda: graded_kernel(e, f), lambda: graded_image(f),
+                lambda: graded_complement(joined, image.shape[1]),
+                lambda: graded_solve(f, f @ np.arange(M.dim)),
+                lambda: graded_solve(f, f @ joined)):
+        stacks.clear()
+        run()
+        assert len(stacks) == 1 and stacks[0] > 1, stacks
 
 
 @st.composite
@@ -379,7 +380,9 @@ def test_refined_grading_gives_the_weight_only_columns(case, seed):
     for j, i in enumerate(picks):
         vecs[:, j] = np.where((w == w[i]) & (lab == lab[i]), rng.integers(0, p, size=w.size), 0)
     vecs = FpMatrix(p, vecs)
-    picked = [graded_complement(graded_image(g), GradedMap.cut(vecs, g.grading, 0, src))
+    picked = [graded_complement(graded_columns(graded_image(g),
+                                               GradedMap.cut(vecs, g.grading, 0, src)),
+                                image.cols)
               for g, src in ((gf, Grading(w[picks], lab[picks])), (gc, Grading(w[picks])))]
     assert picked[0] == picked[1]
     both = FpMatrix(p, np.concatenate([image.a, vecs.a], axis=1))
