@@ -38,6 +38,7 @@ import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
+    _CELL,
     FpMatrix,
     GradedMap,
     column_set,
@@ -51,8 +52,8 @@ from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
-    block_projection_principal,
-    truncated_sym,
+    _monomial_module,
+    casimir_blocks,
 )
 
 
@@ -366,7 +367,48 @@ def g1_cohomology_char(engine: PeriodicCohomology, n: int) -> tuple[LaurentChara
         return LaurentCharacter.zero(), True
     if n < 0:
         raise ValueError("negative cohomological degree")
-    return euler_induction(t1_invariants(engine.character(n), engine.M.p).untwist(engine.M.p))
+    return _g1_char(engine.character(n), engine.M.p)
+
+
+def _g1_char(char: LaurentCharacter, p: int) -> tuple[LaurentCharacter, bool]:
+    """The induction route from the character of H^n(U_1, M)."""
+    return euler_induction(t1_invariants(char, p).untwist(p))
+
+
+def _at_degree(keys: np.ndarray, n: int) -> list[int]:
+    """The weights of the cell keys of degree n."""
+    return (keys[keys % _CELL == n] // _CELL).tolist()
+
+
+class Sl2Pieces:
+    """The pieces S^n, n <= 3(p-1), of the truncated symmetric algebra of
+    sl2(p) as the degree-n cells of the whole algebra: one module, one
+    Casimir split (none for p = 2: the principal part is the module) and
+    one engine on its principal block.  Every map keeps the degree."""
+
+    def __init__(self, p: int):
+        self.p, self.top = p, 3 * (p - 1)
+        self.module = M = _monomial_module(sl2(p), range(self.top + 1), p - 1)
+        self.blocks = {} if p == 2 else casimir_blocks(M)  # degree 0 makes 0 an eigenvalue
+        self.engine = PeriodicCohomology(M if p == 2 else M.submodule(self.blocks[0], prefix="blk"))
+
+    def character(self, n: int) -> LaurentCharacter:
+        """The character of piece n."""
+        if not 0 <= n <= self.top:
+            raise ValueError(f"degree {n} outside [0, {self.top}]")
+        return LaurentCharacter.from_weights(_at_degree(self.module.grading.keys, n))
+
+    def g1_chars(self, d: int) -> list[tuple[LaurentCharacter, bool]]:
+        """Per piece, g1_cohomology_char(., d) of its principal part; an
+        empty part has no representatives and gives (0, exact)."""
+        K, *_, reps = self.engine._data(d)
+        keys, tw = K.source.keys[list(reps)], cochain_twist(self.p, d)
+        return [_g1_char(LaurentCharacter.from_weights(w + tw for w in _at_degree(keys, n)), self.p)
+                for n in range(self.top + 1)]
+
+    def class_weights(self, n: int) -> list[list[int]]:
+        """Per Casimir eigenvalue, increasing, its eigenspace's weights in piece n."""
+        return [_at_degree(cols.source.keys, n) for _, cols in sorted(self.blocks.items())]
 
 
 @dataclass
@@ -411,17 +453,18 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
 
     g1: one source row per graded piece of the truncated symmetric
     algebra of sl2 (principal-block projected), characters via the
-    induction route.  b1/u1: the whole coefficient algebra as a single
-    'total' source.
+    induction route, all read off one engine on the principal block of
+    the whole algebra (Sl2Pieces).  b1/u1: the whole coefficient algebra
+    as a single 'total' source.
     """
     target = target.lower()
     entries: list[tuple[str, int, LaurentCharacter, str]] = []
     if target == "g1":
-        g = sl2(p)
-        for n in range(3 * (p - 1) + 1):
-            engine = PeriodicCohomology(block_projection_principal(truncated_sym(g, n)))
+        pieces = Sl2Pieces(p)
+        by_degree = [pieces.g1_chars(d) for d in range(maxdeg + 1)]
+        for n in range(pieces.top + 1):
             for d in range(maxdeg + 1):
-                char, exact = g1_cohomology_char(engine, d)
+                char, exact = by_degree[d][n]
                 entries.append((str(n), d, char, "exact" if exact else "euler-only"))
     elif target in ("b1", "u1"):
         alg = borel(p) if target == "b1" else nilradical(p)

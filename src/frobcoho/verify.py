@@ -4,9 +4,10 @@ The package ships one fixture per p in {2, 3, 5, 7} (frobcoho/fixtures)
 listing, for every graded piece of the truncated symmetric algebra of
 sl2, the claimed direct-sum decomposition and the pattern of its
 kernel-cohomology by degree.  verify_appendix recomputes everything
-from scratch: characters of the graded pieces, the induced cohomology
-characters per degree, and socle fingerprints through weight-graded Hom
-spaces.  verify_propositions bundles the standalone claims: symmetric
+from scratch in one pass over the whole algebra, a piece being a degree:
+characters of the graded pieces, the induced cohomology characters per
+degree, and socle fingerprints from primitive vectors (closed-form Hom
+spaces).  verify_propositions bundles the standalone claims: symmetric
 power decompositions, duality pairing ranks, the principal block
 structure, the Kostant weights, the Borel and unipotent Hochschild
 dimensions, collapse bookkeeping and cup product samples.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,9 @@ from .characters import (
 )
 from .cohomology import (
     PeriodicCohomology,
+    Sl2Pieces,
     _collapse_rows,
+    _u_from_image,
     collapse_check,
     cup_product,
     e2_page,
@@ -49,23 +53,20 @@ from .cohomology import (
     t1_invariants,
     u_cohomology,
 )
-from .fpmatrix import GradedMap, graded_image, graded_solve, is_prime
+from .fpmatrix import _CELL, GradedMap, _rref_stack, graded_image, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
+    WeightModule,
     _class_labels,
-    _principal_part,
     block_projection_principal,
-    casimir_blocks,
     duality_pairing_rank,
     g1_invariants,
-    module_hom_dim,
     principal_block_projector,
     simple_model,
     sym_power,
     trivial_module,
     truncated_sym,
-    weight_line,
 )
 
 FIXTURE_PRIMES = (2, 3, 5, 7)
@@ -165,61 +166,43 @@ def predicted_socle(summands, p: int) -> dict[tuple[int, int], int]:
     by the claimed summands: nonsimple tiltings restrict to projective
     covers with socle at the reflected weight, simples with one digit sit
     at twist 0, two-digit simples split into the two p-twists."""
-    out: dict[tuple[int, int], int] = {}
-
-    def add(key):
-        out[key] = out.get(key, 0) + 1
-
+    out: Counter = Counter()
     for fam, m in summands:
         if fam == "T":
-            add((m, 0) if m <= p - 1 else (2 * p - 2 - m, 0))
+            out[(m, 0) if m <= p - 1 else (2 * p - 2 - m, 0)] += 1
+        elif fam == "L" and m <= p - 1:
+            out[(m, 0)] += 1
         elif fam == "L":
-            if m <= p - 1:
-                add((m, 0))
-            else:
-                m0, m1 = m % p, m // p
-                if m1 >= p:
-                    raise ValueError("summand weight outside the supported range")
-                add((m0, p * m1))
-                add((m0, -p * m1))
-        elif fam == "Delta":
-            add((0, 0))
-        elif fam == "Nabla":
-            add((0, 2))
-            add((0, -2))
+            m0, m1 = m % p, m // p
+            if m1 >= p:
+                raise ValueError("summand weight outside the supported range")
+            out.update([(m0, p * m1), (m0, -p * m1)])
+        elif fam in ("Delta", "Nabla"):
+            out.update([(0, 0)] if fam == "Delta" else [(0, 2), (0, -2)])
         else:
             raise ValueError(f"unknown summand family {fam!r}")
-    return out
+    return dict(out)
 
 
 def synthesize_fixture(p: int) -> AppendixFixture:
     """Reference rows recomputed from scratch for a prime without a
     shipped fixture: summand labels from the Casimir-class peel and the
     cohomology pattern from the parity/range rule of the block structure."""
-    return AppendixFixture(p, tuple(_synthesized_row(p, n, blocks)
-                                    for n, (_, blocks) in enumerate(_casimir_pieces(p))))
-
-
-def _casimir_pieces(p: int):
-    """Per degree n in turn, the graded piece truncated_sym(sl2(p), n) and
-    its Casimir blocks."""
     if p == 2 or not is_prime(p):
         raise ValueError("synthesis needs an odd prime")
-    g = sl2(p)
-    for n in range(3 * (p - 1) + 1):
-        piece = truncated_sym(g, n)
-        yield piece, casimir_blocks(piece)
+    return _synthesized(Sl2Pieces(p))
 
 
-def _synthesized_row(p: int, n: int, blocks) -> FixtureRow:
-    dec = _class_labels(blocks, p)
-    inside = p - 1 <= n <= 2 * (p - 1)
-    if n % 2 == 0:
-        pattern = "K_DEG0" if inside else "KNULL"
-    else:
-        pattern = "ODD_IND" if inside else "ZERO"
-    labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
-    return FixtureRow(n, labels, pattern)
+def _synthesized(pieces: Sl2Pieces) -> AppendixFixture:
+    """synthesize_fixture from the one Casimir split of the whole algebra."""
+    p, rows = pieces.p, []
+    for n in range(pieces.top + 1):
+        dec = _class_labels(pieces.class_weights(n), p)
+        inside = p - 1 <= n <= 2 * (p - 1)
+        pattern = ("K_DEG0" if inside else "KNULL") if n % 2 == 0 else ("ODD_IND" if inside else "ZERO")
+        labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
+        rows.append(FixtureRow(n, labels, pattern))
+    return AppendixFixture(p, tuple(rows))
 
 
 # -- reports ----------------------------------------------------------------
@@ -240,31 +223,20 @@ class VerificationReport:
     runtime_ms: int = 0
 
     def add(self, name: str, ok: bool, expected, computed, flag_on_mismatch: bool = False):
-        if ok:
-            status = "pass"
-        elif flag_on_mismatch and name in ALLOWLISTED_FLAGS:
-            status = "flagged"
-        else:
-            status = "fail"
+        flagged = flag_on_mismatch and name in ALLOWLISTED_FLAGS
+        status = "pass" if ok else ("flagged" if flagged else "fail")
         self.checks.append(Check(name, status, str(expected), str(computed)))
 
     def add_flag(self, name: str, expected, computed):
-        status = "flagged" if name in ALLOWLISTED_FLAGS else "fail"
-        self.checks.append(Check(name, status, str(expected), str(computed)))
+        self.add(name, False, expected, computed, flag_on_mismatch=True)
 
     def counts(self) -> tuple[int, int, int]:
-        n_pass = sum(1 for c in self.checks if c.status == "pass")
-        n_fail = sum(1 for c in self.checks if c.status == "fail")
-        n_flag = sum(1 for c in self.checks if c.status == "flagged")
-        return n_pass, n_fail, n_flag
+        statuses = [c.status for c in self.checks]
+        return statuses.count("pass"), statuses.count("fail"), statuses.count("flagged")
 
     def exit_code(self) -> int:
         _, n_fail, n_flag = self.counts()
-        if n_fail:
-            return 1
-        if n_flag:
-            return 2
-        return 0
+        return 1 if n_fail else (2 if n_flag else 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,75 +273,42 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
     principal-block part matches the claimed pattern in every degree up
     to maxdeg, (3) the weight-graded socle fingerprint of the piece
     matches the one implied by the claimed summands (fixture primes
-    only).  The fixture itself is audited first (row coverage and the
-    p^3 dimension count).
+    only), from primitive vectors.  The fixture itself is audited first
+    (row coverage and the p^3 dimension count).  All rows are read off
+    one Sl2Pieces, whose Casimir split also synthesizes missing rows.
     """
     t0 = time.perf_counter()
     synthetic = p not in FIXTURE_PRIMES
     if synthetic and not allow_synth:
         raise ValueError(f"no shipped fixture for p={p}; pass allow_synth=True")
-    if synthetic:  # one Casimir split per piece serves its row and its checks
-        rows, built = [], {}
-        for n, (piece, blocks) in enumerate(_casimir_pieces(p)):
-            rows.append(_synthesized_row(p, n, blocks))
-            built[n] = (piece.character(), _principal_part(piece, blocks))
-        fixture = AppendixFixture(p, tuple(rows))
-    else:
-        fixture = load_fixture(p, fixture_dir)
+    pieces = Sl2Pieces(p)
+    fixture = _synthesized(pieces) if synthetic else load_fixture(p, fixture_dir)
     report = VerificationReport(suite=f"appendix p={p} maxdeg={maxdeg}")
 
-    top = 3 * (p - 1)
+    top = pieces.top
     covered = sorted(r.n for r in fixture.rows)
     report.add("fixture-row-coverage", covered == list(range(top + 1)),
                f"rows 0..{top}", f"rows {covered[0]}..{covered[-1]} ({len(covered)})")
     total = sum(label_char(fam, m, p).dim() for r in fixture.rows for fam, m in r.summands)
     report.add("fixture-dimension-audit", total == p ** 3, p ** 3, total)
 
-    g = sl2(p)
+    g1 = [pieces.g1_chars(d) for d in range(maxdeg + 1)]
+    socles = {} if synthetic else _socle_fingerprints(pieces.module)
     for row in fixture.rows:
-        if synthetic:
-            char, principal = built[row.n]
-        else:
-            piece = truncated_sym(g, row.n)
-            char, principal = piece.character(), block_projection_principal(piece)
-        claimed = LaurentCharacter.zero()
-        for fam, m in row.summands:
-            claimed = claimed + label_char(fam, m, p)
+        char = pieces.character(row.n)
+        claimed = sum((label_char(fam, m, p) for fam, m in row.summands), LaurentCharacter.zero())
         report.add(f"row{row.n:02d}-summand-character", char == claimed,
                    claimed.serialize(), char.serialize())
 
-        engine = PeriodicCohomology(principal)
-        ok = True
-        detail_exp, detail_got = [], []
-        for d in range(maxdeg + 1):
-            want = pattern_char(row.pattern, d, p)
-            got, exact = g1_cohomology_char(engine, d)
-            if got != want or not exact:
-                ok = False
-            detail_exp.append(str(want.dim()))
-            detail_got.append(str(got.dim()) + ("" if exact else "?"))
-        report.add(f"row{row.n:02d}-cohomology-pattern", ok,
-                   f"{row.pattern} dims {','.join(detail_exp)}",
-                   f"dims {','.join(detail_got)}")
+        wants = [pattern_char(row.pattern, d, p) for d in range(maxdeg + 1)]
+        gots = [g1[d][row.n] for d in range(maxdeg + 1)]
+        got = _fmt_dims(f"{c.dim()}{'' if exact else '?'}" for c, exact in gots)
+        report.add(f"row{row.n:02d}-cohomology-pattern", gots == [(w, True) for w in wants],
+                   f"{row.pattern} dims {_fmt_dims(w.dim() for w in wants)}", f"dims {got}")
 
         if not synthetic:
             predicted = predicted_socle(row.summands, p)
-            weight_set = set(piece.weights)
-            maxw = max((abs(w) for w in piece.weights), default=0)
-            computed: dict[tuple[int, int], int] = {}
-            span = maxw // p + 1
-            for lam0 in range(p):
-                for nu in range(-span, span + 1):
-                    tau = p * nu
-                    needed = [lam0 + tau - 2 * i for i in range(lam0 + 1)]
-                    if any(w not in weight_set for w in needed):
-                        continue
-                    model = simple_model(lam0, p)
-                    if tau:
-                        model = model.tensor(weight_line(g, tau))
-                    d = module_hom_dim(model, piece)
-                    if d:
-                        computed[(lam0, tau)] = d
+            computed = socles.get(row.n, {})
             report.add(f"row{row.n:02d}-socle-fingerprint", computed == predicted,
                        _fmt_socle(predicted), _fmt_socle(computed))
 
@@ -384,6 +323,28 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
 
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return report
+
+
+def _socle_fingerprints(M: WeightModule) -> dict[int, dict[tuple[int, int], int]]:
+    """Per degree n, the nonzero dim Hom(L(lam0) (x) tau, piece n) of M
+    graded by weight and degree, by (lam0, tau) with lam0 = w mod p and
+    tau = w - lam0 for w a weight of the piece, when every lam0 + tau - 2i,
+    i <= lam0, is one.  L(lam0) is the baby Verma module Z(lam0) modulo
+    f^(lam0+1) v (Jantzen, Representations of Algebraic Groups, II.9), so
+    the Hom is {m in cell (w, n): e m = 0, f^(lam0+1) m = 0}, f^p = 0
+    covering lam0 = p-1: per cell, the nullity of [E; F^(lam0+1)]."""
+    p, g, F = M.p, M.grading, M.maps["f"]
+    w, n = g.values // _CELL, g.values % _CELL
+    lam0, power, fsel = w % p, F, np.zeros_like(F.stack)  # per cell, its block of F^(lam0+1)
+    for k in range(p - 1):
+        fsel[lam0 == k], power = power.stack[lam0 == k], F @ power
+    piv = _rref_stack(np.concatenate([M.maps["e"].stack, fsel], axis=1), p)[1]
+    nullity, present = g.sizes[:-1] - piv.sum(axis=1), set(g.values.tolist())
+    out: dict[int, dict[tuple[int, int], int]] = {}
+    for c in np.flatnonzero(nullity).tolist():
+        if all((w[c] - 2 * i) * _CELL + n[c] in present for i in range(lam0[c] + 1)):
+            out.setdefault(int(n[c]), {})[(int(lam0[c]), int(w[c] - lam0[c]))] = int(nullity[c])
+    return out
 
 
 def _fmt_socle(d: dict[tuple[int, int], int]) -> str:
@@ -589,9 +550,8 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
 
     # u-cohomology basis pattern per internal degree (weights 0 and 2p)
     ok = True
-    for n, piece0 in enumerate(e.M for e in engines0):
-        h0c = t1_invariants(u_cohomology(piece0, 0), p)
-        h1c = t1_invariants(u_cohomology(piece0, 1), p)
+    for n, e in enumerate(engines0):  # f's image: the engine's odd boundaries
+        h0c, h1c = (t1_invariants(_u_from_image(e.M, e._data(1)[1], j), p) for j in (0, 1))
         inside = p - 1 <= n <= 2 * (p - 1)
         if n % 2 == 0:
             want0 = LaurentCharacter.line(0)
@@ -609,7 +569,7 @@ def _cup_checks(report: VerificationReport, p: int, total: TruncatedSymAlgebra,
     # the f^(p-1)-type classes live on the E2 page only: the row carrying
     # them restricts projectively, so nothing survives in positive degree
     row_engine = engines0[p - 1]
-    e2_odd = t1_invariants(u_cohomology(row_engine.M, 1), p)
+    e2_odd = t1_invariants(_u_from_image(row_engine.M, row_engine._data(1)[1], 1), p)
     died = all(t1_invariants(row_engine.character(d), p).is_zero() for d in (1, 2, 3))
     report.add("y-family-dies-at-e3",
                e2_odd == LaurentCharacter.line(2 * p) and died,

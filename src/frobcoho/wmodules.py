@@ -399,11 +399,7 @@ def block_projection_principal(M: WeightModule) -> WeightModule:
     of the Casimir for p >= 3; the identity for p = 2."""
     if M.p == 2 or M.dim == 0:
         return M
-    return _principal_part(M, casimir_blocks(M))
-
-
-def _principal_part(M: WeightModule, blocks) -> WeightModule:
-    """The submodule on the 0-block of M's Casimir blocks."""
+    blocks = casimir_blocks(M)
     cols = blocks[0] if 0 in blocks else column_set(
         M.p, M.grading, [], np.zeros((0, 0, 0)), np.zeros((0, 0)))
     return M.submodule(cols, prefix="blk")
@@ -501,14 +497,15 @@ def summand_labels(M: WeightModule) -> DecompList:
             fam = "Delta" if module_hom_dim(trivial_module(alg), M) else "Nabla"
             return DecompList([(fam, 2, 1)])
         raise ValueError("p=2 module outside the supported label patterns")
-    return _class_labels(casimir_blocks(M), p)
+    return _class_labels([c.source.weights.tolist() for _, c in sorted(casimir_blocks(M).items())], p)
 
 
-def _class_labels(blocks, p: int) -> DecompList:
-    """summand_labels for odd p, read off the Casimir blocks."""
+def _class_labels(classes, p: int) -> DecompList:
+    """summand_labels for odd p, from the weights of each Casimir class in
+    increasing eigenvalue order; empty classes are skipped."""
     entries = []
-    for lam, cols in sorted(blocks.items()):
-        char = LaurentCharacter.from_weights(cols.source.weights.tolist())
+    for weights in filter(None, classes):
+        char = LaurentCharacter.from_weights(weights)
         try:
             dec = decompose_tilting_greedy(char, p)
         except ValueError:

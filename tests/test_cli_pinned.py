@@ -34,6 +34,18 @@ PINNED = {  # op: (exit code, stdout bytes, stdout sha256)
         2, 6679, "9a194dd85d21aa1466ad29bae33045e825472278b16ba769176f4681bee49019"),
     "verify props --p 13": (
         2, 8163, "bfd0e9152702902844b565afeb3cd530c1dfe96de2dd95dfbf05a343abd5212b"),
+    "table g1 --p 2": (
+        0, 1266, "c7068e831fb79fd5a29ed5ccb32b8545c69e6438082904d3e0f06cbef87aead2"),
+    "table g1 --p 3": (
+        0, 1214, "4f864c4d6570c1dbec607ce44d642eaebb650e54f9f26a004e0e27af4ebaa0c2"),
+    "table g1 --p 5": (
+        0, 2299, "198531d9107e562d3413c75cfbf459c6d078961142cce57ee482a6721882d2f3"),
+    "table g1 --p 7": (
+        0, 3411, "73dba43bd8b7e8082989fd8f51867db5baf5a9a41b7b0191a07f21956d8b1d0e"),
+    "table g1 --p 13 --format json": (
+        0, 38750, "b38b32952596f07fd2065b3c7a4991b7c4d902ead841dc906dc07f6fd986da2e"),
+    "verify appendix --p 11 --no-fixture": (
+        0, 9333, "f56c9fc4ee4f10ba7a02d21c3ed14311c78a46cee3d2f3bc54ba7a659a22d679"),
 }
 
 

@@ -1,0 +1,101 @@
+"""The whole-algebra pass over the graded pieces of the truncated symmetric
+algebra of sl2 (cohomology.Sl2Pieces) against the per-piece route it
+replaced, which is kept here as the oracle: one module, Casimir split and
+engine per piece, and socle fingerprints from weight-graded Hom systems."""
+
+import sys
+
+import pytest
+
+from frobcoho import cohomology, wmodules
+from frobcoho.cohomology import PeriodicCohomology, g1_cohomology_char, hh_table
+from frobcoho.lie import sl2
+from frobcoho.verify import FixtureRow, _socle_fingerprints, synthesize_fixture, verify_appendix
+from frobcoho.wmodules import (
+    _monomial_module,
+    block_projection_principal,
+    module_hom_dim,
+    simple_model,
+    summand_labels,
+    truncated_sym,
+    weight_line,
+)
+
+
+def _visited(piece, p):
+    """The (lam0, tau) whose Hom into piece the per-piece socle loop computed."""
+    weights = set(piece.weights)
+    span = max((abs(w) for w in piece.weights), default=0) // p + 1
+    for lam0 in range(p):
+        for tau in range(-span * p, span * p + 1, p):
+            if all(lam0 + tau - 2 * i in weights for i in range(lam0 + 1)):
+                yield lam0, tau
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_socle_primitive_vectors_match_hom_systems(p):
+    g = sl2(p)
+    socles = _socle_fingerprints(_monomial_module(g, range(3 * (p - 1) + 1), p - 1))
+    assert set(socles) <= set(range(3 * (p - 1) + 1))
+    for n in range(3 * (p - 1) + 1):
+        piece, computed, oracle = truncated_sym(g, n), socles.get(n, {}), {}
+        for lam0, tau in _visited(piece, p):
+            model = simple_model(lam0, p)
+            if tau:
+                model = model.tensor(weight_line(g, tau))
+            oracle[(lam0, tau)] = module_hom_dim(model, piece)
+            assert computed.get((lam0, tau), 0) == oracle[(lam0, tau)], (n, lam0, tau)
+        assert set(computed) <= set(oracle), n  # zeros omitted, nothing unvisited
+        assert 0 not in computed.values()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_g1_table_matches_per_piece_engines(p):
+    g, maxdeg = sl2(p), 8
+    want = []
+    for n in range(3 * (p - 1) + 1):
+        engine = PeriodicCohomology(block_projection_principal(truncated_sym(g, n)))
+        for d in range(maxdeg + 1):
+            char, exact = g1_cohomology_char(engine, d)
+            want.append((str(n), d, char, "exact" if exact else "euler-only"))
+    assert hh_table("g1", p, maxdeg).entries == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_synthesized_rows_match_per_piece_split(p):
+    g, want = sl2(p), []
+    for n in range(3 * (p - 1) + 1):
+        dec = summand_labels(truncated_sym(g, n))
+        inside = p - 1 <= n <= 2 * (p - 1)
+        pattern = (("K_DEG0" if inside else "KNULL") if n % 2 == 0
+                   else ("ODD_IND" if inside else "ZERO"))
+        labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
+        want.append(FixtureRow(n, labels, pattern))
+    assert synthesize_fixture(p).rows == tuple(want)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    """Count calls of owner.name, also where frobcoho modules imported it."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("frobcoho.")]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_whole_algebra_pass_builds_one_engine(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, cohomology.PeriodicCohomology, "__init__", counts)
+    _count_calls(monkeypatch, wmodules.WeightModule, "validate", counts)
+    _count_calls(monkeypatch, wmodules, "module_hom_dim", counts)
+    hh_table("g1", 13, 8)
+    assert counts == {"__init__": 1, "validate": 2}
+    counts.clear()
+    verify_appendix(7)
+    assert counts.get("__init__") == 1
+    assert "module_hom_dim" not in counts
