@@ -49,12 +49,7 @@ from .fpmatrix import (
     graded_solve,
 )
 from .lie import borel, nilradical, sl2
-from .wmodules import (
-    TruncatedSymAlgebra,
-    WeightModule,
-    _monomial_module,
-    casimir_blocks,
-)
+from .wmodules import TruncatedSymAlgebra, WeightModule, casimir_blocks
 
 
 def cochain_twist(p: int, n: int) -> int:
@@ -154,14 +149,15 @@ def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     from the ranks of the cell blocks of f."""
     if j < 0:
         raise ValueError("negative cohomological degree")
-    return _u_from_image(M, graded_image(M.maps["f"]), j) if j < 2 else LaurentCharacter.zero()
+    return (_u_from_image(M.weights, graded_image(M.maps["f"]).source.weights.tolist(), j)
+            if j < 2 else LaurentCharacter.zero())
 
 
-def _u_from_image(M: WeightModule, image: GradedMap, j: int) -> LaurentCharacter:
-    """H^j(u, M), j in {0, 1}, from the image of f as a column set."""
-    image = LaurentCharacter.from_weights(image.source.weights.tolist())
+def _u_from_image(weights, image, j: int) -> LaurentCharacter:
+    """H^j(u, M), j in {0, 1}, from the weights of M and of the image of f."""
+    char, image = LaurentCharacter.from_weights(weights), LaurentCharacter.from_weights(image)
     root = LaurentCharacter.line(2)
-    return M.character() - image * root if j == 0 else (M.character() - image) * root
+    return char - image * root if j == 0 else (char - image) * root
 
 
 def e2_page(M: WeightModule, i: int, j: int) -> LaurentCharacter:
@@ -198,8 +194,8 @@ def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]
     E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting by
     2pi keeps the dimension, so it is read once per j, from the engine's
     odd-degree boundaries (the image of f)."""
-    M, image = engine.M, engine._data(1)[1]
-    e2_dims = [t1_invariants(_u_from_image(M, image, j), M.p).dim() for j in (0, 1)]
+    M, image = engine.M, engine._data(1)[1].source.weights.tolist()
+    e2_dims = [t1_invariants(_u_from_image(M.weights, image, j), M.p).dim() for j in (0, 1)]
     rows = []
     for n in range(maxdeg + 1):
         e2 = e2_dims[n % 2]
@@ -380,15 +376,22 @@ def _at_degree(keys: np.ndarray, n: int) -> list[int]:
     return (keys[keys % _CELL == n] // _CELL).tolist()
 
 
+def _degree_character(M: WeightModule, n: int) -> LaurentCharacter:
+    """The character of the degree-n part of a module graded by weight and degree."""
+    return LaurentCharacter.from_weights(_at_degree(M.grading.keys, n))
+
+
 class Sl2Pieces:
     """The pieces S^n, n <= 3(p-1), of the truncated symmetric algebra of
-    sl2(p) as the degree-n cells of the whole algebra: one module, one
-    Casimir split (none for p = 2: the principal part is the module) and
-    one engine on its principal block.  Every map keeps the degree."""
+    sl2(p) as the degree-n cells of the whole algebra: one TruncatedSymAlgebra,
+    one Casimir split of its module (none for p = 2: the principal part is
+    the module) and one engine on its principal block.  Every map keeps the
+    degree, so every per-piece quantity is read off by cell degree."""
 
     def __init__(self, p: int):
-        self.p, self.top = p, 3 * (p - 1)
-        self.module = M = _monomial_module(sl2(p), range(self.top + 1), p - 1)
+        self.p, self.algebra = p, TruncatedSymAlgebra(sl2(p))
+        self.top, self.module = self.algebra.top_degree, self.algebra.module
+        M = self.module
         self.blocks = {} if p == 2 else casimir_blocks(M)  # degree 0 makes 0 an eigenvalue
         self.engine = PeriodicCohomology(M if p == 2 else M.submodule(self.blocks[0], prefix="blk"))
 
@@ -396,15 +399,25 @@ class Sl2Pieces:
         """The character of piece n."""
         if not 0 <= n <= self.top:
             raise ValueError(f"degree {n} outside [0, {self.top}]")
-        return LaurentCharacter.from_weights(_at_degree(self.module.grading.keys, n))
+        return _degree_character(self.module, n)
+
+    def u1_chars(self, d: int) -> list[LaurentCharacter]:
+        """Per piece, the character of H^d(U_1, .) of its principal part."""
+        K, *_, reps = self.engine._data(d)
+        keys, tw = K.source.keys[list(reps)], cochain_twist(self.p, d)
+        return [LaurentCharacter.from_weights(w + tw for w in _at_degree(keys, n))
+                for n in range(self.top + 1)]
+
+    def u_chars(self, j: int) -> list[LaurentCharacter]:
+        """Per piece, H^j(u, .), j in {0, 1}, of its principal part, from f's image."""
+        keys, image = self.engine.M.grading.keys, self.engine._data(1)[1].source.keys
+        return [_u_from_image(_at_degree(keys, n), _at_degree(image, n), j)
+                for n in range(self.top + 1)]
 
     def g1_chars(self, d: int) -> list[tuple[LaurentCharacter, bool]]:
         """Per piece, g1_cohomology_char(., d) of its principal part; an
         empty part has no representatives and gives (0, exact)."""
-        K, *_, reps = self.engine._data(d)
-        keys, tw = K.source.keys[list(reps)], cochain_twist(self.p, d)
-        return [_g1_char(LaurentCharacter.from_weights(w + tw for w in _at_degree(keys, n)), self.p)
-                for n in range(self.top + 1)]
+        return [_g1_char(char, self.p) for char in self.u1_chars(d)]
 
     def class_weights(self, n: int) -> list[list[int]]:
         """Per Casimir eigenvalue, increasing, its eigenspace's weights in piece n."""

@@ -20,7 +20,8 @@ from the finer components of the Casimir's own support.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
-(TruncatedSymAlgebra) whose product feeds the cup-product machinery.
+(TruncatedSymAlgebra) whose product feeds the cup products and the
+duality pairing ranks.
 The principal-block projection is the generalized 0-eigenspace of the
 Casimir element, which for odd p cuts out exactly the block of the
 trivial module; for p = 2 the projection is the identity.
@@ -38,9 +39,11 @@ from .characters import (
     weyl_chi,
 )
 from .fpmatrix import (
+    _CELL,
     FpMatrix,
     GradedMap,
     Grading,
+    _rref_stack,
     column_set,
     graded_eigenspaces,
     graded_kernel,
@@ -299,18 +302,44 @@ class TruncatedSymAlgebra:
         v[self.unit_index] = 1
         return v
 
-    def mult(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """Bilinear product of coefficient vectors in the monomial basis."""
-        nz1 = np.nonzero(v1)[0]
-        nz2 = np.nonzero(v2)[0]
-        sums = self._codes[nz1, None] + self._codes[nz2]
+    def _products(self, i1: np.ndarray, i2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair of basis monomials (broadcast), the index of their
+        product and whether it is nonzero, by the code rule."""
+        sums = self._codes[i1] + self._codes[i2]
         ok = sums < self.dim
         target = self._at_code[np.where(ok, sums, 0)]
-        ok &= self._degree[target] == self._degree[nz1, None] + self._degree[nz2]
+        return target, ok & (self._degree[target] == self._degree[i1] + self._degree[i2])
+
+    def mult(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """Bilinear product of coefficient vectors in the monomial basis."""
+        nz1, nz2 = np.flatnonzero(v1), np.flatnonzero(v2)
+        target, ok = self._products(nz1[:, None], nz2)
         coeffs = v1[nz1, None] * v2[nz2]
         out = np.zeros(self.dim, dtype=np.int64)
         np.add.at(out, target[ok], coeffs[ok])
         return out % self.p
+
+    def duality_ranks(self) -> list[int]:
+        """Per degree i, the rank of the product pairing S^i x S^(top-i) -> top
+        line (the top monomial found by its exponents), by the code rule of
+        mult.  The pairing joins cell (w, i) only to (wt(top) - w, top - i), so
+        all cells are ranked in one stacked reduction; a product that reaches
+        the top line from any other cell raises ValueError."""
+        g, n = self.module.grading, self.top_degree
+        top = self.index[(self.p - 1,) * self.algebra.dim]
+        hits = []
+        for i in range(n + 1):  # one degree pair at a time, keeping only the hits
+            left, right = np.flatnonzero(self._degree == i), np.flatnonzero(self._degree == n - i)
+            target, ok = self._products(left[:, None], right)
+            r, c = np.nonzero(ok & (target == top))
+            hits.append((left[r], right[c]))
+        rows, cols = map(np.concatenate, zip(*hits))
+        if (g.pos[cols] != g.find(g.keys[top] - g.values)[g.pos[rows]]).any():
+            raise ValueError("the product pairs cells of unmatched weights")
+        blocks = np.zeros((g.values.size, g.index.shape[1], g.index.shape[1]), dtype=np.int64)
+        blocks[g.pos[rows], g.slot[rows], g.slot[cols]] = 1
+        ranks = _rref_stack(blocks, self.p)[1].sum(axis=1)
+        return np.bincount(g.values % _CELL, weights=ranks, minlength=n + 1).astype(int).tolist()
 
 
 # -- standard small modules ----------------------------------------------
@@ -442,18 +471,12 @@ def module_hom_dim(M: WeightModule, N: WeightModule) -> int:
 
 
 def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:
-    """Rank of the multiplication pairing S^i x S^(N-i) -> S^N (top line)."""
-    p = alg.p
-    cap = p - 1
-    top = cap * alg.dim
+    """Rank of the multiplication pairing S^i x S^(N-i) -> S^N (top line),
+    from the product of the whole algebra (TruncatedSymAlgebra.duality_ranks)."""
+    top = (alg.p - 1) * alg.dim
     if i < 0 or i > top:
         raise ValueError(f"degree {i} outside [0, {top}]")
-    left = list(_monomials(alg.dim, i, cap))
-    right = {e: b for b, e in enumerate(_monomials(alg.dim, top - i, cap))}
-    m = np.zeros((len(left), len(right)), dtype=np.int64)
-    for a, ea in enumerate(left):  # the one partner of ea: its complement to the top
-        m[a, right[tuple(cap - x for x in ea)]] = 1
-    return FpMatrix(p, m).rank()
+    return TruncatedSymAlgebra(alg).duality_ranks()[i]
 
 
 def g1_invariants(M: WeightModule) -> WeightModule:

@@ -30,6 +30,8 @@ FAST_OPS = (
     "verify appendix --p 13 --no-fixture",
 )
 PINNED = {  # op: (exit code, stdout bytes, stdout sha256)
+    "verify props --p 2": (
+        0, 962, "2352541690e0dca0ef2a5bfa20310ecfc3787b93f66003d2b833ed9a92aabace"),
     "verify props --p 11": (
         2, 6679, "9a194dd85d21aa1466ad29bae33045e825472278b16ba769176f4681bee49019"),
     "verify props --p 13": (

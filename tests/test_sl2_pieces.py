@@ -1,22 +1,40 @@
-"""The whole-algebra pass over the graded pieces of the truncated symmetric
-algebra of sl2 (cohomology.Sl2Pieces) against the per-piece route it
-replaced, which is kept here as the oracle: one module, Casimir split and
-engine per piece, and socle fingerprints from weight-graded Hom systems."""
+"""The whole-algebra passes over the graded pieces of the truncated
+symmetric algebras (cohomology.Sl2Pieces, and the b, u and symmetric-power
+modules of verify_propositions) against the per-piece route they replaced,
+which is kept here as the oracle: one module, Casimir split and engine per
+piece, socle fingerprints from weight-graded Hom systems, and duality
+ranks against the piece dimensions."""
 
 import sys
 
 import pytest
 
 from frobcoho import cohomology, wmodules
-from frobcoho.cohomology import PeriodicCohomology, g1_cohomology_char, hh_table
-from frobcoho.lie import sl2
-from frobcoho.verify import FixtureRow, _socle_fingerprints, synthesize_fixture, verify_appendix
+from frobcoho.cohomology import (
+    PeriodicCohomology,
+    Sl2Pieces,
+    _degree_character,
+    g1_cohomology_char,
+    hh_table,
+    u_cohomology,
+)
+from frobcoho.lie import borel, nilradical, sl2
+from frobcoho.verify import (
+    FixtureRow,
+    _socle_fingerprints,
+    synthesize_fixture,
+    verify_appendix,
+    verify_propositions,
+)
 from frobcoho.wmodules import (
+    TruncatedSymAlgebra,
     _monomial_module,
     block_projection_principal,
+    g1_invariants,
     module_hom_dim,
     simple_model,
     summand_labels,
+    sym_power,
     truncated_sym,
     weight_line,
 )
@@ -99,3 +117,45 @@ def test_whole_algebra_pass_builds_one_engine(monkeypatch):
     verify_appendix(7)
     assert counts.get("__init__") == 1
     assert "module_hom_dim" not in counts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_props_pass_matches_per_piece_route(p):
+    g, pieces = sl2(p), Sl2Pieces(p)
+    u_chars = [pieces.u_chars(j) for j in (0, 1)]
+    u1_chars = [pieces.u1_chars(d) for d in (1, 2, 3)]
+    for n in range(pieces.top + 1):
+        piece0 = block_projection_principal(truncated_sym(g, n))
+        assert _degree_character(pieces.engine.M, n) == piece0.character(), n
+        assert [c[n] for c in u_chars] == [u_cohomology(piece0, j) for j in (0, 1)], n
+        engine = PeriodicCohomology(piece0)
+        assert [c[n] for c in u1_chars] == [engine.character(d) for d in (1, 2, 3)], n
+    invariants = sum(g1_invariants(truncated_sym(g, n)).dim for n in range(pieces.top + 1))
+    assert g1_invariants(pieces.module).dim == invariants
+    assert sum(c.dim() for c, _ in pieces.g1_chars(0)) == invariants
+    sym = _monomial_module(g, range(2 * p - 1), None)
+    assert [_degree_character(sym, n) for n in range(2 * p - 1)] == [
+        sym_power(g, n).character() for n in range(2 * p - 1)]
+    for alg, whole in ((g, pieces.algebra), (borel(p), None), (nilradical(p), None)):
+        whole = whole or TruncatedSymAlgebra(alg)
+        pieces_of = [truncated_sym(alg, i) for i in range(whole.top_degree + 1)]
+        assert [_degree_character(whole.module, i) for i in range(whole.top_degree + 1)] == [
+            piece.character() for piece in pieces_of]
+        assert whole.duality_ranks() == [piece.dim for piece in pieces_of]
+
+
+def test_props_pass_builds_each_algebra_once(monkeypatch):
+    counts, built = {}, []
+    for name in ("truncated_sym", "sym_power", "block_projection_principal",
+                 "principal_block_projector", "_checked_casimir"):
+        _count_calls(monkeypatch, wmodules, name, counts)
+    build = TruncatedSymAlgebra.__init__
+
+    def counted(self, alg):
+        built.append(alg.generators)
+        build(self, alg)
+
+    monkeypatch.setattr(TruncatedSymAlgebra, "__init__", counted)
+    verify_propositions(7)
+    assert counts == {"_checked_casimir": 1}
+    assert sorted(built) == sorted([("e", "h", "f"), ("h", "f"), ("f",)])

@@ -34,6 +34,7 @@ from frobcoho.wmodules import (
     truncated_sym,
     weight_line,
 )
+from frobcoho.verify import verify_propositions
 
 PRIMES = (2, 3, 5, 7)
 
@@ -177,6 +178,62 @@ def test_duality_pairing_rank():
     b5 = borel(5)
     for i in range(2 * 4 + 1):
         assert duality_pairing_rank(b5, i) == truncated_sym(b5, i).dim
+
+
+def _break_top_code(alg):
+    alg._at_code[alg.dim - 1] = alg.unit_index  # the top code, every digit p-1
+
+
+def _break_code(alg):
+    alg._codes[alg.degrees.index(1)] += 1
+
+
+def _break_code_across_weights(alg):  # sl2 and b: two monomials of degree one
+    alg._codes[alg.degrees.index(1)] = alg._codes[len(alg.degrees) - 1 - alg.degrees[::-1].index(1)]
+
+
+BREAKS = {"sl2": (_break_top_code, _break_code, _break_code_across_weights),
+          "b": (_break_top_code, _break_code, _break_code_across_weights),
+          "u": (_break_top_code, _break_code)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name, make", [("sl2", sl2), ("b", borel), ("u", nilradical)])
+def test_duality_ranks_fail_on_a_broken_product(p, name, make):
+    """A broken product either loses rank or pairs unmatched weights."""
+    dims = [truncated_sym(make(p), i).dim for i in range((p - 1) * make(p).dim + 1)]
+    assert TruncatedSymAlgebra(make(p)).duality_ranks() == dims
+    for brk in BREAKS[name]:
+        alg = TruncatedSymAlgebra(make(p))
+        brk(alg)
+        try:
+            assert alg.duality_ranks() != dims, brk.__name__
+        except ValueError as exc:
+            assert "unmatched weights" in str(exc)
+
+
+def test_duality_ranks_reject_products_across_weights():
+    alg = TruncatedSymAlgebra(sl2(3))
+    _break_code_across_weights(alg)  # f takes the code of e
+    with pytest.raises(ValueError, match="unmatched weights"):
+        alg.duality_ranks()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name, first, brk", [
+    (name, first, brk) for name, first in (("sl2", "e"), ("b", "h"), ("u", "f"))
+    for brk in BREAKS[name]])
+def test_duality_check_fails_on_a_broken_product(p, name, first, brk, monkeypatch):
+    build = TruncatedSymAlgebra.__init__
+
+    def broken(self, alg):
+        build(self, alg)
+        if alg.generators[0] == first:
+            brk(self)
+
+    monkeypatch.setattr(TruncatedSymAlgebra, "__init__", broken)
+    failed = [c.name for c in verify_propositions(p).checks if c.status == "fail"]
+    assert f"duality-full-rank-{name}" in failed
 
 
 def test_duality_character_with_top_twist():
