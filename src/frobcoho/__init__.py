@@ -38,7 +38,6 @@ from .cohomology import (
 from .fpmatrix import (
     FpMatrix,
     generalized_eigenspace,
-    subquotient_dim,
 )
 from .lie import (
     GENERATOR_WEIGHTS,

@@ -19,28 +19,27 @@ cells of their columns into the module, one block per cell, so no
 dense n x k basis is built; a representative is made dense one column
 at a time.
 
-Cup products are computed by lifting a diagonal approximation of the
-periodic resolution: the chain map P -> P (x) P is solved degree by
-degree as an exact linear system (deterministic pivoting), and the
-product of cocycles is evaluated through it and the coefficient
-algebra's multiplication.  G_1-level characters come from the Borel
-route: untwist the B_1 answer and apply the weight-wise induction Euler
-characteristic, flagging exactness via the dominance bound (all
-weights >= -1).
+Cup products are computed through the standard diagonal approximation
+P -> P (x) P of the periodic resolution, in its closed form
+(Cartan-Eilenberg, Homological Algebra, ch. XII): the product of
+cocycles is evaluated through it and the coefficient algebra's
+multiplication.  Any chain-homotopic diagonal gives the same classes.
+G_1-level characters come from the Borel route: untwist the B_1 answer
+and apply the weight-wise induction Euler characteristic, flagging
+exactness via the dominance bound (all weights >= -1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     _CELL,
-    FpMatrix,
     GradedMap,
+    _check_prime,
     column_set,
     graded_columns,
     graded_complement,
@@ -222,102 +221,32 @@ def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
 
 
 class CupDiagonal:
-    """Diagonal approximation P -> P (x) P of the periodic resolution,
-    solved degree by degree as an exact linear system.
+    """The standard diagonal approximation P -> P (x) P of the periodic
+    resolution of k over k[f]/f^p, in closed form (Cartan-Eilenberg,
+    Homological Algebra, ch. XII).
 
-    Components are stored as sparse A (x) A coefficients: component(i, j)
-    lists (s, t, c) meaning c * f^s (x) f^t on the generator pair
-    g_i (x) g_j.  Weight homogeneity pins s + t to p - 2 when both
-    degrees are odd and to 0 otherwise, which keeps the systems small.
-    A perturbation seed adds a kernel element of the solved system at
-    every degree; any two diagonals are chain homotopic, so cohomology
-    classes must not change (used to validate well-definedness).
+    component(i, j) lists (s, t, c) meaning c * f^s (x) f^t on the
+    generator pair g_i (x) g_j: 1 (x) 1 unless both degrees are odd, and
+    the sum of (-1)^(s+1) f^s (x) f^(p-2-s) over s = 0..p-2 when both
+    are.  Any two diagonals are chain homotopic, so any other one gives
+    the same cohomology classes.
     """
 
-    def __init__(self, p: int, perturb_seed=None):
+    def __init__(self, p: int):
+        _check_prime(p)
         self.p = p
-        self.rng = np.random.default_rng(perturb_seed) if perturb_seed is not None else None
-        self.components: dict[int, dict[tuple[int, int], list[tuple[int, int, int]]]] = {
-            0: {(0, 0): [(0, 0, 1)]}
-        }
-
-    def _c(self, m: int) -> int:
-        # d(g_m) = f^{c(m)} g_{m-1}
-        return 1 if m % 2 else self.p - 1
-
-    def _allowed(self, i: int, j: int) -> list[tuple[int, int]]:
-        if i % 2 and j % 2:
-            return [(s, self.p - 2 - s) for s in range(self.p - 1)]
-        return [(0, 0)]
-
-    def _solve_degree(self, n: int) -> None:
-        p = self.p
-        prev = self.components[n - 1]
-        comps = [(k, n - k) for k in range(n + 1)]
-        slots: list[tuple[int, int, int, int]] = []  # (i, j, s, t) per unknown
-        offsets = {}
-        for (i, j) in comps:
-            offsets[(i, j)] = len(slots)
-            for (s, t) in self._allowed(i, j):
-                slots.append((i, j, s, t))
-        eq_comps = [(k, n - 1 - k) for k in range(n)]
-        eq_offset = {c: idx * p * p for idx, c in enumerate(eq_comps)}
-        nrows = len(eq_comps) * p * p
-        mat = np.zeros((nrows, len(slots)), dtype=np.int64)
-        rhs = np.zeros((nrows, 1), dtype=np.int64)
-        for g, (i, j, s, t) in enumerate(slots):
-            if i >= 1:
-                c = self._c(i)
-                if s + c < p:
-                    row = eq_offset[(i - 1, j)] + (s + c) * p + t
-                    mat[row, g] += 1
-            if j >= 1:
-                c = self._c(j)
-                sign = -1 if i % 2 else 1
-                if t + c < p:
-                    row = eq_offset[(i, j - 1)] + s * p + (t + c)
-                    mat[row, g] += sign
-        cn = self._c(n)
-        for (i, j), terms in prev.items():
-            base = eq_offset[(i, j)]
-            for (s, t, co) in terms:
-                for k in range(cn + 1):
-                    b = comb(cn, k) % p
-                    if not b:
-                        continue
-                    ss, tt = s + k, t + cn - k
-                    if ss < p and tt < p:
-                        rhs[base + ss * p + tt, 0] += co * b
-        system = FpMatrix(p, mat)
-        sol = system.solve(FpMatrix(p, rhs)).a[:, 0]
-        if self.rng is not None:
-            kb = system.kernel_basis()
-            if kb.cols:
-                coeffs = self.rng.integers(0, p, size=kb.cols)
-                sol = (sol + kb.a @ coeffs) % p
-        out: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for g, (i, j, s, t) in enumerate(slots):
-            co = int(sol[g]) % p
-            if co:
-                out.setdefault((i, j), []).append((s, t, co))
-        for c in comps:
-            out.setdefault(c, [])
-        self.components[n] = out
 
     def component(self, i: int, j: int) -> list[tuple[int, int, int]]:
-        n = i + j
-        while max(self.components) < n:
-            self._solve_degree(max(self.components) + 1)
-        return self.components[n].get((i, j), [])
-
-
-_diagonals: dict[int, CupDiagonal] = {}
+        if i < 0 or j < 0:
+            raise ValueError("negative cohomological degree")
+        p = self.p
+        if i % 2 and j % 2:
+            return [(s, p - 2 - s, 1 if s % 2 else p - 1) for s in range(p - 1)]
+        return [(0, 0, 1)]
 
 
 def standard_diagonal(p: int) -> CupDiagonal:
-    if p not in _diagonals:
-        _diagonals[p] = CupDiagonal(p)
-    return _diagonals[p]
+    return CupDiagonal(p)
 
 
 def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
@@ -325,7 +254,9 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
                 diagonal: CupDiagonal | None = None) -> np.ndarray:
     """Cocycle representing the cup product of two cocycles on the
     coefficient algebra.  Inputs are checked to be cocycles; the result
-    lives in degree a_deg + b_deg."""
+    lives in degree a_deg + b_deg.  The diagonal defaults to the closed
+    form of CupDiagonal; any object with a chain-homotopic component(i, j)
+    may be passed instead, and gives the same class."""
     if engine.M is not alg.module:
         raise ValueError("engine and coefficient algebra disagree")
     if not engine.is_cocycle(a_deg, a_vec) or not engine.is_cocycle(b_deg, b_vec):

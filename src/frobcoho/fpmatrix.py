@@ -268,15 +268,6 @@ class FpMatrix:
         return FpMatrix._reduced(self.p, _solve_stack(self.a[None], rhs.a[None], self.p)[0])
 
 
-def subquotient_dim(kernel_of: FpMatrix, image_of: FpMatrix) -> int:
-    """dim(ker A / im B) for composable A, B with A @ B = 0 (checked)."""
-    if kernel_of.cols != image_of.rows:
-        raise ValueError("shape mismatch")
-    if not (kernel_of @ image_of).is_zero():
-        raise ValueError("A @ B != 0: not a subquotient")
-    return (kernel_of.cols - kernel_of.rank()) - image_of.rank()
-
-
 def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
     """Basis of ker (M - lam I)^dim, the generalized eigenspace at lam."""
     if m.rows != m.cols:

@@ -1,4 +1,8 @@
-"""Cup products through the solved diagonal approximation."""
+"""Cup products through the closed-form diagonal approximation, with the
+diagonal solved degree by degree as its second route."""
+
+from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,8 +13,12 @@ from frobcoho.cohomology import (
     cup_product,
     standard_diagonal,
 )
+from frobcoho.fpmatrix import FpMatrix
 from frobcoho.lie import borel, sl2
 from frobcoho.wmodules import TruncatedSymAlgebra
+
+DIAGONAL_PRIMES = (2, 3, 5, 7, 11, 13)
+DIAGONAL_TOP = 16  # every degree the engine reaches: the taft powers stop at 10
 
 
 def taft_setup(p):
@@ -18,46 +26,125 @@ def taft_setup(p):
     return alg, PeriodicCohomology(alg.module)
 
 
-def test_diagonal_chain_map_identity():
-    # verify d(Delta(g_n)) = Delta(d g_n) component by component
-    for p in (2, 3, 5):
-        diag = CupDiagonal(p)
-        diag.component(3, 3)  # force solving up to degree 6
+def c_exp(p, m):
+    """d(g_m) = f^c(m) g_(m-1) in the periodic resolution."""
+    return 1 if m % 2 else p - 1
 
-        def as_array(terms):
-            out = np.zeros((p, p), dtype=np.int64)
-            for s, t, c in terms:
-                out[s, t] = (out[s, t] + c) % p
-            return out
 
-        def times_monomial(arr, a, b):
-            out = np.zeros((p, p), dtype=np.int64)
-            for s in range(p - a):
-                for t in range(p - b):
-                    out[s + a, t + b] = arr[s, t]
-            return out
+class SolvedDiagonal:
+    """The diagonal P -> P (x) P solved degree by degree as an exact F_p
+    system, in the (s, t, c) terms of CupDiagonal.component.  Weight
+    homogeneity pins s + t to p - 2 when both degrees are odd and to 0
+    otherwise, and each degree's system then has a single solution; so a
+    perturbation seed drops that constraint and adds a random kernel
+    element of each degree's system: another diagonal, chain homotopic
+    to the first."""
 
-        def c_exp(m):
-            return 1 if m % 2 else p - 1
+    def __init__(self, p, perturb_seed=None):
+        self.p = p
+        self.rng = None if perturb_seed is None else np.random.default_rng(perturb_seed)
+        self.components = {0: {(0, 0): [(0, 0, 1)]}}
 
-        from math import comb
+    def _allowed(self, i, j):
+        if self.rng is not None:
+            return [(s, t) for s in range(self.p) for t in range(self.p)]
+        if i % 2 and j % 2:
+            return [(s, self.p - 2 - s) for s in range(self.p - 1)]
+        return [(0, 0)]
 
-        for n in range(1, 7):
-            for i in range(n):
-                j = n - 1 - i
-                d1 = as_array(diag.components[n][(i + 1, j)])
-                d2 = as_array(diag.components[n][(i, j + 1)])
-                sign = -1 if i % 2 else 1
-                lhs = (times_monomial(d1, c_exp(i + 1), 0)
-                       + sign * times_monomial(d2, 0, c_exp(j + 1))) % p
-                dprev = as_array(diag.components[n - 1].get((i, j), []))
-                cn = c_exp(n)
-                rhs = np.zeros((p, p), dtype=np.int64)
+    def _solve_degree(self, n):
+        p = self.p
+        slots = [(i, n - i, s, t) for i in range(n + 1) for s, t in self._allowed(i, n - i)]
+        eq_offset = {(k, n - 1 - k): k * p * p for k in range(n)}
+        mat = np.zeros((n * p * p, len(slots)), dtype=np.int64)
+        rhs = np.zeros((n * p * p, 1), dtype=np.int64)
+        for g, (i, j, s, t) in enumerate(slots):
+            if i >= 1 and s + c_exp(p, i) < p:
+                mat[eq_offset[(i - 1, j)] + (s + c_exp(p, i)) * p + t, g] += 1
+            if j >= 1 and t + c_exp(p, j) < p:
+                mat[eq_offset[(i, j - 1)] + s * p + t + c_exp(p, j), g] += -1 if i % 2 else 1
+        cn = c_exp(p, n)
+        for (i, j), terms in self.components[n - 1].items():
+            for s, t, co in terms:
                 for k in range(cn + 1):
-                    b = comb(cn, k) % p
-                    if b:
-                        rhs = (rhs + b * times_monomial(dprev, k, cn - k)) % p
-                assert np.array_equal(lhs, rhs), (p, n, i, j)
+                    if s + k < p and t + cn - k < p:
+                        rhs[eq_offset[(i, j)] + (s + k) * p + t + cn - k, 0] += co * comb(cn, k)
+        system = FpMatrix(p, mat)
+        sol = system.solve(FpMatrix(p, rhs)).a[:, 0]
+        if self.rng is not None:
+            kb = system.kernel_basis()
+            sol = (sol + kb.a @ self.rng.integers(0, p, size=kb.cols)) % p
+        out = {}
+        for g, (i, j, s, t) in enumerate(slots):
+            if sol[g] % p:
+                out.setdefault((i, j), []).append((s, t, int(sol[g]) % p))
+        self.components[n] = out
+
+    def component(self, i, j):
+        while max(self.components) < i + j:
+            self._solve_degree(max(self.components) + 1)
+        return self.components[i + j].get((i, j), [])
+
+
+def assert_chain_map(diag, p, top):
+    """d(Delta(g_n)) = Delta(d g_n) component by component, n <= top."""
+
+    def as_array(terms):
+        out = np.zeros((p, p), dtype=np.int64)
+        for s, t, c in terms:
+            out[s, t] = (out[s, t] + c) % p
+        return out
+
+    def times_monomial(arr, a, b):
+        out = np.zeros((p, p), dtype=np.int64)
+        out[a:, b:] = arr[:p - a, :p - b]
+        return out
+
+    assert diag.component(0, 0) == [(0, 0, 1)]  # lifts the augmentation
+    for n in range(1, top + 1):
+        for i in range(n):
+            j = n - 1 - i
+            d1 = as_array(diag.component(i + 1, j))
+            d2 = as_array(diag.component(i, j + 1))
+            sign = -1 if i % 2 else 1
+            lhs = (times_monomial(d1, c_exp(p, i + 1), 0)
+                   + sign * times_monomial(d2, 0, c_exp(p, j + 1))) % p
+            dprev = as_array(diag.component(i, j))
+            cn = c_exp(p, n)
+            rhs = np.zeros((p, p), dtype=np.int64)
+            for k in range(cn + 1):
+                b = comb(cn, k) % p
+                if b:
+                    rhs = (rhs + b * times_monomial(dprev, k, cn - k)) % p
+            assert np.array_equal(lhs, rhs), (p, n, i, j)
+
+
+def test_diagonal_chain_map_identity():
+    for p in DIAGONAL_PRIMES:
+        assert_chain_map(CupDiagonal(p), p, DIAGONAL_TOP)
+
+
+@pytest.mark.parametrize("p", DIAGONAL_PRIMES)
+def test_closed_form_diagonal_matches_solved_diagonal(p):
+    closed, solved = CupDiagonal(p), SolvedDiagonal(p)
+    for n in range(DIAGONAL_TOP + 1):
+        for i in range(n + 1):
+            assert (Counter(closed.component(i, n - i))
+                    == Counter(solved.component(i, n - i))), (p, i, n - i)
+
+
+def test_diagonal_rejects_composite_modulus():
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        CupDiagonal(6)
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        standard_diagonal(4)
+
+
+def test_diagonal_rejects_negative_degrees():
+    diag = CupDiagonal(5)
+    for i, j in ((-1, 2), (2, -1), (-1, -1), (-3, 1)):
+        with pytest.raises(ValueError, match="negative cohomological degree"):
+            diag.component(i, j)
 
 
 def test_unit_law():
@@ -98,7 +185,9 @@ def test_classes_independent_of_diagonal_choice():
     for p in (3, 5):
         alg, eng = taft_setup(p)
         base = standard_diagonal(p)
-        pert = CupDiagonal(p, perturb_seed=99)
+        pert = SolvedDiagonal(p, perturb_seed=99)
+        assert_chain_map(pert, p, 4)
+        assert Counter(pert.component(1, 1)) != Counter(base.component(1, 1))
         x1 = eng.t1_representatives(1)[0][0]
         unit = alg.unit_vector()
         pairs = [(1, x1, 1, x1), (2, unit, 1, x1), (2, unit, 2, unit)]

@@ -10,7 +10,6 @@ from frobcoho.fpmatrix import (
     _matmul,
     generalized_eigenspace,
     graded_kernel,
-    subquotient_dim,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -97,30 +96,6 @@ def test_rank_transpose_and_rank_nullity():
             m = FpMatrix(p, rng.integers(0, p, size=(rows, cols)))
             assert m.rank() == m.T.rank()
             assert m.rank() + m.kernel_basis().cols == int(cols)
-
-
-def test_subquotient_dims():
-    zero3 = FpMatrix.zeros(3, 3, 3)
-    assert subquotient_dim(zero3, zero3) == 3
-    assert subquotient_dim(FpMatrix.identity(3, 3), zero3) == 0
-
-
-def test_subquotient_regular_module_of_dual_numbers():
-    # the rank-one nilpotent acting on k[f]/f^2: ker f = im f, so the
-    # middle cohomology of f -> f is zero; enumerate to double-check
-    for p in PRIMES:
-        f = FpMatrix(p, [[0, 0], [1, 0]])
-        assert subquotient_dim(f, f) == 0
-        images = {tuple((f @ np.array([a, b])) % p) for a in range(p) for b in range(p)}
-        kernel = [(a, b) for a in range(p) for b in range(p)
-                  if not (f @ np.array([a, b])).any()]
-        assert len(kernel) == len(images)  # both are the span of f
-
-
-def test_subquotient_requires_composition_zero():
-    a = FpMatrix.identity(3, 2)
-    with pytest.raises(ValueError):
-        subquotient_dim(a, a)
 
 
 def test_generalized_eigenspace_scalar_and_diag():

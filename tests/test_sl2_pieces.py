@@ -18,6 +18,7 @@ from frobcoho.cohomology import (
     hh_table,
     u_cohomology,
 )
+from frobcoho.fpmatrix import FpMatrix
 from frobcoho.lie import borel, nilradical, sl2
 from frobcoho.verify import (
     FixtureRow,
@@ -159,3 +160,12 @@ def test_props_pass_builds_each_algebra_once(monkeypatch):
     verify_propositions(7)
     assert counts == {"_checked_casimir": 1}
     assert sorted(built) == sorted([("e", "h", "f"), ("h", "f"), ("f",)])
+
+
+def test_props_pass_takes_no_dense_solve(monkeypatch):
+    # the cup diagonal is a closed form, not a solved system
+    counts = {}
+    for name in ("solve", "kernel_basis"):
+        _count_calls(monkeypatch, FpMatrix, name, counts)
+    verify_propositions(7)
+    assert counts == {}
