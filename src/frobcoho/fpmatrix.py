@@ -25,9 +25,9 @@ all its cells in one call: the reduced echelon form of a direct sum is
 that of its summands and zero padding never becomes a pivot, so greedy
 pivots, kernels (_kernels) and free-variables-zero solutions
 (_solve_stack) equal the dense ones up to column order.  The eigenspaces
-and the 0-eigenspace projector of a weight-preserving map are found on
-the connected components of its own support (support_parts), all
-components of one size in one stacked reduction.
+and the 0-eigenspace projector of a weight-preserving map come from its
+Frobenius power S (frobenius_power): each eigenspace is the graded kernel
+of S - lam, and the projector is 1 - S^(p-1) once S^p = S.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
     c = a.astype(np.float64) @ b.astype(np.float64)
-    return np.fmod(c, p).astype(np.int64)  # c >= 0, where fmod is mod and much faster
+    return c.astype(np.int64) % p  # integer % beats float fmod and float % on numpy 2
 
 
 def _power(base, n: int, mul):
@@ -360,6 +360,12 @@ class GradedMap:
         return cls(p, grading, shift, stack % p, source)
 
     @classmethod
+    def identity(cls, p: int, grading: Grading) -> "GradedMap":
+        """The identity map on the basis of grading."""
+        n = np.arange(grading.weights.size)
+        return cls.scatter(p, grading, 0, n, n, np.ones_like(n))
+
+    @classmethod
     def cut(cls, mat: FpMatrix, grading: Grading, shift: int,
             source: Grading | None = None) -> "GradedMap":
         """The blocks of a dense map, read from its nonzero entries; raises
@@ -516,91 +522,52 @@ def graded_solve(mat: GradedMap, rhs):
     return out[:-1, 0] if vec.ndim == 1 else out[:-1]
 
 
-def support_parts(mat: GradedMap) -> list[np.ndarray]:
-    """The connected components of the support of a weight-preserving map,
-    each inside one weight: the finest partition of the basis that no entry
-    joins across, each part increasing, ordered by first index."""
-    if mat.shift:
+def frobenius_power(mat: GradedMap) -> GradedMap:
+    """S = mat^q for a weight-preserving map, q the least power of p that is
+    at least the widest cell.
+
+    On a cell mat is D + N, D semisimple and N nilpotent, commuting, so
+    S = D^q + N^q = D^q: N^q = 0, and D^q keeps each eigenvalue of D that
+    lies in F_p and sends the others to conjugates outside F_p.  So per cell
+    ker(S - lam) is the generalized lam-eigenspace of mat for every lam in
+    F_p, whether or not the characteristic polynomial splits; it splits
+    exactly when S^p = S, and then S = D and 1 - S^(p-1) projects onto the
+    generalized 0-eigenspace along the others.
+    """
+    if mat.shift or mat.source is not mat.grading:
         raise ValueError("needs a weight-preserving map")
-    rows, cols, _ = mat.entries()
-    label = np.arange(mat.shape[0])
-    while True:  # every index takes the least label it reaches
-        low = label.copy()
-        np.minimum.at(low, rows, label[cols])
-        np.minimum.at(low, cols, label[rows])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if order.size else []
+    q = mat.p
+    while q < mat.grading.index.shape[1]:
+        q *= mat.p
+    return mat ** q
 
 
-def _eigenvectors(mat: GradedMap):
-    """The generalized eigenvectors of a weight-preserving map, found on the
-    components of its support (support_parts), each inside one cell.
+def split_idempotent(s: GradedMap) -> GradedMap:
+    """S^(p-1) for the Frobenius power S of a map; raises ValueError unless
+    S^p = S, that is unless the map's characteristic polynomial splits."""
+    t = s ** (s.p - 1)
+    if not (t @ s - s).is_zero():
+        raise ValueError("characteristic polynomial does not split")
+    return t
 
-    Per component size k, yields the components as a (count, k) index
-    array and, per eigenvector, its component, eigenvalue, free slot (where
-    it has its 1) and k entries.  One stacked reduction ranks every shift
-    block - lam I, and one more reads the kernels of the k-th powers of the
-    singular ones (k is at least the index).
+
+def graded_eigenspaces(mat: GradedMap, values=None) -> dict[int, GradedMap]:
+    """Generalized eigenspaces of a weight-preserving GradedMap at the given
+    eigenvalues (all of F_p by default), the nonzero ones by increasing
+    eigenvalue: each the column set graded_kernel gives of S - lam for the
+    Frobenius power S, one eigenvalue at a time.  Per weight its columns
+    are those generalized_eigenspace gives on that weight's block.  The
+    dimensions add up to the size of mat exactly when its characteristic
+    polynomial splits with every root among the values.
     """
-    p, g, parts = mat.p, mat.grading, support_parts(mat)
-    for k in sorted({idx.size for idx in parts}):
-        idx = np.array([x for x in parts if x.size == k])
-        slot = g.slot[idx]
-        blocks = mat.stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]]
-        shifted = (blocks[:, None] - np.arange(p)[:, None, None] * np.eye(k, dtype=np.int64)) % p
-        shifted = shifted.reshape(-1, k, k)  # block j, lam at slice j * p + lam
-        singular = np.flatnonzero(_rref_stack(shifted, p)[1].sum(axis=1) < k)
-        red, piv = _rref_stack(_power(shifted[singular], k, lambda x, y: _matmul(x, y, p)), p)
-        s, f = np.nonzero(~piv)
-        yield idx, singular[s] // p, singular[s] % p, f, _kernels(red, piv, p)[s, :, f]
-
-
-def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
-    """Generalized eigenspaces of a weight-preserving GradedMap.
-
-    Maps each eigenvalue in F_p to a column set, its columns ordered by
-    weight and then by the index of the free slot that carries their 1;
-    per weight they are the columns generalized_eigenspace gives on that
-    weight's block, whose eigenspaces split over the cells and the
-    components of the map's support.  The dimensions add up to the size of mat exactly when
-    its characteristic polynomial splits.
-    """
-    g, vecs = mat.grading, []
-    for idx, block, lam, f, entries in _eigenvectors(mat):
-        free = idx[block, f]
-        vecs += zip(lam.tolist(), g.weights[free].tolist(), free.tolist(), idx[block], entries)
-    spaces = {}
-    for lam, _, free, rows, vals in sorted(vecs, key=lambda v: v[:3]):
-        spaces.setdefault(lam, []).append((free, rows, vals))
-    return {lam: GradedMap.scatter(
-        mat.p, g, 0, np.concatenate([r for _, r, _ in vs]),
-        np.repeat(np.arange(len(vs)), [r.size for _, r, _ in vs]),
-        np.concatenate([v for *_, v in vs]), Grading.of_keys(g.keys[[f for f, *_ in vs]]))
-        for lam, vs in spaces.items()}
+    s, one = frobenius_power(mat), GradedMap.identity(mat.p, mat.grading)
+    spaces = {lam: graded_kernel(s - lam * one)
+              for lam in sorted(set(range(mat.p) if values is None else values))}
+    return {lam: cols for lam, cols in spaces.items() if cols.shape[1]}
 
 
 def graded_projector(mat: GradedMap) -> GradedMap:
     """Projection onto the generalized 0-eigenspace of a weight-preserving
-    map along its other generalized eigenspaces, which must span the space.
-
-    On each component of the map's support it is B0 B^-1, for an eigenbasis
-    B of the component and B0 its eigenvalue-0 columns with the rest zeroed;
-    the inverses come from one stacked solve of B X = I per size.
-    """
-    p, g = mat.p, mat.grading
-    stack = np.zeros_like(mat.stack)
-    for idx, block, lam, _, entries in _eigenvectors(mat):
-        if lam.size != idx.size:  # a component has no eigenbasis
-            raise ValueError("characteristic polynomial does not split")
-        k, order = idx.shape[1], np.lexsort((lam, block))
-        b = entries[order].reshape(-1, k, k).transpose(0, 2, 1)
-        inv = _solve_stack(b, np.broadcast_to(np.eye(k, dtype=np.int64), b.shape), p)
-        zero = (lam[order] == 0).reshape(-1, 1, k)
-        slot = g.slot[idx]
-        stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]] = _matmul(
-            b * zero, inv, p)
-    return GradedMap(p, g, 0, stack)
+    map along its other generalized eigenspaces, which must span the space:
+    1 - S^(p-1) for its Frobenius power S."""
+    return GradedMap.identity(mat.p, mat.grading) - split_idempotent(frobenius_power(mat))

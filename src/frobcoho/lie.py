@@ -141,7 +141,9 @@ def casimir_operator(module) -> GradedMap:
     Central in the restricted enveloping algebra for odd p; the returned
     map commutes with all three actions.  On a highest-weight
     vector of weight m it acts by m(m+2)/2 mod p, which vanishes exactly
-    on the principal block {0, p-2}.
+    on the principal block {0, p-2}.  Every composition factor of a
+    restricted module is some L(m), 0 <= m < p, so these (p+1)/2 values
+    (m and p-2-m give the same one) are the only eigenvalues.
     """
     p = module.p
     if p == 2:

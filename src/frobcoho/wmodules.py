@@ -12,11 +12,13 @@ the four structural invariants exactly:
 Actions are kept only as GradedMaps, one dense block per cell from m to
 m + wt(x): the cells are the weight spaces, and for a monomial module of
 several degrees the (weight, degree) spaces, since the adjoint action
-keeps the polynomial degree.  Monomial modules scatter their entries into
-the blocks, small modules cut dense matrices once, and a submodule solves
-each action into blocks on its column set, whose columns keep their
-cells.  The Casimir's eigenspaces and the principal-block projector come
-from the finer components of the Casimir's own support.
+keeps the polynomial degree.  Monomial modules and the small models
+(simple_model, weight_line) scatter their entries into the blocks, tensor
+products, duals and twists cut dense matrices once, and a submodule
+solves each action into blocks on its column set, whose columns keep
+their cells.  The Casimir's eigenspaces and the principal-block projector
+come from its Frobenius power S (fpmatrix.frobenius_power): the
+principal block is the kernel of S.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -44,11 +46,12 @@ from .fpmatrix import (
     GradedMap,
     Grading,
     _rref_stack,
-    column_set,
+    frobenius_power,
     graded_eigenspaces,
     graded_kernel,
     graded_projector,
     graded_solve,
+    split_idempotent,
 )
 from .lie import RestrictedLieAlgebra, casimir_operator, sl2
 
@@ -346,10 +349,12 @@ class TruncatedSymAlgebra:
 
 
 def weight_line(alg: RestrictedLieAlgebra, w: int) -> WeightModule:
-    actions = {x: FpMatrix.zeros(alg.p, 1, 1) for x in alg.generators}
+    grading, none = Grading([w]), np.zeros(0, dtype=np.int64)
+    actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x), none, none, none)
+               for x in alg.generators}
     if "h" in alg.generators:
-        actions["h"] = FpMatrix(alg.p, [[w % alg.p]])
-    return WeightModule(alg, (f"<{w}>",), (w,), actions)
+        actions["h"] = GradedMap.scatter(alg.p, grading, 0, [0], [0], [w])
+    return WeightModule(alg, (f"<{w}>",), grading, actions)
 
 
 def trivial_module(alg: RestrictedLieAlgebra) -> WeightModule:
@@ -364,20 +369,12 @@ def simple_model(lam: int, p: int) -> WeightModule:
     """
     if not 0 <= lam <= p - 1:
         raise ValueError("simple_model needs a restricted weight")
-    alg = sl2(p)
-    n = lam + 1
-    e = np.zeros((n, n), dtype=np.int64)
-    f = np.zeros((n, n), dtype=np.int64)
-    h = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        h[i, i] = (lam - 2 * i) % p
-        if i + 1 < n:
-            f[i + 1, i] = i + 1
-            e[i, i + 1] = lam - i
-    labels = [f"v{i}" for i in range(n)]
-    weights = [lam - 2 * i for i in range(n)]
-    actions = {"e": FpMatrix(p, e), "h": FpMatrix(p, h), "f": FpMatrix(p, f)}
-    return WeightModule(alg, labels, weights, actions)
+    i = np.arange(lam + 1)
+    grading = Grading(lam - 2 * i)
+    actions = {"e": GradedMap.scatter(p, grading, 2, i[:-1], i[1:], lam - i[:-1]),
+               "h": GradedMap.scatter(p, grading, 0, i, i, lam - 2 * i),
+               "f": GradedMap.scatter(p, grading, -2, i[1:], i[:-1], i[1:])}
+    return WeightModule(sl2(p), [f"v{k}" for k in i], grading, actions)
 
 
 def simple_module(lam: int, p: int) -> WeightModule:
@@ -412,12 +409,15 @@ def _checked_casimir(M: WeightModule) -> GradedMap:
 def casimir_blocks(M: WeightModule) -> dict[int, GradedMap]:
     """Generalized eigenspace of the Casimir per eigenvalue, a column set.
 
-    The character polynomial must split over F_p (weights are rational),
-    so the eigenspace dimensions add up to dim M; otherwise this raises.
-    The columns come by weight, then by free index, as the eigenspaces of
-    each whole weight block would give them.
+    Only its eigenvalues, the (p+1)/2 Casimir values m(m+2)/2, are tried,
+    one at a time; the eigenspace dimensions must add up to dim M, or this
+    raises.  The columns come cell by cell, by free index within a cell: on
+    a basis listed degree by degree that is by weight, then by free index,
+    as the eigenspaces of each whole weight block would give them.
     """
-    blocks = graded_eigenspaces(_checked_casimir(M))
+    p = M.p
+    values = {m * (m + 2) * pow(2, p - 2, p) % p for m in range(p)}
+    blocks = graded_eigenspaces(_checked_casimir(M), values)
     if sum(cols.shape[1] for cols in blocks.values()) != M.dim:
         raise ValueError("Casimir characteristic polynomial does not split")
     return blocks
@@ -425,21 +425,21 @@ def casimir_blocks(M: WeightModule) -> dict[int, GradedMap]:
 
 def block_projection_principal(M: WeightModule) -> WeightModule:
     """Projection onto the principal block: the generalized 0-eigenspace
-    of the Casimir for p >= 3; the identity for p = 2."""
+    of the Casimir for p >= 3, the kernel of its Frobenius power; the
+    identity for p = 2."""
     if M.p == 2 or M.dim == 0:
         return M
-    blocks = casimir_blocks(M)
-    cols = blocks[0] if 0 in blocks else column_set(
-        M.p, M.grading, [], np.zeros((0, 0, 0)), np.zeros((0, 0)))
-    return M.submodule(cols, prefix="blk")
+    s = frobenius_power(_checked_casimir(M))
+    split_idempotent(s)  # raises unless the Casimir splits
+    return M.submodule(graded_kernel(s), prefix="blk")
 
 
 def principal_block_projector(M: WeightModule) -> GradedMap:
     """Idempotent map projecting onto the principal block along the other
-    Casimir blocks (identity for p = 2).  It does not depend on the basis,
-    so it is built on each component of the Casimir's support."""
+    Casimir blocks (identity for p = 2): 1 - S^(p-1) for the Frobenius
+    power S of the Casimir."""
     if M.p == 2:
-        return GradedMap.cut(FpMatrix.identity(M.p, M.dim), M.grading, 0)
+        return GradedMap.identity(M.p, M.grading)
     return graded_projector(_checked_casimir(M))
 
 

@@ -282,6 +282,50 @@ def test_validation_rejects_broken_action():
         WeightModule(g3, M.labels, M.weights, bad)
 
 
+def _dense_simple_model(lam, p):
+    """simple_model built from dense action matrices, cut into blocks."""
+    n = lam + 1
+    e, h, f = (np.zeros((n, n), dtype=np.int64) for _ in range(3))
+    for i in range(n):
+        h[i, i] = (lam - 2 * i) % p
+        if i + 1 < n:
+            f[i + 1, i] = i + 1
+            e[i, i + 1] = lam - i
+    return WeightModule(sl2(p), [f"v{i}" for i in range(n)], [lam - 2 * i for i in range(n)],
+                        {"e": FpMatrix(p, e), "h": FpMatrix(p, h), "f": FpMatrix(p, f)})
+
+
+def _dense_weight_line(alg, w):
+    """weight_line built from dense 1 x 1 action matrices, cut into blocks."""
+    actions = {x: FpMatrix.zeros(alg.p, 1, 1) for x in alg.generators}
+    if "h" in alg.generators:
+        actions["h"] = FpMatrix(alg.p, [[w % alg.p]])
+    return WeightModule(alg, (f"<{w}>",), (w,), actions)
+
+
+def _assert_same_module(got, want):
+    assert (got.labels, got.weights) == (want.labels, want.weights)
+    assert np.array_equal(got.grading.keys, want.grading.keys)
+    for x in want.algebra.generators:
+        a, b = got.maps[x], want.maps[x]
+        assert a.shift == b.shift and a.stack.dtype == b.stack.dtype, x
+        assert a.stack.shape == b.stack.shape and a.stack.tobytes() == b.stack.tobytes(), x
+
+
+def test_scattered_small_modules_equal_the_dense_ones():
+    for p in (2, 3, 5, 7, 11, 13):
+        for lam in range(p):
+            _assert_same_module(simple_model(lam, p), _dense_simple_model(lam, p))
+        for alg, ws in ((sl2(p), (-p, 0, 2 * p)), (borel(p), range(-p, p + 1)),
+                        (nilradical(p), (-2, 0, 1))):
+            for w in ws:
+                _assert_same_module(weight_line(alg, w), _dense_weight_line(alg, w))
+        if p > 2:  # h acts on an sl2 line by its weight, so only multiples of p pass
+            for build in (weight_line, _dense_weight_line):
+                with pytest.raises(ValueError, match=r"bracket compatibility fails on \(e,f\)"):
+                    build(sl2(p), 1)
+
+
 def test_weight_line_constraints():
     assert weight_line(sl2(5), 10).weights == (10,)
     with pytest.raises(ValueError):
