@@ -30,7 +30,6 @@ from .cohomology import (
     g1_cohomology_char,
     hh_table,
     ip_expected_dims,
-    standard_diagonal,
     t1_invariants,
     u1_cohomology,
     u_cohomology,

@@ -148,8 +148,13 @@ def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     from the ranks of the cell blocks of f."""
     if j < 0:
         raise ValueError("negative cohomological degree")
-    return (_u_from_image(M.weights, graded_image(M.maps["f"]).source.weights.tolist(), j)
-            if j < 2 else LaurentCharacter.zero())
+    return _u_characters(M)[j] if j < 2 else LaurentCharacter.zero()
+
+
+def _u_characters(M: WeightModule) -> list[LaurentCharacter]:
+    """H^0(u, M) and H^1(u, M), both from one image of f."""
+    image = graded_image(M.maps["f"]).source.weights.tolist()
+    return [_u_from_image(M.weights, image, j) for j in (0, 1)]
 
 
 def _u_from_image(weights, image, j: int) -> LaurentCharacter:
@@ -245,10 +250,6 @@ class CupDiagonal:
         return [(0, 0, 1)]
 
 
-def standard_diagonal(p: int) -> CupDiagonal:
-    return CupDiagonal(p)
-
-
 def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
                 a_deg: int, a_vec: np.ndarray, b_deg: int, b_vec: np.ndarray,
                 diagonal: CupDiagonal | None = None) -> np.ndarray:
@@ -263,7 +264,7 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
         raise ValueError("cup product needs cocycle inputs")
     p = alg.p
     if diagonal is None:
-        diagonal = standard_diagonal(p)
+        diagonal = CupDiagonal(p)
     terms = diagonal.component(a_deg, b_deg)
     left = _f_iterates(engine, a_vec, max((s for s, _, _ in terms), default=0))
     right = _f_iterates(engine, b_vec, max((t for _, t, _ in terms), default=0))

@@ -11,19 +11,20 @@ lowering operator f is the one whose powers drive every periodic
 complex downstream.
 
 Structure constants of sl2: [h,e] = 2e, [h,f] = -2f, [e,f] = h; the
-p-power map sends e, f to 0 and fixes h.  Constructors validate the
-Jacobi identity, restrictedness (ad(x^[p]) = (ad x)^p) and weight
-additivity of the bracket.
+p-power map sends e, f to 0 and fixes h.  Constructors validate weight
+additivity of the bracket, then the Jacobi identity and restrictedness
+(ad(x^[p]) = (ad x)^p) on the adjoint GradedMaps, by the check that
+module validation runs too (_check_relations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .fpmatrix import FpMatrix, GradedMap, _check_prime
+from .fpmatrix import GradedMap, Grading, _check_prime
 
 GENERATOR_WEIGHTS = {"e": 2, "h": 0, "f": -2}
 POSITIVE_ROOT = 2
@@ -68,43 +69,51 @@ class RestrictedLieAlgebra:
             raw = {z: -c for z, c in self.bracket.get((y, x), {}).items()}
         return {z: c % self.p for z, c in raw.items() if c % self.p}
 
-    def ad(self, x: str) -> FpMatrix:
-        """Matrix of ad(x) = [x, -] on the generator basis."""
-        n = self.dim
-        m = np.zeros((n, n), dtype=np.int64)
-        for j, y in enumerate(self.generators):
-            for z, c in self.bracket_coeffs(x, y).items():
-                m[self.generators.index(z), j] = c
-        return FpMatrix(self.p, m)
+    @cached_property
+    def _ads(self) -> dict:
+        """ad(x) for every generator x, on one Grading of the generators."""
+        grading, gens = Grading(self.weights), self.generators
+        ads = {}
+        for x in gens:
+            terms = [(gens.index(z), j, c) for j, y in enumerate(gens)
+                     for z, c in self.bracket_coeffs(x, y).items()]
+            rows, cols, vals = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+            ads[x] = GradedMap.scatter(self.p, grading, self.weight(x), rows, cols, vals)
+        return ads
 
-    def p_power_matrix(self, x: str) -> FpMatrix:
-        """ad of x^[p], expanded through the stored p-power map."""
-        n = self.dim
-        acc = FpMatrix.zeros(self.p, n, n)
-        for z, c in self.p_power.get(x, {}).items():
-            acc = acc + (c % self.p) * self.ad(z)
-        return acc
+    def ad(self, x: str) -> GradedMap:
+        """ad(x) = [x, -] on the generator basis, graded by weight."""
+        return self._ads[x]
 
     def validate(self) -> None:
-        p = self.p
         for x in self.generators:
             for y in self.generators:
-                for z, c in self.bracket_coeffs(x, y).items():
-                    if c % p and self.weight(z) != self.weight(x) + self.weight(y):
+                for z in self.bracket_coeffs(x, y):
+                    if self.weight(z) != self.weight(x) + self.weight(y):
                         raise ValueError(f"bracket [{x},{y}] is not weight-additive")
-        ads = {x: self.ad(x) for x in self.generators}
-        for x in self.generators:
-            for y in self.generators:
-                # Jacobi in ad form: ad([x,y]) = [ad x, ad y]
-                lhs = FpMatrix.zeros(p, self.dim, self.dim)
-                for z, c in self.bracket_coeffs(x, y).items():
-                    lhs = lhs + c * ads[z]
-                rhs = ads[x] @ ads[y] - ads[y] @ ads[x]
-                if lhs != rhs:
-                    raise ValueError(f"Jacobi identity fails on ({x},{y})")
-        for x in self.generators:
-            if self.p_power_matrix(x) != ads[x] ** p:
-                raise ValueError(f"restrictedness fails on {x}")
+        # Jacobi in ad form, ad([x,y]) = [ad x, ad y], and ad(x^[p]) = (ad x)^p
+        _check_relations(self, self._ads, "Jacobi identity fails on ({x},{y})",
+                         "restrictedness fails on {x}")
+
+
+def _check_relations(alg: RestrictedLieAlgebra, maps: dict, bracket_error: str,
+                     power_error: str) -> None:
+    """Check that maps, a GradedMap per generator on one grading, respect the
+    bracket (pairs x before y) and the p-power map of alg; the first failure
+    raises ValueError with bracket_error or power_error, formatted with x, y."""
+    for i, x in enumerate(alg.generators):
+        for y in alg.generators[i + 1:]:
+            diff = maps[x] @ maps[y] - maps[y] @ maps[x]
+            for z, c in alg.bracket_coeffs(x, y).items():
+                diff = diff - c * maps[z]
+            if not diff.is_zero():
+                raise ValueError(bracket_error.format(x=x, y=y))
+    for x in alg.generators:
+        diff = maps[x] ** alg.p
+        for z, c in alg.p_power.get(x, {}).items():
+            diff = diff - c * maps[z]
+        if not diff.is_zero():
+            raise ValueError(power_error.format(x=x))
 
 
 # one instance per prime (the dataclass is frozen): construction validates

@@ -12,13 +12,15 @@ the four structural invariants exactly:
 Actions are kept only as GradedMaps, one dense block per cell from m to
 m + wt(x): the cells are the weight spaces, and for a monomial module of
 several degrees the (weight, degree) spaces, since the adjoint action
-keeps the polynomial degree.  Monomial modules and the small models
-(simple_model, weight_line) scatter their entries into the blocks, tensor
-products, duals and twists cut dense matrices once, and a submodule
-solves each action into blocks on its column set, whose columns keep
-their cells.  The Casimir's eigenspaces and the principal-block projector
-come from its Frobenius power S (fpmatrix.frobenius_power): the
-principal block is the kernel of S.
+keeps the polynomial degree.  Only dense input is cut, and only
+action(x) densifies.  Monomial modules and the small models scatter
+their entries into the blocks, tensor products, duals and twists those
+of their factors' blocks, and a submodule solves each action into blocks
+on its column set, whose columns keep their cells.  Validation is the
+check the algebra runs on its adjoint maps (lie._check_relations).  The
+Casimir's eigenspaces and the principal-block projector come from its
+Frobenius power S (fpmatrix.frobenius_power): the principal block is
+the kernel of S.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -53,7 +55,7 @@ from .fpmatrix import (
     graded_solve,
     split_idempotent,
 )
-from .lie import RestrictedLieAlgebra, casimir_operator, sl2
+from .lie import RestrictedLieAlgebra, _check_relations, casimir_operator, sl2
 
 
 class WeightModule:
@@ -102,55 +104,48 @@ class WeightModule:
     def validate(self) -> None:
         """The last three invariants; weight compatibility is checked when
         the actions are cut at construction."""
-        p, alg, maps = self.p, self.algebra, self.maps
-        for i, x in enumerate(alg.generators):
-            for y in alg.generators[i + 1:]:
-                diff = maps[x] @ maps[y] - maps[y] @ maps[x]
-                for z, c in alg.bracket_coeffs(x, y).items():
-                    diff = diff - c * maps[z]
-                if not diff.is_zero():
-                    raise ValueError(f"bracket compatibility fails on ({x},{y})")
-        for x in alg.generators:
-            diff = maps[x] ** p
-            for z, c in alg.p_power.get(x, {}).items():
-                diff = diff - c * maps[z]
-            if not diff.is_zero():
-                raise ValueError(f"restricted compatibility fails on {x}")
-        if "h" in alg.generators:
-            g, expected = self.grading, np.zeros_like(maps["h"].stack)
-            expected[g.pos, g.slot, g.slot] = g.weights % p
-            if not np.array_equal(maps["h"].stack, expected):
+        _check_relations(self.algebra, self.maps, "bracket compatibility fails on ({x},{y})",
+                         "restricted compatibility fails on {x}")
+        if "h" in self.algebra.generators:
+            g, expected = self.grading, np.zeros_like(self.maps["h"].stack)
+            expected[g.pos, g.slot, g.slot] = g.weights % self.p
+            if not np.array_equal(self.maps["h"].stack, expected):
                 raise ValueError("h does not act by the weight scalars")
 
     # -- derived modules -------------------------------------------------
 
     def tensor(self, other: "WeightModule") -> "WeightModule":
+        """The tensor product, basis a*b in row-major order, graded by
+        weight only; x acts by x (x) 1 + 1 (x) x, scattered from the
+        entries of both factors' blocks."""
         if self.algebra is not other.algebra and (
             self.algebra.generators != other.algebra.generators or self.p != other.p
         ):
             raise ValueError("tensor factors live over different algebras")
+        alg, n, m = self.algebra, self.dim, other.dim
         labels = [f"{a}*{b}" for a in self.labels for b in other.labels]
-        weights = [wa + wb for wa in self.weights for wb in other.weights]
-        eyeL, eyeR = np.eye(self.dim, dtype=np.int64), np.eye(other.dim, dtype=np.int64)
-        actions = {x: FpMatrix(self.p, np.kron(self.action(x).a, eyeR)
-                               + np.kron(eyeL, other.action(x).a))
-                   for x in self.algebra.generators}
-        return WeightModule(self.algebra, labels, weights, actions)
+        i, j = np.arange(n)[:, None], np.arange(m)[:, None]
+        grading, actions = Grading(np.add.outer(self.grading.weights, other.grading.weights)), {}
+        for x in alg.generators:
+            # a*b is basis vector i * m + j; x (x) 1 moves i, 1 (x) x moves j
+            (ra, ca, va), (rb, cb, vb) = self.maps[x].entries(), other.maps[x].entries()
+            rows = np.concatenate([(ra * m + j).ravel(), (i * m + rb).ravel()])
+            cols = np.concatenate([(ca * m + j).ravel(), (i * m + cb).ravel()])
+            vals = np.concatenate([np.tile(va, m), np.tile(vb, n)])
+            actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x), rows, cols, vals)
+        return WeightModule(alg, labels, grading, actions)
 
     def dual(self) -> "WeightModule":
-        labels = [f"{a}^" for a in self.labels]
-        weights = [-w for w in self.weights]
-        actions = {x: -self.action(x).T for x in self.algebra.generators}
-        return WeightModule(self.algebra, labels, weights, actions)
+        alg, grading, actions = self.algebra, Grading(-self.grading.weights), {}
+        for x in alg.generators:
+            rows, cols, vals = self.maps[x].entries()
+            actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x), cols, rows, -vals)
+        return WeightModule(alg, [f"{a}^" for a in self.labels], grading, actions)
 
     def frobenius_twist(self, r: int = 1) -> "WeightModule":
         """Weights scaled by p^r, infinitesimal action trivialized."""
-        scale = self.p ** r
-        actions = {x: FpMatrix.zeros(self.p, self.dim, self.dim)
-                   for x in self.algebra.generators}
-        labels = [f"{a}({r})" for a in self.labels]
-        return WeightModule(self.algebra, labels,
-                            [w * scale for w in self.weights], actions)
+        return _torus_module(self.algebra, [f"{a}({r})" for a in self.labels],
+                             self.grading.weights * self.p ** r)
 
     def frobenius_untwist_weights(self) -> "WeightModule":
         """Divide all weights by p on a module with trivial infinitesimal
@@ -164,15 +159,9 @@ class WeightModule:
         for x in self.algebra.generators:
             if x != "h" and not self.maps[x].is_zero():
                 raise ValueError("untwist needs a trivial nilpotent action")
-        new_weights = [w // p for w in self.weights]
-        actions = {x: FpMatrix.zeros(p, self.dim, self.dim)
-                   for x in self.algebra.generators}
-        if "h" in self.algebra.generators:
-            actions["h"] = FpMatrix(p, np.diag(
-                np.array(new_weights, dtype=np.int64) % p))
-        full = all(w % p == 0 for w in new_weights)
-        return WeightModule(self.algebra, self.labels, new_weights, actions,
-                            validate=full)
+        new_weights = self.grading.weights // p
+        full = not (new_weights % p).any()
+        return _torus_module(self.algebra, self.labels, new_weights, validate=full)
 
     def submodule(self, columns: GradedMap, prefix: str = "s") -> "WeightModule":
         """Restrict actions to the span of a column set into this module,
@@ -348,13 +337,19 @@ class TruncatedSymAlgebra:
 # -- standard small modules ----------------------------------------------
 
 
-def weight_line(alg: RestrictedLieAlgebra, w: int) -> WeightModule:
-    grading, none = Grading([w]), np.zeros(0, dtype=np.int64)
-    actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x), none, none, none)
+def _torus_module(alg: RestrictedLieAlgebra, labels, weights, validate=True) -> WeightModule:
+    """The module on the given weights where h acts by the weight scalars
+    and every other generator by zero."""
+    grading = Grading(weights)
+    n, none = np.arange(grading.weights.size), np.zeros(0, dtype=np.int64)
+    actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x),
+                                    *((n, n, grading.weights) if x == "h" else (none,) * 3))
                for x in alg.generators}
-    if "h" in alg.generators:
-        actions["h"] = GradedMap.scatter(alg.p, grading, 0, [0], [0], [w])
-    return WeightModule(alg, (f"<{w}>",), grading, actions)
+    return WeightModule(alg, labels, grading, actions, validate=validate)
+
+
+def weight_line(alg: RestrictedLieAlgebra, w: int) -> WeightModule:
+    return _torus_module(alg, (f"<{w}>",), [w])
 
 
 def trivial_module(alg: RestrictedLieAlgebra) -> WeightModule:
@@ -451,23 +446,18 @@ def module_hom_dim(M: WeightModule, N: WeightModule) -> int:
 
     Solutions are matrices Phi with Phi action_M(x) = action_N(x) Phi for
     every generator and Phi supported on equal-weight entry pairs, i.e.
-    Hom in the weight-graded (G_1 T) sense.
+    Hom in the weight-graded (G_1 T) sense.  These are the invariants of
+    weight 0 in N (x) M^*: the nullity of the blocks of every generator on
+    its weight-0 cell, stacked, in one reduction.
     """
     if M.algebra.generators != N.algebra.generators or M.p != N.p:
         raise ValueError("hom spaces need modules over the same algebra")
-    p = M.p
-    if M.dim == 0 or N.dim == 0:
+    T = N.tensor(M.dual())
+    k = T.grading.find(0)[()]
+    if k == T.grading.values.size:
         return 0
-    allowed = [(i, j) for i in range(N.dim) for j in range(M.dim)
-               if N.weights[i] == M.weights[j]]
-    if not allowed:
-        return 0
-    cols = [i * M.dim + j for i, j in allowed]
-    eyeN, eyeM = np.eye(N.dim, dtype=np.int64), np.eye(M.dim, dtype=np.int64)
-    big = FpMatrix(p, np.concatenate([
-        (np.kron(N.action(x).a, eyeM) - np.kron(eyeN, M.action(x).a.T))[:, cols]
-        for x in M.algebra.generators]))
-    return len(allowed) - big.rank()
+    blocks = np.concatenate([T.maps[x].stack[k] for x in T.algebra.generators])
+    return int(T.grading.sizes[k] - _rref_stack(blocks[None], M.p)[1].sum())
 
 
 def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:

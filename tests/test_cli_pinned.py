@@ -48,6 +48,19 @@ PINNED = {  # op: (exit code, stdout bytes, stdout sha256)
         0, 38750, "b38b32952596f07fd2065b3c7a4991b7c4d902ead841dc906dc07f6fd986da2e"),
     "verify appendix --p 11 --no-fixture": (
         0, 9333, "f56c9fc4ee4f10ba7a02d21c3ed14311c78a46cee3d2f3bc54ba7a659a22d679"),
+    # the p = 2 decompositions are the CLI's paths through module_hom_dim
+    "decomp tsym --p 2 --n 1": (
+        0, 9, "ef586bf7dea7b7b34335ba8add660f39641812ec2ab87b09d858220c05fb78e9"),
+    "decomp tsym --p 2 --n 2": (
+        0, 9, "86ad02db70443320ca429306588fa93bf7cd58959a955979af477d52527c5073"),
+    "decomp sym --p 2 --n 1": (
+        0, 9, "ef586bf7dea7b7b34335ba8add660f39641812ec2ab87b09d858220c05fb78e9"),
+    "decomp tsym --p 5 --n 6": (
+        0, 15, "d28be700e16963b2d254668ad635a81fbd68ccb1bc8b542b81d69a0a16258f4c"),
+    "decomp tsym --p 13 --n 18": (
+        0, 42, "1d5e1136cb8c15f161aaa4319364130d1f7566111f71ba80d51ab9f5d068f6b4"),
+    "cohomology --target b1 --p 3 --n 3 --deg 1": (
+        0, 24, "48344a4660919e3e014d97c9ef86dec28e741a6277932b7886e615029e7bede7"),
 }
 
 

@@ -11,7 +11,6 @@ from frobcoho.cohomology import (
     CupDiagonal,
     PeriodicCohomology,
     cup_product,
-    standard_diagonal,
 )
 from frobcoho.fpmatrix import FpMatrix
 from frobcoho.lie import borel, sl2
@@ -137,7 +136,7 @@ def test_diagonal_rejects_composite_modulus():
     with pytest.raises(ValueError, match="modulus 6 is not prime"):
         CupDiagonal(6)
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
-        standard_diagonal(4)
+        CupDiagonal(4)
 
 
 def test_diagonal_rejects_negative_degrees():
@@ -184,7 +183,7 @@ def test_degree_two_class_is_polynomial():
 def test_classes_independent_of_diagonal_choice():
     for p in (3, 5):
         alg, eng = taft_setup(p)
-        base = standard_diagonal(p)
+        base = CupDiagonal(p)
         pert = SolvedDiagonal(p, perturb_seed=99)
         assert_chain_map(pert, p, 4)
         assert Counter(pert.component(1, 1)) != Counter(base.component(1, 1))

@@ -19,6 +19,7 @@ from frobcoho.lie import borel, nilradical, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
+    _monomial_module,
     block_projection_principal,
     casimir_blocks,
     duality_pairing_rank,
@@ -416,3 +417,212 @@ def test_submodule_actions_equal_dense_solve():
         cols = blocks[0].dense()
         for x in M.algebra.generators:
             assert sub.action(x) == cols.solve(M.action(x) @ cols), (n, x)
+
+
+# -- the constructions against their dense routes ---------------------------
+#
+# Each oracle below builds its module from dense FpMatrix actions, with
+# np.kron and transposes, and lets WeightModule cut them; the library
+# scatters the entries of the factors' blocks instead.
+
+
+def _dense_tensor(A, B):
+    labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
+    weights = [wa + wb for wa in A.weights for wb in B.weights]
+    eyeL, eyeR = np.eye(A.dim, dtype=np.int64), np.eye(B.dim, dtype=np.int64)
+    actions = {x: FpMatrix(A.p, np.kron(A.action(x).a, eyeR) + np.kron(eyeL, B.action(x).a))
+               for x in A.algebra.generators}
+    return WeightModule(A.algebra, labels, weights, actions)
+
+
+def _dense_dual(M):
+    return WeightModule(M.algebra, [f"{a}^" for a in M.labels], [-w for w in M.weights],
+                        {x: -M.action(x).T for x in M.algebra.generators})
+
+
+def _dense_twist(M, r):
+    actions = {x: FpMatrix.zeros(M.p, M.dim, M.dim) for x in M.algebra.generators}
+    return WeightModule(M.algebra, [f"{a}({r})" for a in M.labels],
+                        [w * M.p ** r for w in M.weights], actions)
+
+
+def _dense_untwist(M):
+    p = M.p
+    if any(w % p for w in M.weights):
+        raise ValueError("untwist needs all weights divisible by p")
+    for x in M.algebra.generators:
+        if x != "h" and not M.action(x).is_zero():
+            raise ValueError("untwist needs a trivial nilpotent action")
+    new_weights = [w // p for w in M.weights]
+    actions = {x: FpMatrix.zeros(p, M.dim, M.dim) for x in M.algebra.generators}
+    if "h" in M.algebra.generators:
+        actions["h"] = FpMatrix(p, np.diag(np.array(new_weights, dtype=np.int64) % p))
+    return WeightModule(M.algebra, M.labels, new_weights, actions,
+                        validate=all(w % p == 0 for w in new_weights))
+
+
+def _kronecker_hom_dim(M, N):
+    """dim Hom(M, N): the nullity of the Kronecker system of Phi with
+    Phi action_M(x) = action_N(x) Phi, on the equal-weight entries of Phi."""
+    allowed = [i * M.dim + j for i in range(N.dim) for j in range(M.dim)
+               if N.weights[i] == M.weights[j]]
+    if not allowed:
+        return 0
+    eyeN, eyeM = np.eye(N.dim, dtype=np.int64), np.eye(M.dim, dtype=np.int64)
+    big = FpMatrix(M.p, np.concatenate([
+        (np.kron(N.action(x).a, eyeM) - np.kron(eyeN, M.action(x).a.T))[:, allowed]
+        for x in M.algebra.generators]))
+    return len(allowed) - big.rank()
+
+
+def _same_outcome(build, oracle):
+    """build() and oracle() give the same module, or the same ValueError."""
+    try:
+        want = oracle()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            build()
+        return
+    _assert_same_module(build(), want)
+
+
+ALGEBRAS = {"sl2": sl2, "b": borel, "u": nilradical}
+
+
+def _base_modules(alg):
+    """Small modules over alg: truncated and ordinary symmetric powers, a
+    monomial module of two degrees (graded by weight and degree), weight
+    lines and, over sl2, simple modules up to lam = p + 1."""
+    p = alg.p
+    mods = [truncated_sym(alg, n) for n in range(min(4, (p - 1) * alg.dim) + 1)]
+    mods += [sym_power(alg, n) for n in range(3)] + [_monomial_module(alg, range(2), p - 1)]
+    if alg.dim == 3:
+        mods += [simple_module(lam, p) for lam in range(p + 2)]
+        mods += [weight_line(alg, w) for w in (-p, 0, 2 * p)]
+    else:
+        mods += [weight_line(alg, w) for w in (-3, 0, 1, 2 * p)]
+    return [M for M in mods if M.dim <= 10]
+
+
+@st.composite
+def weight_modules(draw, alg=None):
+    """A small module over sl2, b or u, possibly in a new basis: a random
+    change of basis within each weight space, then a shuffle of the basis,
+    applied to the dense actions."""
+    if alg is None:
+        alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))](draw(st.sampled_from(PRIMES)))
+    M = draw(st.sampled_from(_base_modules(alg)))
+    if not draw(st.booleans()):
+        return M
+    p, n = alg.p, M.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = np.array(M.weights, dtype=np.int64)
+    q = np.eye(n, dtype=np.int64)
+    for weight in set(M.weights):  # unit lower times unit upper: invertible
+        idx = np.flatnonzero(w == weight)
+        one, k = np.eye(idx.size, dtype=np.int64), (idx.size, idx.size)
+        lower = np.tril(rng.integers(0, p, size=k), -1) + one
+        upper = np.triu(rng.integers(0, p, size=k), 1) + one
+        q[np.ix_(idx, idx)] = lower @ upper % p
+    perm = rng.permutation(n)
+    basis = FpMatrix(p, q[:, perm])
+    inverse = basis.solve(FpMatrix.identity(p, n))
+    actions = {x: inverse @ M.action(x) @ basis for x in alg.generators}
+    return WeightModule(alg, [M.labels[k] for k in perm], [M.weights[k] for k in perm], actions)
+
+
+@st.composite
+def module_pairs(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))](draw(st.sampled_from(PRIMES)))
+    return draw(weight_modules(alg)), draw(weight_modules(alg))
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(module_pairs())
+def test_tensor_matches_the_kronecker_product(pair):
+    A, B = pair
+    _assert_same_module(A.tensor(B), _dense_tensor(A, B))
+
+
+@ORACLE_SETTINGS
+@given(weight_modules(), st.integers(1, 2))
+def test_dual_and_twists_match_the_dense_ones(M, r):
+    _assert_same_module(M.dual(), _dense_dual(M))
+    _assert_same_module(M.dual().dual(), _dense_dual(_dense_dual(M)))
+    twisted = M.frobenius_twist(r)
+    _assert_same_module(twisted, _dense_twist(M, r))
+    _same_outcome(twisted.frobenius_untwist_weights, lambda: _dense_untwist(twisted))
+    _same_outcome(M.frobenius_untwist_weights, lambda: _dense_untwist(M))
+
+
+@ORACLE_SETTINGS
+@given(module_pairs())
+def test_module_hom_dim_matches_the_kronecker_rank(pair):
+    A, B = pair
+    assert module_hom_dim(A, B) == _kronecker_hom_dim(A, B)
+    assert module_hom_dim(B, A) == _kronecker_hom_dim(B, A)
+    assert module_hom_dim(A, A) == _kronecker_hom_dim(A, A)
+
+
+def test_simple_module_matches_dense_tensor_of_twists():
+    for p in (2, 3, 5, 7):
+        for lam in range(p * p + 2):
+            digits, m = [], lam
+            while True:
+                digits.append(m % p)
+                m //= p
+                if not m:
+                    break
+            want = _dense_simple_model(digits[0], p)
+            for r, d in enumerate(digits[1:], start=1):
+                want = _dense_tensor(want, _dense_twist(_dense_simple_model(d, p), r))
+            _assert_same_module(simple_module(lam, p), want)
+
+
+def test_hom_from_twisted_simples_into_truncated_pieces():
+    # L(lam) (x) <tau> against every truncated piece, both ways, p <= 5
+    for p in (2, 3, 5):
+        g = sl2(p)
+        pieces = [truncated_sym(g, n) for n in range(3 * (p - 1) + 1)]
+        for lam in range(p):
+            for tau in (-p, 0, p):
+                L = simple_model(lam, p).tensor(weight_line(g, tau))
+                for T in pieces:
+                    assert module_hom_dim(L, T) == _kronecker_hom_dim(L, T), (p, lam, tau)
+                    assert module_hom_dim(T, L) == _kronecker_hom_dim(T, L), (p, lam, tau)
+
+
+def test_constructions_and_algebra_checks_stay_off_dense_matrices(monkeypatch):
+    """tensor, dual, both twists, module_hom_dim and the Lie algebras' own
+    validation build no FpMatrix, cut no dense map and densify none."""
+    p = 5
+    A, B = simple_model(3, p), truncated_sym(sl2(p), 2)
+    counts = {"FpMatrix": 0, "cut": 0, "dense": 0}
+    init, reduced = FpMatrix.__init__, FpMatrix.__dict__["_reduced"].__func__
+    cut, dense = GradedMap.__dict__["cut"].__func__, GradedMap.dense
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FpMatrix, "__init__", counting("FpMatrix", init))
+    monkeypatch.setattr(FpMatrix, "_reduced", classmethod(counting("FpMatrix", reduced)))
+    monkeypatch.setattr(GradedMap, "cut", classmethod(counting("cut", cut)))
+    monkeypatch.setattr(GradedMap, "dense", counting("dense", dense))
+    A.tensor(B)
+    B.dual()
+    A.frobenius_twist(1).frobenius_untwist_weights()
+    A.frobenius_twist(2).frobenius_untwist_weights().frobenius_untwist_weights()
+    module_hom_dim(A, B.tensor(A))
+    module_hom_dim(trivial_module(sl2(p)), B)
+    for make in (sl2, borel, nilradical):
+        for q in (2, 3, 7):
+            make.__wrapped__(q).validate()
+    assert counts == {"FpMatrix": 0, "cut": 0, "dense": 0}
+    FpMatrix.zeros(p, 1, 1)  # the counters see a dense construction
+    assert counts["FpMatrix"] == 1
