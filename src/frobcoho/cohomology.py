@@ -37,10 +37,9 @@ import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
-    _CELL,
     GradedMap,
-    _check_prime,
-    column_set,
+    Grading,
+    check_prime,
     graded_columns,
     graded_complement,
     graded_image,
@@ -93,7 +92,8 @@ class PeriodicCohomology:
         if kind in self._cache:
             return self._cache[kind]
         M, K = self.M, graded_kernel(self.d_out(n))
-        B = (column_set(M.p, M.grading, [], np.zeros((0, 0, 0)), np.zeros((0, 0))) if n == 0
+        none = np.zeros(0, dtype=np.int64)
+        B = (GradedMap.scatter(M.p, M.grading, 0, none, none, none, Grading(none)) if n == 0
              else graded_image(self.d_in(n)))
         BK = graded_columns(B, K)
         self._cache[kind] = K, B, BK, tuple(graded_complement(BK, B.shape[1]))
@@ -216,6 +216,7 @@ def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
     the bidegrees of its two generating families: the u-degree-one
     family S^i (x) y x^m (m = 0..(p-1)/2) in degrees 2i+1, and the
     positive-S family S^i_+ (x) x^j (j = (p-1)/2..p-1) in degrees 2i."""
+    check_prime(p)
     if p == 2:
         raise ValueError("the collapse ideal is defined for p >= 3")
     y_count, x_count = (p - 1) // 2 + 1, (p - 1) - (p - 1) // 2 + 1
@@ -238,7 +239,7 @@ class CupDiagonal:
     """
 
     def __init__(self, p: int):
-        _check_prime(p)
+        check_prime(p)
         self.p = p
 
     def component(self, i: int, j: int) -> list[tuple[int, int, int]]:
@@ -303,14 +304,14 @@ def _g1_char(char: LaurentCharacter, p: int) -> tuple[LaurentCharacter, bool]:
     return euler_induction(t1_invariants(char, p).untwist(p))
 
 
-def _at_degree(keys: np.ndarray, n: int) -> list[int]:
-    """The weights of the cell keys of degree n."""
-    return (keys[keys % _CELL == n] // _CELL).tolist()
+def _at_degree(g: Grading, n: int, vectors=slice(None)) -> list[int]:
+    """The weights of degree n among the given vectors of a grading."""
+    return g.weights[vectors][g.degrees[vectors] == n].tolist()
 
 
 def _degree_character(M: WeightModule, n: int) -> LaurentCharacter:
     """The character of the degree-n part of a module graded by weight and degree."""
-    return LaurentCharacter.from_weights(_at_degree(M.grading.keys, n))
+    return LaurentCharacter.from_weights(_at_degree(M.grading, n))
 
 
 class Sl2Pieces:
@@ -336,14 +337,14 @@ class Sl2Pieces:
     def u1_chars(self, d: int) -> list[LaurentCharacter]:
         """Per piece, the character of H^d(U_1, .) of its principal part."""
         K, *_, reps = self.engine._data(d)
-        keys, tw = K.source.keys[list(reps)], cochain_twist(self.p, d)
-        return [LaurentCharacter.from_weights(w + tw for w in _at_degree(keys, n))
+        reps, tw = list(reps), cochain_twist(self.p, d)
+        return [LaurentCharacter.from_weights(w + tw for w in _at_degree(K.source, n, reps))
                 for n in range(self.top + 1)]
 
     def u_chars(self, j: int) -> list[LaurentCharacter]:
         """Per piece, H^j(u, .), j in {0, 1}, of its principal part, from f's image."""
-        keys, image = self.engine.M.grading.keys, self.engine._data(1)[1].source.keys
-        return [_u_from_image(_at_degree(keys, n), _at_degree(image, n), j)
+        g, image = self.engine.M.grading, self.engine._data(1)[1].source
+        return [_u_from_image(_at_degree(g, n), _at_degree(image, n), j)
                 for n in range(self.top + 1)]
 
     def g1_chars(self, d: int) -> list[tuple[LaurentCharacter, bool]]:
@@ -353,7 +354,7 @@ class Sl2Pieces:
 
     def class_weights(self, n: int) -> list[list[int]]:
         """Per Casimir eigenvalue, increasing, its eigenspace's weights in piece n."""
-        return [_at_degree(cols.source.keys, n) for _, cols in sorted(self.blocks.items())]
+        return [_at_degree(cols.source, n) for _, cols in sorted(self.blocks.items())]
 
 
 @dataclass

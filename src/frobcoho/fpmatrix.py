@@ -24,10 +24,14 @@ a stack of one.  Each graded_* function reduces the zero-padded stack of
 all its cells in one call: the reduced echelon form of a direct sum is
 that of its summands and zero padding never becomes a pivot, so greedy
 pivots, kernels (_kernels) and free-variables-zero solutions
-(_solve_stack) equal the dense ones up to column order.  The eigenspaces
+(_solve_stack) equal the dense ones up to column order, and
+cell_nullities reads per cell nullities off the pivots.  The eigenspaces
 and the 0-eigenspace projector of a weight-preserving map come from its
 Frobenius power S (frobenius_power): each eigenspace is the graded kernel
-of S - lam, and the projector is 1 - S^(p-1) once S^p = S.
+of S - lam, and the projector is 1 - S^(p-1) once S^p = S.  The padded
+stack, the cell keys and every _-prefixed name are private to this module:
+other modules see cells only as Grading's weights and degrees, per vector
+and per cell, and as GradedMap entries.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
@@ -142,7 +146,7 @@ class FpMatrix:
     __slots__ = ("p", "a", "_rref_cache")
 
     def __init__(self, p: int, data):
-        _check_prime(p)
+        check_prime(p)
         a = np.asarray(data, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("FpMatrix needs a 2-d array")
@@ -290,22 +294,23 @@ class Grading:
     given, a degree per vector that every map on it keeps: its weight
     spaces, or its (weight, degree) spaces ordered by weight, then degree.
 
-    keys holds per vector the key weight * 2^32 + degree of its cell, and
-    values the distinct keys in increasing order; pos and slot give per
-    vector the position of its cell and its place among the vectors of that
-    cell.  Row k of index lists the vectors of cell values[k], padded with n
-    to the widest cell; the extra last row is all padding and stands for a
-    cell that does not occur.
+    weights and degrees (zeros when none are given) hold the weight and
+    degree per vector, and cell_weights and cell_degrees those per cell, in
+    cell order.  The rest is private to this module: keys holds per vector
+    the key weight * 2^32 + degree of its cell, and values the distinct keys
+    in increasing order; pos and slot give per vector the position of its
+    cell and its place among the vectors of that cell.  Row k of index lists
+    the vectors of cell values[k], padded with n to the widest cell; the
+    extra last row is all padding and stands for a cell that does not occur.
     """
 
     def __init__(self, weights, degrees=None):
         self.weights = np.array(weights, dtype=np.int64).reshape(-1)
-        self.keys = self.weights * _CELL
-        if degrees is not None:
-            degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
-            if degrees.size and not 0 <= degrees.min() <= degrees.max() < _CELL:
-                raise ValueError("degrees must lie in [0, 2^32)")
-            self.keys += degrees
+        self.degrees = (np.zeros_like(self.weights) if degrees is None
+                        else np.array(degrees, dtype=np.int64).reshape(-1))
+        if self.degrees.size and not 0 <= self.degrees.min() <= self.degrees.max() < _CELL:
+            raise ValueError("degrees must lie in [0, 2^32)")
+        self.keys = self.weights * _CELL + self.degrees
         self.values, self.pos = np.unique(self.keys, return_inverse=True)
         n, counts = self.weights.size, np.bincount(self.pos, minlength=self.values.size)
         order = np.argsort(self.pos, kind="stable")
@@ -314,6 +319,7 @@ class Grading:
         self.sizes = np.append(counts, 0)
         self.index = np.full((counts.size + 1, counts.max(initial=0)), n, dtype=np.int64)
         self.index[self.pos, self.slot] = np.arange(n)
+        self.cell_weights, self.cell_degrees = np.divmod(self.values, _CELL)
 
     @classmethod
     def of_keys(cls, keys) -> "Grading":
@@ -332,11 +338,12 @@ class GradedMap:
     to that of grading that moves every weight by shift and keeps degrees;
     a column set has shift 0.
 
-    stack[k] is the dense block from the source vectors of cell
-    source.values[k] to the vectors of the cell of the same degree and
-    shifted weight, in the order of the gradings' index rows and padded
-    with zeros.  Entries lie in [0, p).  Sums, products, powers and
-    application to vectors or column sets act on the whole stack at once.
+    stack, private to this module, holds at k the dense block from the
+    source vectors of cell source.values[k] to the vectors of the cell of
+    the same degree and shifted weight, in the order of the gradings' index
+    rows and padded with zeros.  Entries lie in [0, p).  Sums, products,
+    powers and application to vectors or column sets act on the whole stack
+    at once.
     """
 
     def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray,
@@ -350,7 +357,7 @@ class GradedMap:
         """The map with entries vals at (rows, cols), repeated positions
         summed; raises ValueError when p is not prime or an entry joins two
         weights that do not differ by shift (or two degrees)."""
-        _check_prime(p)
+        check_prime(p)
         source = source or grading
         if not np.array_equal(grading.keys[rows], source.keys[cols] + shift * _CELL):
             raise ValueError(f"map does not move weights by {shift}")
@@ -471,15 +478,30 @@ def graded_columns(*sets: GradedMap) -> GradedMap:
     return GradedMap(sets[0].p, g, 0, stack, source)
 
 
+def _joint_rref(maps, cells=slice(None)):
+    """The source grading and the prime of maps from one grading, and the
+    reduced stack of the selected cells, each the blocks of all maps at it."""
+    g, p = maps[0].source, maps[0].p
+    if any(m.source is not g or m.p != p for m in maps):
+        raise ValueError("maps on different spaces")
+    return g, p, *_rref_stack(np.concatenate([m.stack[cells] for m in maps], axis=1), p)
+
+
 def graded_kernel(*maps: GradedMap) -> GradedMap:
     """Basis of the joint kernel of weight-graded maps from one grading, per
     cell from the blocks of all maps at that cell, stacked: a column set
     into that grading, in cell order."""
-    g, p = maps[0].source, maps[0].p
-    if any(m.source is not g or m.p != p for m in maps):
-        raise ValueError("maps on different spaces")
-    red, piv = _rref_stack(np.concatenate([m.stack for m in maps], axis=1), p)
+    g, p, red, piv = _joint_rref(maps)
     return column_set(p, g, g.values, _kernels(red, piv, p), ~piv & (g.index[:-1] < g.weights.size))
+
+
+def cell_nullities(maps, cells=slice(None)) -> np.ndarray:
+    """Per source cell of the maps (all from one grading), in cell order,
+    the dimension of their joint kernel on that cell: the nullity of the
+    blocks of all maps at the cell, stacked, from one reduction.  cells, a
+    boolean mask over the cells, selects the cells reduced."""
+    g, _, _, piv = _joint_rref(maps, cells)
+    return g.sizes[:-1][cells] - piv.sum(axis=1)
 
 
 def graded_image(mat: GradedMap) -> GradedMap:

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .fpmatrix import GradedMap, Grading, _check_prime
+from .fpmatrix import GradedMap, Grading, check_prime
 
 GENERATOR_WEIGHTS = {"e": 2, "h": 0, "f": -2}
 POSITIVE_ROOT = 2
@@ -45,7 +45,7 @@ class RestrictedLieAlgebra:
     p_power: dict
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
         self.validate()
 
     @property

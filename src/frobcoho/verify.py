@@ -54,7 +54,7 @@ from .cohomology import (
     t1_invariants,
     u_cohomology,
 )
-from .fpmatrix import _CELL, GradedMap, Grading, _rref_stack, graded_columns, graded_solve, is_prime
+from .fpmatrix import GradedMap, Grading, cell_nullities, graded_columns, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
@@ -329,18 +329,18 @@ def _socle_fingerprints(M: WeightModule) -> dict[int, dict[tuple[int, int], int]
     i <= lam0, is one.  L(lam0) is the baby Verma module Z(lam0) modulo
     f^(lam0+1) v (Jantzen, Representations of Algebraic Groups, II.9), so
     the Hom is {m in cell (w, n): e m = 0, f^(lam0+1) m = 0}, f^p = 0
-    covering lam0 = p-1: per cell, the nullity of [E; F^(lam0+1)]."""
-    p, g, F = M.p, M.grading, M.maps["f"]
-    w, n = g.values // _CELL, g.values % _CELL
-    lam0, power, fsel = w % p, F, np.zeros_like(F.stack)  # per cell, its block of F^(lam0+1)
-    for k in range(p - 1):
-        fsel[lam0 == k], power = power.stack[lam0 == k], F @ power
-    piv = _rref_stack(np.concatenate([M.maps["e"].stack, fsel], axis=1), p)[1]
-    nullity, present = g.sizes[:-1] - piv.sum(axis=1), set(g.values.tolist())
+    covering lam0 = p-1: per cell, the nullity of [E; F^(lam0+1)], one
+    reduction per lam0 over the cells of that lam0."""
+    p, g, e, F = M.p, M.grading, M.maps["e"], M.maps["f"]
+    w, n, lam0 = g.cell_weights.tolist(), g.cell_degrees.tolist(), g.cell_weights % p
+    nullity, power, present = np.zeros(len(w), dtype=np.int64), F, set(zip(w, n))
+    for k in range(p):  # power = F^(k+1)
+        nullity[lam0 == k], power = cell_nullities([e, power], lam0 == k), F @ power
     out: dict[int, dict[tuple[int, int], int]] = {}
     for c in np.flatnonzero(nullity).tolist():
-        if all((w[c] - 2 * i) * _CELL + n[c] in present for i in range(lam0[c] + 1)):
-            out.setdefault(int(n[c]), {})[(int(lam0[c]), int(w[c] - lam0[c]))] = int(nullity[c])
+        k = int(lam0[c])
+        if all((w[c] - 2 * i, n[c]) in present for i in range(k + 1)):
+            out.setdefault(n[c], {})[(k, w[c] - k)] = int(nullity[c])
     return out
 
 
@@ -515,13 +515,14 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     squares = [cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]
     principal, g, vecs = pieces.blocks[0], total.module.grading, np.array(h0 + squares).T
     rows, cols = np.nonzero(vecs)
-    cells = Grading.of_keys(g.keys[(vecs != 0).argmax(axis=0)])  # a zero column may sit anywhere
+    at = (vecs != 0).argmax(axis=0)  # a zero column may sit anywhere
+    cells = Grading(g.weights[at], g.degrees[at])
     basis = graded_columns(*(pieces.blocks[lam] for lam in sorted(pieces.blocks)))
     rhs = GradedMap.scatter(p, g, 0, rows, cols, vecs[rows, cols], cells)
     coords = graded_solve(basis, rhs).dense().a[:principal.shape[1]]
 
     # one-dimensional kernel-invariant line per even internal degree
-    degrees = principal.source.keys % _CELL
+    degrees = principal.source.degrees
     by_degree = Counter(int(degrees[np.flatnonzero(c)[0]])
                         for c in coords[:, :len(h0)].T if c.any())
     expect = {2 * i: 1 for i in range(0, 3 * (p - 1) // 2 + 1)}

@@ -43,11 +43,10 @@ from .characters import (
     weyl_chi,
 )
 from .fpmatrix import (
-    _CELL,
     FpMatrix,
     GradedMap,
     Grading,
-    _rref_stack,
+    cell_nullities,
     frobenius_power,
     graded_eigenspaces,
     graded_kernel,
@@ -107,9 +106,10 @@ class WeightModule:
         _check_relations(self.algebra, self.maps, "bracket compatibility fails on ({x},{y})",
                          "restricted compatibility fails on {x}")
         if "h" in self.algebra.generators:
-            g, expected = self.grading, np.zeros_like(self.maps["h"].stack)
-            expected[g.pos, g.slot, g.slot] = g.weights % self.p
-            if not np.array_equal(self.maps["h"].stack, expected):
+            rows, cols, vals = self.maps["h"].entries()
+            scalars = self.grading.weights % self.p
+            if not (np.array_equal(rows, cols) and np.array_equal(vals, scalars[rows])
+                    and rows.size == np.count_nonzero(scalars)):
                 raise ValueError("h does not act by the weight scalars")
 
     # -- derived modules -------------------------------------------------
@@ -144,6 +144,8 @@ class WeightModule:
 
     def frobenius_twist(self, r: int = 1) -> "WeightModule":
         """Weights scaled by p^r, infinitesimal action trivialized."""
+        if r < 1:
+            raise ValueError(f"Frobenius twist needs r >= 1, got r = {r}")
         return _torus_module(self.algebra, [f"{a}({r})" for a in self.labels],
                              self.grading.weights * self.p ** r)
 
@@ -315,8 +317,10 @@ class TruncatedSymAlgebra:
         """Per degree i, the rank of the product pairing S^i x S^(top-i) -> top
         line (the top monomial found by its exponents), by the code rule of
         mult.  The pairing joins cell (w, i) only to (wt(top) - w, top - i), so
-        all cells are ranked in one stacked reduction; a product that reaches
-        the top line from any other cell raises ValueError."""
+        it is a map of shift 0 from the partner grading, where each monomial
+        sits at (wt(top) - w, top - i), and all cells are ranked in one
+        reduction; a product that reaches the top line from any other cell
+        raises ValueError."""
         g, n = self.module.grading, self.top_degree
         top = self.index[(self.p - 1,) * self.algebra.dim]
         hits = []
@@ -326,12 +330,13 @@ class TruncatedSymAlgebra:
             r, c = np.nonzero(ok & (target == top))
             hits.append((left[r], right[c]))
         rows, cols = map(np.concatenate, zip(*hits))
-        if (g.pos[cols] != g.find(g.keys[top] - g.values)[g.pos[rows]]).any():
-            raise ValueError("the product pairs cells of unmatched weights")
-        blocks = np.zeros((g.values.size, g.index.shape[1], g.index.shape[1]), dtype=np.int64)
-        blocks[g.pos[rows], g.slot[rows], g.slot[cols]] = 1
-        ranks = _rref_stack(blocks, self.p)[1].sum(axis=1)
-        return np.bincount(g.values % _CELL, weights=ranks, minlength=n + 1).astype(int).tolist()
+        partner = Grading(g.weights[top] - g.weights, n - g.degrees)
+        try:
+            pairing = GradedMap.scatter(self.p, g, 0, rows, cols, np.ones_like(rows), partner)
+        except ValueError:
+            raise ValueError("the product pairs cells of unmatched weights") from None
+        lost = np.bincount(partner.cell_degrees, weights=cell_nullities([pairing]), minlength=n + 1)
+        return (np.bincount(partner.degrees, minlength=n + 1) - lost).astype(int).tolist()
 
 
 # -- standard small modules ----------------------------------------------
@@ -453,11 +458,8 @@ def module_hom_dim(M: WeightModule, N: WeightModule) -> int:
     if M.algebra.generators != N.algebra.generators or M.p != N.p:
         raise ValueError("hom spaces need modules over the same algebra")
     T = N.tensor(M.dual())
-    k = T.grading.find(0)[()]
-    if k == T.grading.values.size:
-        return 0
-    blocks = np.concatenate([T.maps[x].stack[k] for x in T.algebra.generators])
-    return int(T.grading.sizes[k] - _rref_stack(blocks[None], M.p)[1].sum())
+    maps = [T.maps[x] for x in T.algebra.generators]
+    return int(cell_nullities(maps, T.grading.cell_weights == 0).sum())
 
 
 def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:

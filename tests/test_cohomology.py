@@ -176,6 +176,13 @@ def test_ip_expected_dims_shape():
         ip_expected_dims(2, 4)
 
 
+def test_ip_expected_dims_needs_a_prime():
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        ip_expected_dims(4, 3)
+    with pytest.raises(ValueError, match="p >= 3"):
+        ip_expected_dims(2, 3)
+
+
 def test_periodic_complex_structure_checks():
     p = 5
     M = TruncatedSymAlgebra(borel(p)).module

@@ -61,6 +61,24 @@ def test_grading_cells_are_weight_then_degree():
         Grading([0, 2], [0, -1])
 
 
+@pytest.mark.parametrize("weights, degrees", [
+    ([2, 0, 2, 0], [1, 1, 0, 1]),
+    ([-3, 5, -3, -1, 5], [7, 0, 7, 2 ** 32 - 1, 0]),
+    ([-4, 2, -4], None),
+    ([], None),
+])
+def test_grading_weights_and_degrees_decode_the_keys(weights, degrees):
+    """Per vector and per cell, the weight and degree a cell key encodes;
+    degrees default to zeros."""
+    g, cell = Grading(weights, degrees), 2 ** 32
+    assert g.weights.tolist() == (g.keys // cell).tolist() == list(weights)
+    assert g.degrees.tolist() == (g.keys % cell).tolist() == (degrees or [0] * len(weights))
+    assert g.cell_weights.tolist() == (g.values // cell).tolist()
+    assert g.cell_degrees.tolist() == (g.values % cell).tolist()
+    assert g.cell_weights.tolist() == [g.weights[g.index[k, 0]] for k in range(g.values.size)]
+    assert g.cell_degrees.tolist() == [g.degrees[g.index[k, 0]] for k in range(g.values.size)]
+
+
 def test_kernel_identity_empty():
     assert FpMatrix.identity(3, 4).kernel_basis().cols == 0
 

@@ -22,6 +22,7 @@ from frobcoho.fpmatrix import (
     GradedMap,
     Grading,
     _rref_stack,
+    cell_nullities,
     generalized_eigenspace,
     graded_columns,
     graded_complement,
@@ -256,6 +257,39 @@ def graded_triples(draw):
         colset[:, j] = np.where(w == cw, rng.integers(0, p, size=w.size), 0)
     coeffs = rng.integers(-p, 2 * p, size=len(col_weights))
     return p, weights, maps, vec, cols, (FpMatrix(p, colset), col_weights, coeffs)
+
+
+@SETTINGS
+@given(graded_triples(), st.data())
+def test_cell_nullities_match_dense_blocks(case, data):
+    """Per selected cell, the joint nullity of the maps against the rank of
+    the columns of that cell cut from their dense matrices."""
+    p, weights, ((a, sa), _, (b, sb)), *_ = case
+    grading = Grading(weights)
+    maps = [GradedMap.cut(a, grading, sa), GradedMap.cut(b, grading, sb)]
+    cells = np.array(data.draw(st.lists(st.booleans(), min_size=grading.cell_weights.size,
+                                        max_size=grading.cell_weights.size)), dtype=bool)
+    stacked = np.concatenate([m.dense().a for m in maps])
+    want = [int(np.sum(at)) - FpMatrix(p, stacked[:, at]).rank()
+            for at in (grading.weights == w for w in grading.cell_weights)]
+    assert cell_nullities(maps).tolist() == want
+    assert cell_nullities(maps, cells).tolist() == [want[k] for k in np.flatnonzero(cells)]
+
+
+def test_cell_nullities_on_weight_and_degree_cells():
+    """On cells of one weight and degree, all and selected, against the
+    dense blocks."""
+    M = TruncatedSymAlgebra(sl2(3)).module
+    g, maps = M.grading, [M.maps["e"], M.maps["f"]]
+    stacked = np.concatenate([m.dense().a for m in maps])
+    want = [int(np.sum(at)) - FpMatrix(3, stacked[:, at]).rank()
+            for at in ((g.weights == w) & (g.degrees == d)
+                       for w, d in zip(g.cell_weights, g.cell_degrees))]
+    assert cell_nullities(maps).tolist() == want
+    assert cell_nullities(maps, g.cell_degrees == 2).tolist() == [
+        m for m, d in zip(want, g.cell_degrees) if d == 2]
+    with pytest.raises(ValueError, match="different spaces"):
+        cell_nullities([maps[0], GradedMap.identity(3, Grading(g.weights))])
 
 
 @SETTINGS

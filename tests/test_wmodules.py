@@ -112,6 +112,27 @@ def test_frobenius_twist_roundtrip():
     assert tw.frobenius_untwist_weights().character() == L1.character()
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_frobenius_twist_needs_positive_exponent(r):
+    for M in (truncated_sym(borel(3), 1), simple_model(1, 3)):
+        with pytest.raises(ValueError, match=f"r = {r}"):
+            M.frobenius_twist(r)
+
+
+def test_validate_rejects_h_off_the_weight_scalars():
+    """Bracket and restricted relations hold, but h does not act by the
+    weights: a zero action on weight 2, and the natural representation
+    placed on weights 0, -2 (h acts by 1, -1, not by 0, -2)."""
+    p, alg = 3, sl2(3)
+    zero = {x: FpMatrix.zeros(p, 1, 1) for x in alg.generators}
+    with pytest.raises(ValueError, match="h does not act by the weight scalars"):
+        WeightModule(alg, ["v"], [2], zero)
+    natural = {x: simple_model(1, p).action(x) for x in alg.generators}
+    with pytest.raises(ValueError, match="h does not act by the weight scalars"):
+        WeightModule(alg, ["v0", "v1"], [0, -2], natural)
+    assert WeightModule(alg, ["v0", "v1"], [4, 2], natural).weights == (4, 2)
+
+
 def test_block_projection_examples():
     # Steinberg row is outside the principal block
     assert block_projection_principal(truncated_sym(sl2(3), 1)).dim == 0
