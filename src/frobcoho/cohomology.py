@@ -61,20 +61,16 @@ def t1_invariants(c: LaurentCharacter, p: int) -> LaurentCharacter:
 
 
 class PeriodicCohomology:
-    """H^*(U_1, M) for a module M with nilpotent f-action.
-
-    Keeps weight-homogeneous cocycle representatives per degree, so
-    classes can be identified, T_1-selected and multiplied.
-    """
+    """H^*(U_1, M) for a weight module M, whose differentials square to
+    zero (F Fq = Fq F = F^p = 0): validation checks f^p = f^[p], and the
+    p-map sends f to 0 in sl2, b and u.  Keeps weight-homogeneous cocycle
+    representatives per degree, so classes can be identified, T_1-selected
+    and multiplied."""
 
     def __init__(self, M: WeightModule):
         self.M = M
-        p = M.p
         self.F = M.maps["f"]
-        self.Fq = self.F ** (p - 1)
-        # F @ Fq = Fq @ F = F^p: both differentials square to zero iff f^p = 0
-        if not (self.F @ self.Fq).is_zero():
-            raise ValueError("f-action is not p-nilpotent")
+        self.Fq = self.F ** (M.p - 1)
         self._cache: dict[str, tuple] = {}
 
     def d_out(self, n: int) -> GradedMap:
@@ -188,9 +184,15 @@ class CollapseRow:
 def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
     """Per degree: total E_2 dimension, the computed H^n(B_1, M), and the
     defect; defect 0 in a degree means collapse at E_2 there."""
+    _check_maxdeg(maxdeg)
     if M.p == 2:
         raise ValueError("collapse bookkeeping needs p >= 3")
     return _collapse_rows(PeriodicCohomology(M), maxdeg)
+
+
+def _check_maxdeg(maxdeg: int) -> None:
+    if maxdeg < 0:
+        raise ValueError(f"maxdeg must be >= 0, got maxdeg = {maxdeg}")
 
 
 def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]:
@@ -403,6 +405,7 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
     the whole algebra (Sl2Pieces).  b1/u1: the whole coefficient algebra
     as a single 'total' source.
     """
+    _check_maxdeg(maxdeg)
     target = target.lower()
     entries: list[tuple[str, int, LaurentCharacter, str]] = []
     if target == "g1":

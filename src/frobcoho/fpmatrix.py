@@ -564,15 +564,6 @@ def frobenius_power(mat: GradedMap) -> GradedMap:
     return mat ** q
 
 
-def split_idempotent(s: GradedMap) -> GradedMap:
-    """S^(p-1) for the Frobenius power S of a map; raises ValueError unless
-    S^p = S, that is unless the map's characteristic polynomial splits."""
-    t = s ** (s.p - 1)
-    if not (t @ s - s).is_zero():
-        raise ValueError("characteristic polynomial does not split")
-    return t
-
-
 def graded_eigenspaces(mat: GradedMap, values=None) -> dict[int, GradedMap]:
     """Generalized eigenspaces of a weight-preserving GradedMap at the given
     eigenvalues (all of F_p by default), the nonzero ones by increasing
@@ -590,6 +581,11 @@ def graded_eigenspaces(mat: GradedMap, values=None) -> dict[int, GradedMap]:
 
 def graded_projector(mat: GradedMap) -> GradedMap:
     """Projection onto the generalized 0-eigenspace of a weight-preserving
-    map along its other generalized eigenspaces, which must span the space:
-    1 - S^(p-1) for its Frobenius power S."""
-    return GradedMap.identity(mat.p, mat.grading) - split_idempotent(frobenius_power(mat))
+    map along its other generalized eigenspaces: 1 - S^(p-1) for its
+    Frobenius power S.  Raises ValueError unless S^p = S, that is unless
+    the characteristic polynomial splits and the eigenspaces span."""
+    s = frobenius_power(mat)
+    t = s ** (s.p - 1)
+    if not (t @ s - s).is_zero():
+        raise ValueError("characteristic polynomial does not split")
+    return GradedMap.identity(mat.p, mat.grading) - t

@@ -147,12 +147,10 @@ def nilradical(p: int) -> RestrictedLieAlgebra:
 def casimir_operator(module) -> GradedMap:
     """The map c = ef + fe + h^2/2 on a module with full sl2-action.
 
-    Central in the restricted enveloping algebra for odd p; the returned
-    map commutes with all three actions.  On a highest-weight
-    vector of weight m it acts by m(m+2)/2 mod p, which vanishes exactly
-    on the principal block {0, p-2}.  Every composition factor of a
-    restricted module is some L(m), 0 <= m < p, so these (p+1)/2 values
-    (m and p-2-m give the same one) are the only eigenvalues.
+    Central for odd p.  On a highest-weight vector of weight m it acts by
+    m(m+2)/2 mod p, which vanishes exactly on the principal block
+    {0, p-2}; on a WeightModule these (p+1)/2 values (m and p-2-m give
+    the same one) are its only eigenvalues (see wmodules).
     """
     p = module.p
     if p == 2:

@@ -60,8 +60,7 @@ from .wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
     _class_labels,
-    _monomial_module,
-    g1_invariants,
+    _monomials,
     simple_model,
     trivial_module,
 )
@@ -98,12 +97,10 @@ def _parse_label(text: str) -> tuple[str, int]:
     return fam.strip(), int(rest.rstrip(")"))
 
 
-def load_fixture(p: int, directory: str | None = None) -> AppendixFixture:
+def load_fixture(p: int) -> AppendixFixture:
     """Load the reference table for p from the fixture directory (the
     FROBCOHO_FIXTURES environment variable overrides the shipped one)."""
-    if directory is None:
-        directory = os.environ.get(FIXTURE_ENV) or os.path.join(
-            os.path.dirname(__file__), "fixtures")
+    directory = os.environ.get(FIXTURE_ENV) or os.path.join(os.path.dirname(__file__), "fixtures")
     path = os.path.join(directory, f"p{p}.txt")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no fixture for p={p} at {path}")
@@ -261,8 +258,7 @@ class VerificationReport:
 # -- the appendix suite ------------------------------------------------------
 
 
-def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
-                    allow_synth: bool = False) -> VerificationReport:
+def verify_appendix(p: int, maxdeg: int = 8, allow_synth: bool = False) -> VerificationReport:
     """Recompute every row of the reference table for p and compare.
 
     Per row: (1) the character of the graded piece equals the expansion
@@ -279,7 +275,7 @@ def verify_appendix(p: int, maxdeg: int = 8, fixture_dir: str | None = None,
     if synthetic and not allow_synth:
         raise ValueError(f"no shipped fixture for p={p}; pass allow_synth=True")
     pieces = Sl2Pieces(p)
-    fixture = _synthesized(pieces) if synthetic else load_fixture(p, fixture_dir)
+    fixture = _synthesized(pieces) if synthetic else load_fixture(p)
     report = VerificationReport(suite=f"appendix p={p} maxdeg={maxdeg}")
 
     top = pieces.top
@@ -357,17 +353,17 @@ def _fmt_dims(vals) -> str:
 # -- the propositions suite ----------------------------------------------
 
 
-def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
+def verify_propositions(p: int) -> VerificationReport:
     """One named check per standalone claim at this prime, in one pass per
     algebra: the truncated symmetric algebras of sl2 (an Sl2Pieces), b and
-    u and the symmetric powers of sl2 up to degree 2p-2 are each built once
-    as one module graded by weight and degree, and every per-piece check
-    reads its piece off by degree.  The duality ranks come from each
-    algebra's own product (TruncatedSymAlgebra.duality_ranks)."""
-    t0 = time.perf_counter()
+    u are each built once as one module graded by weight and degree, and
+    every per-piece check reads its piece off by degree; the symmetric
+    powers of sl2 are read from their monomials' weights alone.  The duality
+    ranks come from each algebra's own product (TruncatedSymAlgebra.duality_ranks)."""
+    t0, maxdeg = time.perf_counter(), 10
     report = VerificationReport(suite=f"props p={p}")
     g, b, u = sl2(p), borel(p), nilradical(p)
-    _sym_checks(report, g)  # first: its module is freed before the algebras are built
+    _sym_checks(report, g)
     pieces = Sl2Pieces(p)
     total, taft, uu = pieces.algebra, TruncatedSymAlgebra(b), TruncatedSymAlgebra(u)
 
@@ -447,8 +443,8 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
     report.add("borel-row-identifications", ok,
                "L(n) (x) -n below p, reflected above", "as expected" if ok else "mismatch")
 
-    # degree-zero bookkeeping: exact invariants against the induction route
-    inv_total = g1_invariants(total.module).dim
+    # degree-zero bookkeeping: exact invariants, cell by cell, against the induction route
+    inv_total = int(cell_nullities([total.module.maps[x] for x in g.generators]).sum())
     induced = sum(c.dim() for c, _ in pieces.g1_chars(0))
     report.add("degree0-oracle", inv_total == induced, inv_total, induced)
 
@@ -461,12 +457,14 @@ def verify_propositions(p: int, maxdeg: int = 10) -> VerificationReport:
 
 
 def _sym_checks(report: VerificationReport, g) -> None:
-    """The symmetric powers of sl2 up to degree 2p-2, the degrees of one module."""
-    p, sym = g.p, _monomial_module(g, range(2 * g.p - 1), None)
+    """The symmetric powers of sl2 up to degree 2p-2, read from their monomials' weights."""
+    p, wt = g.p, np.array(g.weights)
+    chars = [LaurentCharacter.from_weights((np.array(list(_monomials(g.dim, n, None))) @ wt).tolist())
+             for n in range(2 * p - 1)]
     # symmetric powers decompose into costandard characters stepping by 4
     for n in range(0, 2 * p - 1):
         expected = [("Nabla", 2 * n - 4 * q, 1) for q in range(n // 2 + 1)]
-        dec = decompose_nabla(_degree_character(sym, n))
+        dec = decompose_nabla(chars[n])
         report.add(f"sym-nabla-n{n:02d}", dec.entries == expected and not dec.virtual,
                    DecompList(expected).format(), dec.format())
 
@@ -474,9 +472,8 @@ def _sym_checks(report: VerificationReport, g) -> None:
     # middle of the range every factor is a simple tilting module
     if p >= 3:
         for n in range(p):
-            char = _degree_character(sym, n)
             try:
-                dec = decompose_tilting_greedy(char, p)
+                dec = decompose_tilting_greedy(chars[n], p)
                 ok = all(m > 0 for _, _, m in dec.entries)
                 if n <= (p - 1) // 2:
                     want = [("T", 2 * n - 4 * q, 1) for q in range(n // 2 + 1)]

@@ -1,34 +1,39 @@
 """Finite-dimensional weight modules for the rank-one algebras.
 
 A WeightModule is a labeled basis with an integer weight per basis
-vector and one action per available Lie generator.  Validation enforces
-the four structural invariants exactly:
+vector and one action per available Lie generator.  Every constructor
+validates the four structural invariants exactly (the middle two by
+lie._check_relations, the check the algebra runs on its adjoint maps):
 
   * each generator moves the weight-m subspace into weight m + wt(x),
   * action([x,y]) equals the commutator of the action matrices,
   * action(x)^p equals the action of x^[p],
   * h acts on a weight-m vector as the scalar m mod p.
 
+So every module is restricted, and downstream code relies on three
+consequences without checking them again:
+
+  * the Casimir commutes with every action: the bracket relations hold,
+    and c is central in U(sl2) for odd p;
+  * it splits with roots among the (p+1)/2 values m(m+2)/2: x^p = x^[p],
+    so the composition factors are the L(m), 0 <= m <= p-1 (Jantzen,
+    Representations of Algebraic Groups, II.9);
+  * f acts p-nilpotently: the p-map sends f to 0 in sl2, b and u.
+
 Actions are kept only as GradedMaps, one dense block per cell from m to
 m + wt(x): the cells are the weight spaces, and for a monomial module of
 several degrees the (weight, degree) spaces, since the adjoint action
 keeps the polynomial degree.  Only dense input is cut, and only
-action(x) densifies.  Monomial modules and the small models scatter
-their entries into the blocks, tensor products, duals and twists those
-of their factors' blocks, and a submodule solves each action into blocks
-on its column set, whose columns keep their cells.  Validation is the
-check the algebra runs on its adjoint maps (lie._check_relations).  The
-Casimir's eigenspaces and the principal-block projector come from its
-Frobenius power S (fpmatrix.frobenius_power): the principal block is
-the kernel of S.
+action(x) densifies; every construction scatters entries into blocks,
+and a submodule solves each action into blocks on its column set.  The
+principal block, that of the trivial module, is the kernel of the
+Casimir's Frobenius power S (fpmatrix.frobenius_power) for odd p and
+the whole module for p = 2.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
 (TruncatedSymAlgebra) whose product feeds the cup products and the
 duality pairing ranks.
-The principal-block projection is the generalized 0-eigenspace of the
-Casimir element, which for odd p cuts out exactly the block of the
-trivial module; for p = 2 the projection is the identity.
 """
 
 from __future__ import annotations
@@ -52,17 +57,18 @@ from .fpmatrix import (
     graded_kernel,
     graded_projector,
     graded_solve,
-    split_idempotent,
 )
 from .lie import RestrictedLieAlgebra, _check_relations, casimir_operator, sl2
 
 
 class WeightModule:
     """Weighted module over a rank-one restricted Lie algebra; an action is
-    a dense FpMatrix or a GradedMap on the Grading passed as weights."""
+    a dense FpMatrix or a GradedMap on the Grading passed as weights.
+    Construction validates the invariants of the module docstring and
+    raises ValueError on the first failure, so every instance has their
+    three consequences: a central, split Casimir and a p-nilpotent f."""
 
-    def __init__(self, algebra: RestrictedLieAlgebra, labels, weights, actions,
-                 validate: bool = True):
+    def __init__(self, algebra: RestrictedLieAlgebra, labels, weights, actions):
         self.algebra = algebra
         self.labels = tuple(labels)
         self.grading = weights if isinstance(weights, Grading) else Grading(weights)
@@ -82,8 +88,7 @@ class WeightModule:
             if (m.grading, m.source, m.p, m.shift) != (self.grading, self.grading, self.p, shift):
                 raise ValueError(f"action of {x} is not a map on this grading")
             self.maps[x] = m
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def p(self) -> int:
@@ -148,22 +153,6 @@ class WeightModule:
             raise ValueError(f"Frobenius twist needs r >= 1, got r = {r}")
         return _torus_module(self.algebra, [f"{a}({r})" for a in self.labels],
                              self.grading.weights * self.p ** r)
-
-    def frobenius_untwist_weights(self) -> "WeightModule":
-        """Divide all weights by p on a module with trivial infinitesimal
-        action.  The result is torus-weighted data: h picks up the new
-        weight scalars, the nilpotent actions stay zero, and the full Lie
-        invariants are only rechecked when they can hold (new weights
-        still divisible by p)."""
-        p = self.p
-        if any(w % p for w in self.weights):
-            raise ValueError("untwist needs all weights divisible by p")
-        for x in self.algebra.generators:
-            if x != "h" and not self.maps[x].is_zero():
-                raise ValueError("untwist needs a trivial nilpotent action")
-        new_weights = self.grading.weights // p
-        full = not (new_weights % p).any()
-        return _torus_module(self.algebra, self.labels, new_weights, validate=full)
 
     def submodule(self, columns: GradedMap, prefix: str = "s") -> "WeightModule":
         """Restrict actions to the span of a column set into this module,
@@ -342,7 +331,7 @@ class TruncatedSymAlgebra:
 # -- standard small modules ----------------------------------------------
 
 
-def _torus_module(alg: RestrictedLieAlgebra, labels, weights, validate=True) -> WeightModule:
+def _torus_module(alg: RestrictedLieAlgebra, labels, weights) -> WeightModule:
     """The module on the given weights where h acts by the weight scalars
     and every other generator by zero."""
     grading = Grading(weights)
@@ -350,7 +339,7 @@ def _torus_module(alg: RestrictedLieAlgebra, labels, weights, validate=True) -> 
     actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x),
                                     *((n, n, grading.weights) if x == "h" else (none,) * 3))
                for x in alg.generators}
-    return WeightModule(alg, labels, grading, actions, validate=validate)
+    return WeightModule(alg, labels, grading, actions)
 
 
 def weight_line(alg: RestrictedLieAlgebra, w: int) -> WeightModule:
@@ -398,29 +387,18 @@ def simple_module(lam: int, p: int) -> WeightModule:
 # -- Casimir blocks and projections ----------------------------------------
 
 
-def _checked_casimir(M: WeightModule) -> GradedMap:
-    c = casimir_operator(M)
-    for x in M.algebra.generators:
-        if not (c @ M.maps[x] - M.maps[x] @ c).is_zero():
-            raise ValueError(f"Casimir does not commute with the action of {x}")
-    return c
-
-
 def casimir_blocks(M: WeightModule) -> dict[int, GradedMap]:
     """Generalized eigenspace of the Casimir per eigenvalue, a column set.
 
-    Only its eigenvalues, the (p+1)/2 Casimir values m(m+2)/2, are tried,
-    one at a time; the eigenspace dimensions must add up to dim M, or this
-    raises.  The columns come cell by cell, by free index within a cell: on
-    a basis listed degree by degree that is by weight, then by free index,
-    as the eigenspaces of each whole weight block would give them.
+    Only the (p+1)/2 Casimir values m(m+2)/2 are tried; on a WeightModule
+    they are its only roots, so the dimensions add up to dim M.  The
+    columns come cell by cell, by free index within a cell: on a basis
+    listed degree by degree that is by weight, then by free index, as the
+    eigenspaces of each whole weight block would give them.
     """
     p = M.p
     values = {m * (m + 2) * pow(2, p - 2, p) % p for m in range(p)}
-    blocks = graded_eigenspaces(_checked_casimir(M), values)
-    if sum(cols.shape[1] for cols in blocks.values()) != M.dim:
-        raise ValueError("Casimir characteristic polynomial does not split")
-    return blocks
+    return graded_eigenspaces(casimir_operator(M), values)
 
 
 def block_projection_principal(M: WeightModule) -> WeightModule:
@@ -429,9 +407,7 @@ def block_projection_principal(M: WeightModule) -> WeightModule:
     identity for p = 2."""
     if M.p == 2 or M.dim == 0:
         return M
-    s = frobenius_power(_checked_casimir(M))
-    split_idempotent(s)  # raises unless the Casimir splits
-    return M.submodule(graded_kernel(s), prefix="blk")
+    return M.submodule(graded_kernel(frobenius_power(casimir_operator(M))), prefix="blk")
 
 
 def principal_block_projector(M: WeightModule) -> GradedMap:
@@ -440,7 +416,7 @@ def principal_block_projector(M: WeightModule) -> GradedMap:
     power S of the Casimir."""
     if M.p == 2:
         return GradedMap.identity(M.p, M.grading)
-    return graded_projector(_checked_casimir(M))
+    return graded_projector(casimir_operator(M))
 
 
 # -- Hom spaces, duality pairing, invariants -------------------------------

@@ -196,14 +196,26 @@ def test_periodic_complex_structure_checks():
     bad = regular_module(3)  # fine
     PeriodicCohomology(bad)
     with pytest.raises(ValueError, match="not weight-compatible"):
-        WeightModule(nilradical(2), ("a",), (0,), {"f": FpMatrix(2, [[1]])},
-                     validate=False)
-    # weight-compatible, but f^2 != 0 over F_2
-    broken = WeightModule(nilradical(2), ("a", "b", "c"), (0, -2, -4),
-                          {"f": FpMatrix(2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])},
-                          validate=False)
-    with pytest.raises(ValueError, match="not p-nilpotent"):
-        PeriodicCohomology(broken)
+        WeightModule(nilradical(2), ("a",), (0,), {"f": FpMatrix(2, [[1]])})
+    # weight-compatible, but f^2 != 0 over F_2: no such module is built
+    with pytest.raises(ValueError, match="restricted compatibility fails on f"):
+        WeightModule(nilradical(2), ("a", "b", "c"), (0, -2, -4),
+                     {"f": FpMatrix(2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])})
+
+
+def test_f_is_p_nilpotent_on_the_truncated_algebras():
+    # what PeriodicCohomology relies on: validation proves f^p = f^[p] = 0
+    for p in (2, 3, 5, 7):
+        for alg in (sl2(p), borel(p), nilradical(p)):
+            assert (TruncatedSymAlgebra(alg).module.maps["f"] ** p).is_zero(), (p, alg.generators)
+
+
+def test_negative_maxdeg_is_rejected():
+    with pytest.raises(ValueError, match="maxdeg = -1"):
+        hh_table("g1", 3, -1)
+    with pytest.raises(ValueError, match="maxdeg = -1"):
+        collapse_check(trivial_module(sl2(3)), -1)
+    assert len(collapse_check(trivial_module(sl2(3)), 0)) == 1
 
 
 def test_periodicity_of_dimensions():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobcoho import wmodules
-from frobcoho.cohomology import PeriodicCohomology
 from frobcoho.fpmatrix import (
     _CELL,
     FpMatrix,
@@ -380,6 +379,3 @@ def test_validate_rejects_restricted_failure_inside_a_part():
     actions = {"h": M.action("h"), "f": f}
     with pytest.raises(ValueError, match="restricted compatibility fails on f"):
         WeightModule(borel(3), M.labels, M.weights, actions)
-    broken = WeightModule(borel(3), M.labels, M.weights, actions, validate=False)
-    with pytest.raises(ValueError, match="f-action is not p-nilpotent"):
-        PeriodicCohomology(broken)

@@ -148,7 +148,7 @@ def test_props_pass_matches_per_piece_route(p):
 def test_props_pass_builds_each_algebra_once(monkeypatch):
     counts, built = {}, []
     for name in ("truncated_sym", "sym_power", "block_projection_principal",
-                 "principal_block_projector", "_checked_casimir"):
+                 "principal_block_projector", "casimir_operator"):
         _count_calls(monkeypatch, wmodules, name, counts)
     build = TruncatedSymAlgebra.__init__
 
@@ -158,7 +158,7 @@ def test_props_pass_builds_each_algebra_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedSymAlgebra, "__init__", counted)
     verify_propositions(7)
-    assert counts == {"_checked_casimir": 1}
+    assert counts == {"casimir_operator": 1}
     assert sorted(built) == sorted([("e", "h", "f"), ("h", "f"), ("f",)])
 
 

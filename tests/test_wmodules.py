@@ -14,8 +14,8 @@ from frobcoho.characters import (
     tilting_char,
     weyl_chi,
 )
-from frobcoho.fpmatrix import FpMatrix, GradedMap, Grading
-from frobcoho.lie import borel, nilradical, sl2
+from frobcoho.fpmatrix import FpMatrix, GradedMap, Grading, frobenius_power
+from frobcoho.lie import borel, casimir_operator, nilradical, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
@@ -95,12 +95,6 @@ def test_tensor_dual_untwist():
     assert sq.character() == LaurentCharacter({2: 1, 0: 2, -2: 1})
     M = truncated_sym(sl2(3), 2)
     assert M.dual().dual().character() == M.character()
-    line = weight_line(sl2(p), 2 * p)
-    assert line.frobenius_untwist_weights().weights == (2,)
-    with pytest.raises(ValueError):
-        weight_line(sl2(p), p).tensor(simple_model(1, p)).frobenius_untwist_weights()
-    with pytest.raises(ValueError):
-        simple_model(1, p).frobenius_untwist_weights()
 
 
 def test_frobenius_twist_roundtrip():
@@ -109,7 +103,7 @@ def test_frobenius_twist_roundtrip():
     tw = L1.frobenius_twist()
     assert tw.weights == (3, -3)
     assert all(tw.action(x).is_zero() for x in ("e", "h", "f"))
-    assert tw.frobenius_untwist_weights().character() == L1.character()
+    assert tw.character().untwist(p) == L1.character()
 
 
 @pytest.mark.parametrize("r", [0, -1])
@@ -467,21 +461,6 @@ def _dense_twist(M, r):
                         [w * M.p ** r for w in M.weights], actions)
 
 
-def _dense_untwist(M):
-    p = M.p
-    if any(w % p for w in M.weights):
-        raise ValueError("untwist needs all weights divisible by p")
-    for x in M.algebra.generators:
-        if x != "h" and not M.action(x).is_zero():
-            raise ValueError("untwist needs a trivial nilpotent action")
-    new_weights = [w // p for w in M.weights]
-    actions = {x: FpMatrix.zeros(p, M.dim, M.dim) for x in M.algebra.generators}
-    if "h" in M.algebra.generators:
-        actions["h"] = FpMatrix(p, np.diag(np.array(new_weights, dtype=np.int64) % p))
-    return WeightModule(M.algebra, M.labels, new_weights, actions,
-                        validate=all(w % p == 0 for w in new_weights))
-
-
 def _kronecker_hom_dim(M, N):
     """dim Hom(M, N): the nullity of the Kronecker system of Phi with
     Phi action_M(x) = action_N(x) Phi, on the equal-weight entries of Phi."""
@@ -494,17 +473,6 @@ def _kronecker_hom_dim(M, N):
         (np.kron(N.action(x).a, eyeM) - np.kron(eyeN, M.action(x).a.T))[:, allowed]
         for x in M.algebra.generators]))
     return len(allowed) - big.rank()
-
-
-def _same_outcome(build, oracle):
-    """build() and oracle() give the same module, or the same ValueError."""
-    try:
-        want = oracle()
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{exc}$"):
-            build()
-        return
-    _assert_same_module(build(), want)
 
 
 ALGEBRAS = {"sl2": sl2, "b": borel, "u": nilradical}
@@ -558,6 +526,18 @@ def module_pairs(draw):
     return draw(weight_modules(alg)), draw(weight_modules(alg))
 
 
+@st.composite
+def odd_sl2_modules(draw):
+    """A small sl2-module for odd p: a random module, its dual, or its
+    tensor product with a second one."""
+    alg = sl2(draw(st.sampled_from([p for p in PRIMES if p > 2])))
+    M = draw(weight_modules(alg))
+    kind = draw(st.sampled_from(("module", "dual", "tensor")))
+    if kind == "dual":
+        return M.dual()
+    return M.tensor(draw(weight_modules(alg))) if kind == "tensor" else M
+
+
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -575,8 +555,27 @@ def test_dual_and_twists_match_the_dense_ones(M, r):
     _assert_same_module(M.dual().dual(), _dense_dual(_dense_dual(M)))
     twisted = M.frobenius_twist(r)
     _assert_same_module(twisted, _dense_twist(M, r))
-    _same_outcome(twisted.frobenius_untwist_weights, lambda: _dense_untwist(twisted))
-    _same_outcome(M.frobenius_untwist_weights, lambda: _dense_untwist(M))
+
+
+@ORACLE_SETTINGS
+@given(odd_sl2_modules())
+def test_every_sl2_module_has_a_central_split_casimir(M):
+    """What validation proves, so the Casimir code no longer checks it: the
+    Casimir commutes with every action, its eigenspaces at the Casimir
+    values fill the module, its Frobenius power S has S^p = S, and the
+    principal block is the eigenvalue-0 block."""
+    c = casimir_operator(M)
+    for x in M.algebra.generators:
+        assert (c @ M.maps[x] - M.maps[x] @ c).is_zero(), x
+    blocks = casimir_blocks(M)
+    assert sum(cols.shape[1] for cols in blocks.values()) == M.dim
+    s = frobenius_power(c)
+    assert (s ** M.p - s).is_zero()
+    principal = block_projection_principal(M)
+    if 0 in blocks:
+        _assert_same_module(principal, M.submodule(blocks[0], prefix="blk"))
+    else:
+        assert principal.dim == 0
 
 
 @ORACLE_SETTINGS
@@ -637,8 +636,8 @@ def test_constructions_and_algebra_checks_stay_off_dense_matrices(monkeypatch):
     monkeypatch.setattr(GradedMap, "dense", counting("dense", dense))
     A.tensor(B)
     B.dual()
-    A.frobenius_twist(1).frobenius_untwist_weights()
-    A.frobenius_twist(2).frobenius_untwist_weights().frobenius_untwist_weights()
+    A.frobenius_twist(1)
+    A.frobenius_twist(2)
     module_hom_dim(A, B.tensor(A))
     module_hom_dim(trivial_module(sl2(p)), B)
     for make in (sl2, borel, nilradical):
