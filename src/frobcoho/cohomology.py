@@ -32,13 +32,13 @@ exactness via the dominance bound (all weights >= -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     GradedMap,
-    Grading,
     check_prime,
     graded_columns,
     graded_complement,
@@ -65,13 +65,19 @@ class PeriodicCohomology:
     zero (F Fq = Fq F = F^p = 0): validation checks f^p = f^[p], and the
     p-map sends f to 0 in sl2, b and u.  Keeps weight-homogeneous cocycle
     representatives per degree, so classes can be identified, T_1-selected
-    and multiplied."""
+    and multiplied.  It is the one reader of its complex: every character
+    of H^*(U_1, .) and H^*(u, .) comes from its cells, for the whole module
+    or per degree of M (top is the largest)."""
 
     def __init__(self, M: WeightModule):
         self.M = M
         self.F = M.maps["f"]
-        self.Fq = self.F ** (M.p - 1)
-        self._cache: dict[str, tuple] = {}
+        self.top = int(M.grading.degrees.max(initial=0))
+        self._cache: dict[str, object] = {}
+
+    @cached_property
+    def Fq(self) -> GradedMap:
+        return self.F ** (self.M.p - 1)
 
     def d_out(self, n: int) -> GradedMap:
         return self.F if n % 2 == 0 else self.Fq
@@ -81,18 +87,23 @@ class PeriodicCohomology:
             raise ValueError("no incoming differential in degree 0")
         return self.F if n % 2 else self.Fq
 
+    def _boundaries(self, n: int) -> GradedMap:
+        """The boundaries B in degree n > 0, a column set: the image of
+        d_in(n), of f in odd degrees."""
+        kind = "B1" if n % 2 else "B2"
+        if kind not in self._cache:
+            self._cache[kind] = graded_image(self.d_in(n))
+        return self._cache[kind]
+
     def _data(self, n: int):
-        """(cocycles K, boundaries B, [B | K], rep positions): three column
-        sets, and the columns of K that complete B."""
+        """(cocycles K, the number b of columns of B, [B | K], rep positions):
+        column sets, B empty in degree 0, and the columns of K that complete B."""
         kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
-        if kind in self._cache:
-            return self._cache[kind]
-        M, K = self.M, graded_kernel(self.d_out(n))
-        none = np.zeros(0, dtype=np.int64)
-        B = (GradedMap.scatter(M.p, M.grading, 0, none, none, none, Grading(none)) if n == 0
-             else graded_image(self.d_in(n)))
-        BK = graded_columns(B, K)
-        self._cache[kind] = K, B, BK, tuple(graded_complement(BK, B.shape[1]))
+        if kind not in self._cache:
+            K = graded_kernel(self.d_out(n))
+            BK = graded_columns(self._boundaries(n), K) if n else K
+            b = BK.shape[1] - K.shape[1]
+            self._cache[kind] = K, b, BK, tuple(graded_complement(BK, b))
         return self._cache[kind]
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
@@ -100,16 +111,38 @@ class PeriodicCohomology:
 
     def representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         """Cocycle representatives of H^n with their raw module weights."""
-        if self.M.dim == 0:
-            return []
         K, *_, reps = self._data(n)
         return [(K.column(j), int(K.source.weights[j])) for j in reps]
 
+    def _classes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The twisted weights and the degrees of the classes of H^n."""
+        if n < 0:
+            raise ValueError("negative cohomological degree")
+        K, *_, reps = self._data(n)
+        reps = np.array(reps, dtype=np.int64)
+        return K.source.weights[reps] + cochain_twist(self.M.p, n), K.source.degrees[reps]
+
     def character(self, n: int) -> LaurentCharacter:
         """Character of H^n(U_1, M), weights twisted per cochain degree."""
-        tw = cochain_twist(self.M.p, n)
-        return LaurentCharacter.from_weights(
-            w + tw for _, w in self.representatives(n))
+        return LaurentCharacter.from_weights(self._classes(n)[0].tolist())
+
+    def characters(self, n: int) -> list[LaurentCharacter]:
+        """Per degree of M, the character of H^n(U_1, .) of that part."""
+        return degree_characters(*self._classes(n), self.top)
+
+    def u_characters(self, j: int) -> list[LaurentCharacter]:
+        """Per degree of M, the Lie-algebra cohomology H^j(u, .) of the
+        one-dimensional u: H^0 = ker f, H^1 = coker f with weights shifted
+        by the root, zero above; both from the image of f, the boundaries
+        of odd degree."""
+        if j < 0:
+            raise ValueError("negative cohomological degree")
+        if j >= 2:
+            return [LaurentCharacter.zero()] * (self.top + 1)
+        g, image, root = self.M.grading, self._boundaries(1).source, LaurentCharacter.line(2)
+        return [char - im * root if j == 0 else (char - im) * root
+                for char, im in zip(degree_characters(g.weights, g.degrees, self.top),
+                                    degree_characters(image.weights, image.degrees, self.top))]
 
     def t1_representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         tw = cochain_twist(self.M.p, n)
@@ -120,44 +153,46 @@ class PeriodicCohomology:
         """Coordinates of a cocycle's class over representatives(n)."""
         if not self.is_cocycle(n, vec):
             raise ValueError("not a cocycle")
-        _, B, BK, reps = self._data(n)
-        if self.M.dim == 0:
-            return np.zeros(0, dtype=np.int64)
+        _, b, BK, reps = self._data(n)
         # B and the reps are the pivot columns of [B | K]; the others solve to 0
-        coords = graded_solve(BK, vec)
-        return coords[B.shape[1] + np.array(reps, dtype=np.int64)]
+        return graded_solve(BK, vec)[b + np.array(reps, dtype=np.int64)]
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
         return not self.class_coordinates(n, vec).any()
 
+    def collapse_rows(self, maxdeg: int) -> list[CollapseRow]:
+        """Per degree: total E_2 dimension, the computed H^n(B_1, M), and
+        the defect; defect 0 in a degree means collapse at E_2 there.  The
+        E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting
+        by 2pi keeps the dimension, so it is read once per j."""
+        _check_maxdeg(maxdeg)
+        p = self.M.p
+        if p == 2:
+            raise ValueError("collapse bookkeeping needs p >= 3")
+        e2_dims = [sum(t1_invariants(c, p).dim() for c in self.u_characters(j)) for j in (0, 1)]
+        rows = []
+        for n in range(maxdeg + 1):
+            e2, actual = e2_dims[n % 2], t1_invariants(self.character(n), p).dim()
+            if e2 < actual:
+                raise ValueError(f"E2 smaller than the abutment in degree {n}")
+            rows.append(CollapseRow(n, e2, actual, e2 - actual))
+        return rows
+
+
+def degree_characters(weights: np.ndarray, degrees: np.ndarray, top: int) -> list[LaurentCharacter]:
+    """Per degree 0..top, the character of the given weights of that degree."""
+    return [LaurentCharacter.from_weights(weights[degrees == n].tolist()) for n in range(top + 1)]
+
 
 def u1_cohomology(M: WeightModule, n: int) -> LaurentCharacter:
     """Character of H^n(U_1, M) from the twisted periodic complex."""
-    if n < 0:
-        raise ValueError("negative cohomological degree")
     return PeriodicCohomology(M).character(n)
 
 
 def u_cohomology(M: WeightModule, j: int) -> LaurentCharacter:
     """Lie-algebra cohomology of the one-dimensional u: H^0 = ker f,
-    H^1 = coker f with weights shifted by the root, zero above.  Both come
-    from the ranks of the cell blocks of f."""
-    if j < 0:
-        raise ValueError("negative cohomological degree")
-    return _u_characters(M)[j] if j < 2 else LaurentCharacter.zero()
-
-
-def _u_characters(M: WeightModule) -> list[LaurentCharacter]:
-    """H^0(u, M) and H^1(u, M), both from one image of f."""
-    image = graded_image(M.maps["f"]).source.weights.tolist()
-    return [_u_from_image(M.weights, image, j) for j in (0, 1)]
-
-
-def _u_from_image(weights, image, j: int) -> LaurentCharacter:
-    """H^j(u, M), j in {0, 1}, from the weights of M and of the image of f."""
-    char, image = LaurentCharacter.from_weights(weights), LaurentCharacter.from_weights(image)
-    root = LaurentCharacter.line(2)
-    return char - image * root if j == 0 else (char - image) * root
+    H^1 = coker f with weights shifted by the root, zero above."""
+    return sum(PeriodicCohomology(M).u_characters(j), LaurentCharacter.zero())
 
 
 def e2_page(M: WeightModule, i: int, j: int) -> LaurentCharacter:
@@ -167,8 +202,6 @@ def e2_page(M: WeightModule, i: int, j: int) -> LaurentCharacter:
         raise ValueError("the two-line E2 page needs p >= 3")
     if i < 0 or j < 0:
         raise ValueError("negative bidegree")
-    if j >= 2:
-        return LaurentCharacter.zero()
     sel = t1_invariants(u_cohomology(M, j), M.p)
     return LaurentCharacter({w + 2 * M.p * i: m for w, m in sel.coeffs.items()})
 
@@ -182,35 +215,14 @@ class CollapseRow:
 
 
 def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
-    """Per degree: total E_2 dimension, the computed H^n(B_1, M), and the
-    defect; defect 0 in a degree means collapse at E_2 there."""
-    _check_maxdeg(maxdeg)
-    if M.p == 2:
-        raise ValueError("collapse bookkeeping needs p >= 3")
-    return _collapse_rows(PeriodicCohomology(M), maxdeg)
+    """PeriodicCohomology(M).collapse_rows(maxdeg): per degree the E_2
+    total, H^n(B_1, M) and the defect."""
+    return PeriodicCohomology(M).collapse_rows(maxdeg)
 
 
 def _check_maxdeg(maxdeg: int) -> None:
     if maxdeg < 0:
         raise ValueError(f"maxdeg must be >= 0, got maxdeg = {maxdeg}")
-
-
-def _collapse_rows(engine: PeriodicCohomology, maxdeg: int) -> list[CollapseRow]:
-    """collapse_check on the engine's module, read from the engine.  The
-    E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting by
-    2pi keeps the dimension, so it is read once per j, from the engine's
-    odd-degree boundaries (the image of f)."""
-    M, image = engine.M, engine._data(1)[1].source.weights.tolist()
-    e2_dims = [t1_invariants(_u_from_image(M.weights, image, j), M.p).dim() for j in (0, 1)]
-    rows = []
-    for n in range(maxdeg + 1):
-        e2 = e2_dims[n % 2]
-        actual = t1_invariants(engine.character(n), M.p).dim()
-        defect = e2 - actual
-        if defect < 0:
-            raise ValueError(f"E2 smaller than the abutment in degree {n}")
-        rows.append(CollapseRow(n, e2, actual, defect))
-    return rows
 
 
 def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
@@ -221,6 +233,7 @@ def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
     check_prime(p)
     if p == 2:
         raise ValueError("the collapse ideal is defined for p >= 3")
+    _check_maxdeg(maxdeg)
     y_count, x_count = (p - 1) // 2 + 1, (p - 1) - (p - 1) // 2 + 1
     return [y_count if n % 2 else (x_count if n else 0) for n in range(maxdeg + 1)]
 
@@ -294,26 +307,12 @@ def g1_cohomology_char(engine: PeriodicCohomology, n: int) -> tuple[LaurentChara
     untwist the T_1-selected answer and apply the induction Euler char.
     The flag is True when all untwisted weights are >= -1, in which case
     higher derived induction vanishes and the character is exact."""
-    if engine.M.dim == 0:
-        return LaurentCharacter.zero(), True
-    if n < 0:
-        raise ValueError("negative cohomological degree")
     return _g1_char(engine.character(n), engine.M.p)
 
 
 def _g1_char(char: LaurentCharacter, p: int) -> tuple[LaurentCharacter, bool]:
     """The induction route from the character of H^n(U_1, M)."""
     return euler_induction(t1_invariants(char, p).untwist(p))
-
-
-def _at_degree(g: Grading, n: int, vectors=slice(None)) -> list[int]:
-    """The weights of degree n among the given vectors of a grading."""
-    return g.weights[vectors][g.degrees[vectors] == n].tolist()
-
-
-def _degree_character(M: WeightModule, n: int) -> LaurentCharacter:
-    """The character of the degree-n part of a module graded by weight and degree."""
-    return LaurentCharacter.from_weights(_at_degree(M.grading, n))
 
 
 class Sl2Pieces:
@@ -330,33 +329,26 @@ class Sl2Pieces:
         self.blocks = {} if p == 2 else casimir_blocks(M)  # degree 0 makes 0 an eigenvalue
         self.engine = PeriodicCohomology(M if p == 2 else M.submodule(self.blocks[0], prefix="blk"))
 
+    @cached_property
+    def _characters(self) -> list[LaurentCharacter]:
+        g = self.module.grading
+        return degree_characters(g.weights, g.degrees, self.top)
+
     def character(self, n: int) -> LaurentCharacter:
         """The character of piece n."""
         if not 0 <= n <= self.top:
             raise ValueError(f"degree {n} outside [0, {self.top}]")
-        return _degree_character(self.module, n)
-
-    def u1_chars(self, d: int) -> list[LaurentCharacter]:
-        """Per piece, the character of H^d(U_1, .) of its principal part."""
-        K, *_, reps = self.engine._data(d)
-        reps, tw = list(reps), cochain_twist(self.p, d)
-        return [LaurentCharacter.from_weights(w + tw for w in _at_degree(K.source, n, reps))
-                for n in range(self.top + 1)]
-
-    def u_chars(self, j: int) -> list[LaurentCharacter]:
-        """Per piece, H^j(u, .), j in {0, 1}, of its principal part, from f's image."""
-        g, image = self.engine.M.grading, self.engine._data(1)[1].source
-        return [_u_from_image(_at_degree(g, n), _at_degree(image, n), j)
-                for n in range(self.top + 1)]
+        return self._characters[n]
 
     def g1_chars(self, d: int) -> list[tuple[LaurentCharacter, bool]]:
         """Per piece, g1_cohomology_char(., d) of its principal part; an
         empty part has no representatives and gives (0, exact)."""
-        return [_g1_char(char, self.p) for char in self.u1_chars(d)]
+        return [_g1_char(char, self.p) for char in self.engine.characters(d)]
 
     def class_weights(self, n: int) -> list[list[int]]:
         """Per Casimir eigenvalue, increasing, its eigenspace's weights in piece n."""
-        return [_at_degree(cols.source, n) for _, cols in sorted(self.blocks.items())]
+        return [cols.source.weights[cols.source.degrees == n].tolist()
+                for _, cols in sorted(self.blocks.items())]
 
 
 @dataclass

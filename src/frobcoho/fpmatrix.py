@@ -40,12 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-_PRIMES = frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37})
-
-
 def is_prime(p: int) -> bool:
-    if p in _PRIMES:
-        return True
     if p < 2:
         return False
     d = 2
@@ -67,8 +62,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) ** 2 * inner >= 2 ** 53:
         raise ValueError(f"a product over F_{p} with inner dimension {inner} "
                          "is not exact in float64")
-    if inner == 0:
-        return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
     c = a.astype(np.float64) @ b.astype(np.float64)
     return c.astype(np.int64) % p  # integer % beats float fmod and float % on numpy 2
 
@@ -535,7 +528,8 @@ def graded_solve(mat: GradedMap, rhs):
         if cols.shape[0] != mat.shape[0]:
             raise ValueError("shape mismatch")
         b = np.pad(cols % p, ((0, 1), (0, 0)))[g.index[:-1]]  # per cell of grading
-        at = s.find(g.values - mat.shift * _CELL)
+        live = b.any(axis=(1, 2))  # a cell of zero right-hand sides solves to zero
+        b, at = b[live], s.find(g.values[live] - mat.shift * _CELL)
     x = _solve_stack(np.pad(mat.stack, ((0, 1), (0, 0), (0, 0)))[at], b, p)
     if isinstance(rhs, GradedMap):
         return GradedMap(p, s, shift, x, rhs.source)

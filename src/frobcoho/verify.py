@@ -45,22 +45,18 @@ from .characters import (
 from .cohomology import (
     PeriodicCohomology,
     Sl2Pieces,
-    _collapse_rows,
-    _degree_character,
-    _u_characters,
     collapse_check,
     cup_product,
+    degree_characters,
     ip_expected_dims,
     t1_invariants,
-    u_cohomology,
 )
-from .fpmatrix import GradedMap, Grading, cell_nullities, graded_columns, graded_solve, is_prime
+from .fpmatrix import cell_nullities, graded_columns, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
     _class_labels,
-    _monomials,
     simple_model,
     trivial_module,
 )
@@ -382,14 +378,15 @@ def verify_propositions(p: int) -> VerificationReport:
         want = [(tilting_char(2 * p - 2, p) if n in upper else weyl_chi(0)) if n % 2 == 0
                 else (simple_char(2 * p - 2, p) if n in upper else LaurentCharacter.zero())
                 for n in range(pieces.top + 1)]
-        got = [_degree_character(pieces.engine.M, n) for n in range(pieces.top + 1)]
+        g0 = pieces.engine.M.grading
+        got = degree_characters(g0.weights, g0.degrees, pieces.top)
         report.add("principal-block-structure", got == want,
                    "k / 0 / T(2p-2) / L(2p-2) by parity and range", _fmt_dims(c.dim() for c in got))
 
     # Kostant weights for the one-dimensional nilradical
-    ok = all(_u_characters(L) == [LaurentCharacter.line(-lam), LaurentCharacter.line(lam + 2)]
-             and u_cohomology(L, 2).is_zero()
-             for lam, L in ((lam, simple_model(lam, p)) for lam in range(p)))
+    line, zero = LaurentCharacter.line, LaurentCharacter.zero()
+    ok = all([engine.u_characters(j) for j in range(3)] == [[line(-lam)], [line(lam + 2)], [zero]]
+             for lam in range(p) for engine in [PeriodicCohomology(simple_model(lam, p))])
     report.add("kostant-weights", ok, "H0 at -m, H1 at m+2, 0 above", "as expected" if ok else "mismatch")
 
     # Borel Hochschild dimensions and ring samples
@@ -425,21 +422,22 @@ def verify_propositions(p: int) -> VerificationReport:
                    all(r.defect == 0 for r in rows),
                    "defect 0 everywhere", _fmt_dims(r.defect for r in rows))
 
-        rows0 = _collapse_rows(pieces.engine, 8)  # on the principal block of the whole algebra
+        rows0 = pieces.engine.collapse_rows(8)  # on the principal block of the whole algebra
         wanted = ip_expected_dims(p, 8)
         report.add("collapse-defect-vs-ideal",
                    [r.defect for r in rows0] == wanted,
                    _fmt_dims(wanted), _fmt_dims(r.defect for r in rows0))
 
-        e2tot = [r.e2_total for r in _collapse_rows(taft_engine, maxdeg)]
+        e2tot = [r.e2_total for r in taft_engine.collapse_rows(maxdeg)]
         report.add("taft-e2-collapse", e2tot == taft_dims, _fmt_dims(taft_dims), _fmt_dims(e2tot))
 
         _cup_checks(report, pieces)
 
     # identifications of the Borel graded pieces as twisted simples
-    ok = all(_degree_character(taft.module, n)
-             == simple_char(min(n, 2 * p - 2 - n), p) * LaurentCharacter.line(-n)
-             for n in range(taft.top_degree + 1))
+    gb = taft.module.grading
+    ok = degree_characters(gb.weights, gb.degrees, taft.top_degree) == [
+        simple_char(min(n, 2 * p - 2 - n), p) * LaurentCharacter.line(-n)
+        for n in range(taft.top_degree + 1)]
     report.add("borel-row-identifications", ok,
                "L(n) (x) -n below p, reflected above", "as expected" if ok else "mismatch")
 
@@ -458,9 +456,9 @@ def verify_propositions(p: int) -> VerificationReport:
 
 def _sym_checks(report: VerificationReport, g) -> None:
     """The symmetric powers of sl2 up to degree 2p-2, read from their monomials' weights."""
-    p, wt = g.p, np.array(g.weights)
-    chars = [LaurentCharacter.from_weights((np.array(list(_monomials(g.dim, n, None))) @ wt).tolist())
-             for n in range(2 * p - 1)]
+    p = g.p
+    chars = [LaurentCharacter.from_weights(2 * a - 2 * c for a in range(n + 1) for c in range(n + 1 - a))
+             for n in range(2 * p - 1)]  # e^a h^(n-a-c) f^c has weight 2a - 2c
     # symmetric powers decompose into costandard characters stepping by 4
     for n in range(0, 2 * p - 1):
         expected = [("Nabla", 2 * n - 4 * q, 1) for q in range(n // 2 + 1)]
@@ -503,20 +501,16 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
                "as expected" if ok else "mismatch")
 
     # squares of the surviving odd classes; the principal parts of them and
-    # of the invariant lines, single-cell vectors, come from one solve by cell
+    # of the invariant lines come from one solve over all Casimir blocks
     odd_reps = []
     for vec, w in engine.t1_representatives(1):
         nm = "z" if w == 2 * p - 2 else "z'"
         odd_reps.append((f"{nm}@{total.degrees[np.flatnonzero(vec)[0]]}", vec))
     h0 = [vec for vec, _ in engine.t1_representatives(0)]
     squares = [cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]
-    principal, g, vecs = pieces.blocks[0], total.module.grading, np.array(h0 + squares).T
-    rows, cols = np.nonzero(vecs)
-    at = (vecs != 0).argmax(axis=0)  # a zero column may sit anywhere
-    cells = Grading(g.weights[at], g.degrees[at])
+    principal = pieces.blocks[0]
     basis = graded_columns(*(pieces.blocks[lam] for lam in sorted(pieces.blocks)))
-    rhs = GradedMap.scatter(p, g, 0, rows, cols, vecs[rows, cols], cells)
-    coords = graded_solve(basis, rhs).dense().a[:principal.shape[1]]
+    coords = graded_solve(basis, np.array(h0 + squares).T)[:principal.shape[1]]
 
     # one-dimensional kernel-invariant line per even internal degree
     degrees = principal.source.degrees
@@ -533,15 +527,15 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     want = [[line(0) if n % 2 == 0 else zero for n in rows],
             [(line(2 * p) if n % 2 == 0 else line(2 * p) + line(0)) if n in upper else zero
              for n in rows]]
-    got = [[t1_invariants(char, p) for char in pieces.u_chars(j)] for j in (0, 1)]
+    got = [[t1_invariants(char, p) for char in pieces.engine.u_characters(j)] for j in (0, 1)]
     report.add("u-basis-pattern", got == want,
                "x line even rows; y at 2p on upper even rows; z,z' at 2p,0 on upper odd rows",
                "as expected" if got == want else "mismatch")
 
     # the f^(p-1)-type classes live on the E2 page only: the row carrying
     # them restricts projectively, so nothing survives in positive degree
-    e2_odd = t1_invariants(pieces.u_chars(1)[p - 1], p)
-    died = all(t1_invariants(pieces.u1_chars(d)[p - 1], p).is_zero() for d in (1, 2, 3))
+    e2_odd = t1_invariants(pieces.engine.u_characters(1)[p - 1], p)
+    died = all(t1_invariants(pieces.engine.characters(d)[p - 1], p).is_zero() for d in (1, 2, 3))
     report.add("y-family-dies-at-e3",
                e2_odd == LaurentCharacter.line(2 * p) and died,
                "one E2 class at weight 2p, no surviving positive degree",

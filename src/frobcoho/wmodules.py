@@ -343,6 +343,8 @@ def _torus_module(alg: RestrictedLieAlgebra, labels, weights) -> WeightModule:
 
 
 def weight_line(alg: RestrictedLieAlgebra, w: int) -> WeightModule:
+    if "e" in alg.generators and w % alg.p:
+        raise ValueError(f"h = [e, f] acts by zero on a line, so p must divide w; got w = {w}")
     return _torus_module(alg, (f"<{w}>",), [w])
 
 
@@ -483,9 +485,9 @@ def summand_labels(M: WeightModule) -> DecompList:
             return decompose_tilting_greedy(char, p)
         except ValueError:
             pass
-        if char == weyl_chi(2):
-            alg = M.algebra
-            fam = "Delta" if module_hom_dim(trivial_module(alg), M) else "Nabla"
+        if char == weyl_chi(2):  # Hom(k, M): the invariants of weight 0
+            maps = [M.maps[x] for x in M.algebra.generators]
+            fam = "Delta" if cell_nullities(maps, M.grading.cell_weights == 0).any() else "Nabla"
             return DecompList([(fam, 2, 1)])
         raise ValueError("p=2 module outside the supported label patterns")
     return _class_labels([c.source.weights.tolist() for _, c in sorted(casimir_blocks(M).items())], p)

@@ -123,6 +123,18 @@ def test_e2_page_basics():
         e2_page(trivial_module(sl2(2)), 0, 0)
 
 
+def test_negative_degrees_are_rejected():
+    M = truncated_sym(sl2(5), 4)
+    eng = PeriodicCohomology(M)
+    for read in (lambda: u1_cohomology(M, -1), lambda: u_cohomology(M, -1),
+                 lambda: eng.character(-1), lambda: eng.characters(-2),
+                 lambda: eng.u_characters(-1), lambda: g1_cohomology_char(eng, -1)):
+        with pytest.raises(ValueError, match="negative cohomological degree"):
+            read()
+    with pytest.raises(ValueError, match="negative bidegree"):
+        e2_page(M, 0, -1)
+
+
 def test_e2_matches_b1_for_borel_coefficients():
     for p in (3, 5):
         total = TruncatedSymAlgebra(borel(p)).module
@@ -215,7 +227,10 @@ def test_negative_maxdeg_is_rejected():
         hh_table("g1", 3, -1)
     with pytest.raises(ValueError, match="maxdeg = -1"):
         collapse_check(trivial_module(sl2(3)), -1)
+    with pytest.raises(ValueError, match="maxdeg = -1"):
+        ip_expected_dims(3, -1)
     assert len(collapse_check(trivial_module(sl2(3)), 0)) == 1
+    assert ip_expected_dims(3, 0) == [0]
 
 
 def test_periodicity_of_dimensions():

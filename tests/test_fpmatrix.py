@@ -10,6 +10,7 @@ from frobcoho.fpmatrix import (
     _matmul,
     generalized_eigenspace,
     graded_kernel,
+    is_prime,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -46,6 +47,8 @@ def test_rank_reduces_mod_p():
 
 
 def test_modulus_must_be_prime():
+    assert [q for q in range(-3, 60) if is_prime(q)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     with pytest.raises(ValueError):
         FpMatrix(6, [[1]])
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
@@ -147,6 +150,10 @@ def test_matrix_power_and_ops():
     assert (m ** 5).a[0, 1] == 0  # unipotent order p
     assert (m - m).is_zero()
     assert (3 * m).a[0, 0] == 3
+    # an empty inner dimension gives zero products, for stacks too
+    empty = _matmul(np.zeros((2, 3, 0), dtype=np.int64), np.zeros((2, 0, 4), dtype=np.int64), 5)
+    assert empty.shape == (2, 3, 4) and empty.dtype == np.int64 and not empty.any()
+    assert (FpMatrix.zeros(5, 3, 0) @ FpMatrix.zeros(5, 0, 2)) == FpMatrix.zeros(5, 3, 2)
 
 
 def test_independent_columns_greedy():

@@ -337,15 +337,17 @@ def test_scattered_small_modules_equal_the_dense_ones():
             for w in ws:
                 _assert_same_module(weight_line(alg, w), _dense_weight_line(alg, w))
         if p > 2:  # h acts on an sl2 line by its weight, so only multiples of p pass
-            for build in (weight_line, _dense_weight_line):
-                with pytest.raises(ValueError, match=r"bracket compatibility fails on \(e,f\)"):
-                    build(sl2(p), 1)
+            with pytest.raises(ValueError, match=r"bracket compatibility fails on \(e,f\)"):
+                _dense_weight_line(sl2(p), 1)
+            with pytest.raises(ValueError, match="got w = 1"):
+                weight_line(sl2(p), 1)
 
 
 def test_weight_line_constraints():
     assert weight_line(sl2(5), 10).weights == (10,)
-    with pytest.raises(ValueError):
-        weight_line(sl2(5), 3)  # h-scalar forces w = 0 mod p for sl2
+    for p, w in ((5, 3), (5, -1), (2, 1), (3, 4)):
+        with pytest.raises(ValueError, match=f"got w = {w}$"):
+            weight_line(sl2(p), w)  # h-scalar forces w = 0 mod p for sl2
     assert weight_line(borel(5), 3).weights == (3,)  # fine on the Borel
 
 
