@@ -145,9 +145,10 @@ class PeriodicCohomology:
                                     degree_characters(image.weights, image.degrees, self.top))]
 
     def t1_representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
-        tw = cochain_twist(self.M.p, n)
-        return [(v, w) for v, w in self.representatives(n)
-                if (w + tw) % self.M.p == 0]
+        """representatives(n) of twisted weight divisible by p (T_1-invariant)."""
+        K, *_, reps = self._data(n)
+        kept = np.array(reps, dtype=np.int64)[self._classes(n)[0] % self.M.p == 0]
+        return [(K.column(j), int(K.source.weights[j])) for j in kept]
 
     def class_coordinates(self, n: int, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle's class over representatives(n)."""

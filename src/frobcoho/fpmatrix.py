@@ -2,11 +2,17 @@
 
 Everything downstream (Lie algebra actions, cohomology of periodic
 complexes, Hom spaces) reduces to rank/kernel/solve computations over
-F_p with p a small prime.  Matrices are stored as int64 numpy arrays
-with entries in [0, p).  Products are routed through float64 so that
-numpy can use BLAS; this is exact while every product entry before
-reduction, at most (p-1)^2 times the inner dimension, stays below 2^53,
-and _matmul raises where that bound fails.
+F_p with p a small prime.  Entries lie in [0, p).  A dense FpMatrix, and
+every array that leaves this module, is int64; a cell stack is held in
+the narrowest of int8, int16, int32 and int64 that holds p(p-1) (_dtype):
+int8 for p <= 11, int16 for 13 <= p <= 181.  For entries in [0, p), a
+sum, a scalar multiple, a - b = a + (p-1) b and an update a - c row all
+stay within p(p-1) in absolute value, and so does the reduction
+x - (x // p) p (_mod), so no stack is ever upcast.  Products are routed
+through float64 so that numpy can use BLAS, then reduced and narrowed;
+this is exact while every product entry before reduction, at most
+(p-1)^2 times the inner dimension, stays below 2^53, and _matmul raises
+where that bound fails.
 
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
@@ -56,14 +62,27 @@ def check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, for matrices or for stacks of them with entries in [0, p)."""
+def _dtype(p: int) -> np.dtype:
+    """The stack dtype over F_p: the narrowest integer dtype that holds p(p-1)."""
+    return np.min_scalar_type(-p * (p - 1))
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, as x - (x // p) p, since numpy vectorizes integer
+    floor division by a scalar but not %; exact while (x // p) p fits x's dtype."""
+    x -= x // p * p
+    return x
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
+    """a @ b mod p as dtype, for matrices or for stacks of them with entries
+    in [0, p); reduced in the narrowest dtype that holds (p-1)^2 inner."""
     inner = a.shape[-1]
     if (p - 1) ** 2 * inner >= 2 ** 53:
         raise ValueError(f"a product over F_{p} with inner dimension {inner} "
                          "is not exact in float64")
     c = a.astype(np.float64) @ b.astype(np.float64)
-    return c.astype(np.int64) % p  # integer % beats float fmod and float % on numpy 2
+    return _mod(c.astype(np.min_scalar_type(-(p - 1) ** 2 * inner - 1)), p).astype(dtype)
 
 
 def _power(base, n: int, mul):
@@ -84,10 +103,10 @@ def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     columns: the reduced forms, and per slice a mask of its pivot columns.
     Zero rows and columns never become pivots, so a slice padded with zeros
     keeps its pivots and, on its own rows and columns, its reduced form."""
-    a = a.copy()
+    a = a.astype(_dtype(p))
     count, rows, cols = a.shape
     pivot = np.zeros((count, cols), dtype=bool)
-    inv = np.array([0, *(pow(x, p - 2, p) for x in range(1, p))], dtype=np.int64)
+    inv = np.array([0, *(pow(x, p - 2, p) for x in range(1, p))], dtype=a.dtype)
     r = np.zeros(count, dtype=np.int64)  # next pivot row, per slice
     below = np.arange(rows)
     for c in range(cols):
@@ -98,9 +117,9 @@ def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         sel = slice(None) if live.size == count else live
         top, k = r[live], nz[live].argmax(axis=1)
         row = a[live, k]
-        row = row * inv[row[:, c]][:, None] % p
+        row = _mod(row * inv[row[:, c]][:, None], p)
         a[live, k] = a[live, top]
-        a[sel] = (a[sel] - a[sel, :, c, None] * row[:, None, :]) % p  # top rows reset below
+        a[sel] = _mod(a[sel] - a[sel, :, c, None] * row[:, None, :], p)  # top rows reset below
         a[live, top] = row
         pivot[live, c] = True
         r[live] += 1
@@ -113,8 +132,8 @@ def _kernels(red: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
     """The kernels of the slices of a reduced stack from _rref_stack, as a
     (B, cols, cols) stack: per free column f of a slice, its column f is the
     kernel vector with a 1 at f and 0 at the other free columns."""
-    basis = np.zeros((red.shape[0], red.shape[2], red.shape[2]), dtype=np.int64)
-    basis[piv] = -red[red.any(axis=2)] % p  # row c: minus the reduced row of pivot c
+    basis = np.zeros((red.shape[0], red.shape[2], red.shape[2]), dtype=_dtype(p))
+    basis[piv] = _mod(-red[red.any(axis=2)], p)  # row c: minus the reduced row of pivot c
     s, f = np.nonzero(~piv)
     basis[s, f, f] = 1
     return basis
@@ -128,7 +147,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     red, piv = _rref_stack(np.concatenate([a, b], axis=2), p)
     if piv[:, n:].any():
         raise ValueError("inconsistent linear system")
-    x = np.zeros((a.shape[0], n, b.shape[2]), dtype=np.int64)
+    x = np.zeros((a.shape[0], n, b.shape[2]), dtype=red.dtype)
     x[piv[:, :n]] = red[red.any(axis=2)][:, n:]  # row c: the reduced row of pivot c
     return x
 
@@ -149,10 +168,10 @@ class FpMatrix:
 
     @classmethod
     def _reduced(cls, p: int, a: np.ndarray) -> "FpMatrix":
-        """The matrix of a 2-d int64 array already in [0, p), p a checked
-        prime, kept as it is."""
+        """The matrix of a 2-d integer array already in [0, p), p a checked
+        prime, kept as it is if int64."""
         m = cls.__new__(cls)
-        m.p, m.a, m._rref_cache = p, a, None
+        m.p, m.a, m._rref_cache = p, a.astype(np.int64, copy=False), None
         return m
 
     @classmethod
@@ -334,9 +353,11 @@ class GradedMap:
     stack, private to this module, holds at k the dense block from the
     source vectors of cell source.values[k] to the vectors of the cell of
     the same degree and shifted weight, in the order of the gradings' index
-    rows and padded with zeros.  Entries lie in [0, p).  Sums, products,
-    powers and application to vectors or column sets act on the whole stack
-    at once.
+    rows and padded with zeros.  Entries lie in [0, p), in the narrowest
+    integer dtype that holds p(p-1), where every sum, scalar multiple and
+    difference stays exact.  Sums, products, powers and application to
+    vectors or column sets act on the whole stack at once; entries(),
+    column(), dense() and applications return int64.
     """
 
     def __init__(self, p: int, grading: Grading, shift: int, stack: np.ndarray,
@@ -355,9 +376,9 @@ class GradedMap:
         if not np.array_equal(grading.keys[rows], source.keys[cols] + shift * _CELL):
             raise ValueError(f"map does not move weights by {shift}")
         stack = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]),
-                         dtype=np.int64)
+                         dtype=np.int64)  # repeated positions may sum past a narrow dtype
         np.add.at(stack, (source.pos[cols], grading.slot[rows], source.slot[cols]), vals)
-        return cls(p, grading, shift, stack % p, source)
+        return cls(p, grading, shift, _mod(stack, p).astype(_dtype(p)), source)
 
     @classmethod
     def identity(cls, p: int, grading: Grading) -> "GradedMap":
@@ -387,7 +408,8 @@ class GradedMap:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row indices, column indices and values of the nonzero entries."""
         k, i, j = np.nonzero(self.stack)
-        return self.grading.index[self._targets[k], i], self.source.index[k, j], self.stack[k, i, j]
+        return (self.grading.index[self._targets[k], i], self.source.index[k, j],
+                self.stack[k, i, j].astype(np.int64))
 
     def dense(self) -> FpMatrix:
         out, (rows, cols, vals) = np.zeros(self.shape, dtype=np.int64), self.entries()
@@ -406,7 +428,7 @@ class GradedMap:
     def _with(self, other: "GradedMap", shift: int, stack: np.ndarray) -> "GradedMap":
         if (self.grading, self.source, self.p) != (other.grading, other.source, other.p):
             raise ValueError("maps on different spaces")
-        return GradedMap(self.p, self.grading, shift, stack % self.p, self.source)
+        return GradedMap(self.p, self.grading, shift, _mod(stack, self.p), self.source)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if self.shift != other.shift:
@@ -426,11 +448,9 @@ class GradedMap:
         if isinstance(other, GradedMap):
             if other.grading is not s or other.p != self.p:
                 raise ValueError("maps on different spaces")
-            t = other._targets
-            live = t < s.values.size
-            stack = np.zeros((other.source.values.size, g.index.shape[1],
-                              other.source.index.shape[1]), dtype=np.int64)
-            stack[live] = _matmul(self.stack[t[live]], other.stack[live], self.p)
+            zero = np.zeros((1, *self.stack.shape[1:]), self.stack.dtype)  # for a missing cell
+            blocks = np.concatenate([self.stack, zero])[other._targets]
+            stack = _matmul(blocks, other.stack, self.p, _dtype(self.p))
             return GradedMap(self.p, g, self.shift + other.shift, stack, other.source)
         x = np.asarray(other, dtype=np.int64) % self.p
         if x.shape[0] != self.shape[1]:
@@ -449,26 +469,22 @@ class GradedMap:
 def column_set(p: int, grading: Grading, keys, stack: np.ndarray, mask) -> GradedMap:
     """The column set of the columns of stack[k] that mask[k] selects, on
     the vectors of the cell of key keys[k] in grading (stack rows in the
-    order of its index row), in order; keys increase."""
+    order of its index row), in order."""
     k, j = np.nonzero(mask)
     source = Grading.of_keys(np.asarray(keys, dtype=np.int64)[k])
-    out = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]), np.int64)
+    out = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]), _dtype(p))
     out[source.pos, :stack.shape[1], source.slot] = stack[k, :, j]
     return GradedMap(p, grading, 0, out, source)
 
 
 def graded_columns(*sets: GradedMap) -> GradedMap:
     """The columns of column sets into one grading, side by side."""
-    g, source = sets[0].grading, Grading.of_keys(np.concatenate([m.source.keys for m in sets]))
+    g = sets[0].grading
     if any(m.grading is not g or m.shift for m in sets):
         raise ValueError("column sets in different spaces")
-    stack = np.zeros((source.values.size, g.index.shape[1], source.index.shape[1]), dtype=np.int64)
-    start = 0
-    for m in sets:
-        j = np.arange(start, start + m.shape[1])
-        stack[source.pos[j], :, source.slot[j]] = m.stack[m.source.pos, :, m.source.slot]
-        start += m.shape[1]
-    return GradedMap(sets[0].p, g, 0, stack, source)
+    cols = np.concatenate([m.stack[m.source.pos, :, m.source.slot] for m in sets])[:, :, None]
+    return column_set(sets[0].p, g, np.concatenate([m.source.keys for m in sets]), cols,
+                      np.ones((len(cols), 1), dtype=bool))
 
 
 def _joint_rref(maps, cells=slice(None)):

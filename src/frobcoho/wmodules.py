@@ -43,6 +43,7 @@ import numpy as np
 from .characters import (
     DecompList,
     LaurentCharacter,
+    _digits,
     decompose_simples,
     decompose_tilting_greedy,
     weyl_chi,
@@ -129,15 +130,9 @@ class WeightModule:
             raise ValueError("tensor factors live over different algebras")
         alg, n, m = self.algebra, self.dim, other.dim
         labels = [f"{a}*{b}" for a in self.labels for b in other.labels]
-        i, j = np.arange(n)[:, None], np.arange(m)[:, None]
-        grading, actions = Grading(np.add.outer(self.grading.weights, other.grading.weights)), {}
-        for x in alg.generators:
-            # a*b is basis vector i * m + j; x (x) 1 moves i, 1 (x) x moves j
-            (ra, ca, va), (rb, cb, vb) = self.maps[x].entries(), other.maps[x].entries()
-            rows = np.concatenate([(ra * m + j).ravel(), (i * m + rb).ravel()])
-            cols = np.concatenate([(ca * m + j).ravel(), (i * m + cb).ravel()])
-            vals = np.concatenate([np.tile(va, m), np.tile(vb, n)])
-            actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x), rows, cols, vals)
+        grading = Grading(np.add.outer(self.grading.weights, other.grading.weights))
+        actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x), *_tensor_entries(
+            self.maps[x].entries(), other.maps[x].entries(), n, m)) for x in alg.generators}
         return WeightModule(alg, labels, grading, actions)
 
     def dual(self) -> "WeightModule":
@@ -172,63 +167,52 @@ class WeightModule:
         return WeightModule(self.algebra, labels, columns.source, actions)
 
 
+def _tensor_entries(a, b, n: int, m: int):
+    """Rows, columns and values of x (x) 1 + 1 (x) y on the basis a*b at
+    i * m + j, from the entries a of x on n vectors and b of y on m."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    i, j = np.arange(n)[:, None], np.arange(m)[:, None]
+    return (np.concatenate([(ra * m + j).ravel(), (i * m + rb).ravel()]),
+            np.concatenate([(ca * m + j).ravel(), (i * m + cb).ravel()]),
+            np.concatenate([np.tile(va, m), np.tile(vb, n)]))
+
+
 # -- monomial constructions ----------------------------------------------
 
 
-def _monomials(ngens: int, degree: int, cap):
-    """Exponent tuples of the given total degree in lex order, first
-    generator most significant; cap limits each exponent (None = no cap)."""
-    if ngens == 1:
-        if cap is None or degree <= cap:
-            yield (degree,)
-        return
-    top = degree if cap is None else min(cap, degree)
-    for a in range(top + 1):
-        for rest in _monomials(ngens - 1, degree - a, cap):
-            yield (a,) + rest
-
-
-def monomial_label(exps, generators) -> str:
-    parts = []
-    for g, a in zip(generators, exps):
-        if a == 1:
-            parts.append(g)
-        elif a > 1:
-            parts.append(f"{g}^{a}")
-    return "*".join(parts) if parts else "1"
-
-
-def _derivation(alg: RestrictedLieAlgebra, exps: np.ndarray, grading: Grading, x: str,
-                cap) -> GradedMap:
-    """Adjoint action of x on the monomials with exponent rows exps by the
-    Leibniz rule, scattered into cell blocks; a monomial is found by its
-    exponents read as digits.  Terms whose exponent reaches cap+1 are
-    dropped (the p-th power ideal)."""
-    gens, unit = alg.generators, np.eye(alg.dim, dtype=np.int64)
-    digit = (exps.max(initial=0) + 2) ** np.arange(alg.dim - 1, -1, -1)
-    codes = exps @ digit
-    order, terms = np.argsort(codes), [(np.zeros(0, dtype=np.int64),) * 3]
-    for i, g in enumerate(gens):
-        for z, c in alg.bracket_coeffs(x, g).items():
-            new, zi = exps - unit[i] + unit[gens.index(z)], gens.index(z)
-            j = np.flatnonzero((exps[:, i] > 0) & (cap is None or new[:, zi] <= cap))
-            terms.append((order[np.searchsorted(codes, new[j] @ digit, sorter=order)],
-                          j, exps[j, i] * c))
-    return GradedMap.scatter(alg.p, grading, alg.weight(x), *map(np.concatenate, zip(*terms)))
-
-
 def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
-    """The monomials of the given degrees, degree by degree, with the
-    adjoint derivation action; graded by weight, and by degree too when
-    there are several."""
-    basis = [e for n in degrees for e in _monomials(alg.dim, n, cap)]
-    exps = np.array(basis, dtype=np.int64).reshape(len(basis), alg.dim)
+    """The monomials of the given increasing degrees, exponents at most cap
+    (None = no cap), with the adjoint derivation action; graded by weight,
+    and by degree too when there are several.  The basis (exponent rows kept
+    as exponents) lists them degree by degree by ascending code, the
+    exponents read as base-(cap+1) digits, first generator most significant."""
+    gens, base = alg.generators, min(max(degrees), max(degrees) if cap is None else cap) + 1
+    digit = base ** np.arange(alg.dim - 1, -1, -1)
+    exps = np.arange(base ** alg.dim)[:, None] // digit % base
+    total = exps.sum(axis=1)
+    codes = np.flatnonzero(np.isin(total, degrees))
+    codes = codes[np.argsort(total[codes], kind="stable")]
+    at = np.empty_like(total)  # per code of the basis, its position
+    at[codes] = np.arange(codes.size)
+    exps, total = exps[codes], total[codes]
     grading = Grading(exps @ np.array(alg.weights, dtype=np.int64),
-                      exps.sum(axis=1) if len(degrees) > 1 else None)
-    labels = [monomial_label(e, alg.generators) for e in basis]
-    actions = {x: _derivation(alg, exps, grading, x, cap) for x in alg.generators}
+                      total if len(degrees) > 1 else None)
+    pieces = [np.array(["", g, *(f"{g}^{a}" for a in range(2, base))], dtype=object)[e]
+              for g, e in zip(gens, exps.T)]
+    labels = ["*".join(filter(None, parts)) or "1" for parts in zip(*pieces)]
+    # x acts by the Leibniz rule: g_i -> c z per [x, g_i] = c z, dropping an exponent past cap
+    actions = {}
+    for x in gens:
+        terms = [(np.zeros(0, dtype=np.int64),) * 3]
+        for i, g in enumerate(gens):
+            for z, c in alg.bracket_coeffs(x, g).items():
+                zi = gens.index(z)
+                j = np.flatnonzero((exps[:, i] > 0) & (cap is None or exps[:, zi] + (zi != i) <= cap))
+                terms.append((at[codes[j] - digit[i] + digit[zi]], j, exps[j, i] * c))
+        actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x),
+                                       *map(np.concatenate, zip(*terms)))
     mod = WeightModule(alg, labels, grading, actions)
-    mod.exponents = basis
+    mod.exponents = exps
     return mod
 
 
@@ -260,21 +244,17 @@ class TruncatedSymAlgebra:
     code sum."""
 
     def __init__(self, alg: RestrictedLieAlgebra):
-        p = alg.p
-        cap = p - 1
-        self.algebra = alg
-        self.p = p
-        self.top_degree = cap * alg.dim
-        self.module = _monomial_module(alg, range(self.top_degree + 1), cap)
-        basis = self.exponents = self.module.exponents
-        self.degrees = tuple(sum(e) for e in basis)
-        self.index = {e: k for k, e in enumerate(basis)}
+        p = self.p = alg.p
+        self.algebra, self.top_degree = alg, (p - 1) * alg.dim
+        self.module = _monomial_module(alg, range(self.top_degree + 1), p - 1)
+        exps = self.module.exponents
+        self._codes = exps @ p ** np.arange(alg.dim - 1, -1, -1)
+        self.exponents = list(map(tuple, exps.tolist()))
+        self._degree = self.module.grading.degrees
+        self.degrees = tuple(self._degree.tolist())
+        self.index = {e: k for k, e in enumerate(self.exponents)}
         self.unit_index = self.index[(0,) * alg.dim]
-        self._codes = np.array(basis, dtype=np.int64) @ (
-            p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64))
-        self._at_code = np.empty(len(basis), dtype=np.int64)
-        self._at_code[self._codes] = np.arange(len(basis))
-        self._degree = np.array(self.degrees, dtype=np.int64)
+        self._at_code = np.argsort(self._codes)  # every code below p^dim is a monomial
 
     @property
     def dim(self) -> int:
@@ -373,15 +353,9 @@ def simple_module(lam: int, p: int) -> WeightModule:
     tensored with Frobenius twists."""
     if lam < 0:
         raise ValueError("dominant weight required")
-    digits = []
-    m = lam
-    while True:
-        digits.append(m % p)
-        m //= p
-        if m == 0:
-            break
-    out = simple_model(digits[0], p)
-    for r, d in enumerate(digits[1:], start=1):
+    first, *rest = _digits(lam, p)
+    out = simple_model(first, p)
+    for r, d in enumerate(rest, start=1):
         out = out.tensor(simple_model(d, p).frobenius_twist(r))
     return out
 
@@ -431,13 +405,21 @@ def module_hom_dim(M: WeightModule, N: WeightModule) -> int:
     every generator and Phi supported on equal-weight entry pairs, i.e.
     Hom in the weight-graded (G_1 T) sense.  These are the invariants of
     weight 0 in N (x) M^*: the nullity of the blocks of every generator on
-    its weight-0 cell, stacked, in one reduction.
+    its weight-0 cell, stacked, in one reduction.  Only the entries from
+    that cell are scattered, into the cells of weight wt(x).
     """
     if M.algebra.generators != N.algebra.generators or M.p != N.p:
         raise ValueError("hom spaces need modules over the same algebra")
-    T = N.tensor(M.dual())
-    maps = [T.maps[x] for x in T.algebra.generators]
-    return int(cell_nullities(maps, T.grading.cell_weights == 0).sum())
+    gens, w = M.algebra.generators, np.subtract.outer(N.grading.weights, M.grading.weights).ravel()
+    src, dst = np.flatnonzero(w == 0), np.flatnonzero(np.isin(w, list(map(M.algebra.weight, gens))))
+    source, grading, maps = Grading(w[src]), Grading(w[dst]), []
+    for x in gens:
+        rm, cm, vm = M.maps[x].entries()  # x^* has -v at (c, r) per entry (r, c, v) of x
+        rows, cols, vals = _tensor_entries(N.maps[x].entries(), (cm, rm, -vm), N.dim, M.dim)
+        at = w[cols] == 0
+        rows, cols = np.searchsorted(dst, rows[at]), np.searchsorted(src, cols[at])
+        maps.append(GradedMap.scatter(M.p, grading, M.algebra.weight(x), rows, cols, vals[at], source))
+    return int(cell_nullities(maps).sum())
 
 
 def duality_pairing_rank(alg: RestrictedLieAlgebra, i: int) -> int:
