@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fpmatrix import check_prime
+
 
 class LaurentCharacter:
     """Finitely supported map weight -> integer multiplicity."""
@@ -142,6 +144,7 @@ def _digits(n: int, p: int) -> list[int]:
 
 def simple_char(m: int, p: int) -> LaurentCharacter:
     """Character of the simple module L(m) via base-p digit factorization."""
+    check_prime(p)
     if m < 0:
         raise ValueError("simple characters need a dominant weight")
     out = LaurentCharacter.line(0)
@@ -152,6 +155,7 @@ def simple_char(m: int, p: int) -> LaurentCharacter:
 
 def tilting_char(m: int, p: int) -> LaurentCharacter:
     """Character of the indecomposable tilting T(m), supported for m <= 2p-2."""
+    check_prime(p)
     if m < 0 or m > 2 * p - 2:
         raise ValueError(f"tilting character T({m}) unsupported for p={p}")
     if m <= p - 1:
@@ -207,6 +211,7 @@ def decompose_nabla(c: LaurentCharacter) -> DecompList:
 
 def decompose_simples(c: LaurentCharacter, p: int) -> DecompList:
     """Composition-factor counting by triangular peel of simple characters."""
+    check_prime(p)
     return _greedy_peel(c, "L", lambda w: simple_char(w, p))
 
 
@@ -215,6 +220,7 @@ def decompose_tilting_greedy(c: LaurentCharacter, p: int) -> DecompList:
 
     Ties cannot occur: there is a single highest weight at every step.
     """
+    check_prime(p)
     if not c.is_zero() and max(abs(w) for w in c.coeffs) > 2 * p - 2:
         raise ValueError("weight outside the supported tilting range [-(2p-2), 2p-2]")
     dec = _greedy_peel(c, "T", lambda w: tilting_char(w, p))

@@ -165,15 +165,18 @@ class PeriodicCohomology:
         """Per degree: total E_2 dimension, the computed H^n(B_1, M), and
         the defect; defect 0 in a degree means collapse at E_2 there.  The
         E_2 total of degree n is that of E_2^{n-j,j}, j = n mod 2: shifting
-        by 2pi keeps the dimension, so it is read once per j."""
-        _check_maxdeg(maxdeg)
+        by 2pi keeps the dimension, so it is read once per j.  All are counts
+        of weights divisible by p: of M, or M shifted by the root (j = 1),
+        less f M shifted by the root; and of the classes of H^n(U_1, M)."""
+        check_maxdeg(maxdeg)
         p = self.M.p
         if p == 2:
             raise ValueError("collapse bookkeeping needs p >= 3")
-        e2_dims = [sum(t1_invariants(c, p).dim() for c in self.u_characters(j)) for j in (0, 1)]
-        rows = []
+        w, image = self.M.grading.weights, self._boundaries(1).source.weights + 2
+        m0, m1, im = (np.count_nonzero(v % p == 0) for v in (w, w + 2, image))
+        e2_dims, rows = [int(m0 - im), int(m1 - im)], []
         for n in range(maxdeg + 1):
-            e2, actual = e2_dims[n % 2], t1_invariants(self.character(n), p).dim()
+            e2, actual = e2_dims[n % 2], int(np.count_nonzero(self._classes(n)[0] % p == 0))
             if e2 < actual:
                 raise ValueError(f"E2 smaller than the abutment in degree {n}")
             rows.append(CollapseRow(n, e2, actual, e2 - actual))
@@ -221,7 +224,7 @@ def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
     return PeriodicCohomology(M).collapse_rows(maxdeg)
 
 
-def _check_maxdeg(maxdeg: int) -> None:
+def check_maxdeg(maxdeg: int) -> None:
     if maxdeg < 0:
         raise ValueError(f"maxdeg must be >= 0, got maxdeg = {maxdeg}")
 
@@ -234,7 +237,7 @@ def ip_expected_dims(p: int, maxdeg: int) -> list[int]:
     check_prime(p)
     if p == 2:
         raise ValueError("the collapse ideal is defined for p >= 3")
-    _check_maxdeg(maxdeg)
+    check_maxdeg(maxdeg)
     y_count, x_count = (p - 1) // 2 + 1, (p - 1) - (p - 1) // 2 + 1
     return [y_count if n % 2 else (x_count if n else 0) for n in range(maxdeg + 1)]
 
@@ -398,7 +401,7 @@ def hh_table(target: str, p: int, maxdeg: int) -> CohomologyTable:
     the whole algebra (Sl2Pieces).  b1/u1: the whole coefficient algebra
     as a single 'total' source.
     """
-    _check_maxdeg(maxdeg)
+    check_maxdeg(maxdeg)
     target = target.lower()
     entries: list[tuple[str, int, LaurentCharacter, str]] = []
     if target == "g1":

@@ -31,7 +31,9 @@ all its cells in one call: the reduced echelon form of a direct sum is
 that of its summands and zero padding never becomes a pivot, so greedy
 pivots, kernels (_kernels) and free-variables-zero solutions
 (_solve_stack) equal the dense ones up to column order, and
-cell_nullities reads per cell nullities off the pivots.  The eigenspaces
+cell_nullities reads per cell nullities off the pivots.  A dense array
+a map is applied to or solved for is gathered into its nonzero cells
+(_gather) and the result scattered back (_scatter).  The eigenspaces
 and the 0-eigenspace projector of a weight-preserving map come from its
 Frobenius power S (frobenius_power): each eigenspace is the graded kernel
 of S - lam, and the projector is 1 - S^(p-1) once S^p = S.  The padded
@@ -345,6 +347,24 @@ class Grading:
         return np.where(np.searchsorted(self.values, keys, side="right") > at, at, self.values.size)
 
 
+def _gather(grading: Grading, array, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index rows of the cells of grading where a vector (one column) or
+    array mod p is nonzero, and its zero-padded rows there, stacked."""
+    x = np.asarray(array, dtype=np.int64) % p
+    if x.shape[0] != grading.weights.size:
+        raise ValueError("shape mismatch")
+    x = np.pad(x[:, None] if x.ndim == 1 else x, ((0, 1), (0, 0)))
+    live = np.flatnonzero(np.bincount(grading.pos[x[:-1].any(1)], minlength=grading.values.size))
+    return live, x[grading.index[live]]
+
+
+def _scatter(grading: Grading, at, blocks: np.ndarray, shape=()) -> np.ndarray:
+    """Rows of grading (int64, each of shape): blocks[k] on the cell of index row at[k], else 0."""
+    out = np.zeros((grading.weights.size + 1, *blocks.shape[2:]), dtype=np.int64)
+    out[grading.index[at]] = blocks
+    return out[:-1].reshape(grading.weights.size, *shape)
+
+
 class GradedMap:
     """A map from the basis of the Grading source (grading, for an action)
     to that of grading that moves every weight by shift and keeps degrees;
@@ -355,8 +375,8 @@ class GradedMap:
     the same degree and shifted weight, in the order of the gradings' index
     rows and padded with zeros.  Entries lie in [0, p), in the narrowest
     integer dtype that holds p(p-1), where every sum, scalar multiple and
-    difference stays exact.  Sums, products, powers and application to
-    vectors or column sets act on the whole stack at once; entries(),
+    difference stays exact.  Sums, products and powers act on the whole
+    stack, an application on the nonzero cells of its input; entries(),
     column(), dense() and applications return int64.
     """
 
@@ -418,9 +438,8 @@ class GradedMap:
 
     def column(self, j: int) -> np.ndarray:
         """Column j as a dense vector."""
-        k, out = self.source.pos[j], np.zeros(self.shape[0] + 1, dtype=np.int64)
-        out[self.grading.index[self._targets[k]]] = self.stack[k, :, self.source.slot[j]]
-        return out[:-1]
+        k = self.source.pos[j]
+        return _scatter(self.grading, self._targets[[k]], self.stack[[k], :, self.source.slot[j]])
 
     def is_zero(self) -> bool:
         return not self.stack.any()
@@ -452,13 +471,9 @@ class GradedMap:
             blocks = np.concatenate([self.stack, zero])[other._targets]
             stack = _matmul(blocks, other.stack, self.p, _dtype(self.p))
             return GradedMap(self.p, g, self.shift + other.shift, stack, other.source)
-        x = np.asarray(other, dtype=np.int64) % self.p
-        if x.shape[0] != self.shape[1]:
-            raise ValueError("shape mismatch")
-        cols = np.pad(x[:, None] if x.ndim == 1 else x, ((0, 1), (0, 0)))
-        out = np.zeros((self.shape[0] + 1, cols.shape[1]), dtype=np.int64)
-        out[g.index[self._targets]] = _matmul(self.stack, cols[s.index[:-1]], self.p)
-        return out[:-1].reshape(self.shape[:1] + x.shape[1:])
+        live, cols = _gather(s, other, self.p)
+        return _scatter(g, self._targets[live], _matmul(self.stack[live], cols, self.p),
+                        np.shape(other)[1:])
 
     def __pow__(self, n: int) -> "GradedMap":
         if n < 1:
@@ -536,22 +551,15 @@ def graded_solve(mat: GradedMap, rhs):
     if isinstance(rhs, GradedMap):
         if rhs.grading is not g or rhs.p != p:
             raise ValueError("maps on different spaces")
-        shift, b = rhs.shift - mat.shift, rhs.stack  # per rhs cell
-        at = s.find(rhs.source.values + shift * _CELL)  # its source cell, or a zero block
-    else:
-        vec = np.asarray(rhs, dtype=np.int64)
-        cols = vec[:, None] if vec.ndim == 1 else vec
-        if cols.shape[0] != mat.shape[0]:
-            raise ValueError("shape mismatch")
-        b = np.pad(cols % p, ((0, 1), (0, 0)))[g.index[:-1]]  # per cell of grading
-        live = b.any(axis=(1, 2))  # a cell of zero right-hand sides solves to zero
-        b, at = b[live], s.find(g.values[live] - mat.shift * _CELL)
+        keys, b = rhs.source.values + rhs.shift * _CELL, rhs.stack  # per rhs cell
+    else:  # a cell of zero right-hand sides solves to zero
+        live, b = _gather(g, rhs, p)
+        keys = g.values[live]
+    at = s.find(keys - mat.shift * _CELL)  # per cell of b its source cell, or a zero block
     x = _solve_stack(np.pad(mat.stack, ((0, 1), (0, 0), (0, 0)))[at], b, p)
     if isinstance(rhs, GradedMap):
-        return GradedMap(p, s, shift, x, rhs.source)
-    out = np.zeros((s.weights.size + 1, x.shape[2]), dtype=np.int64)
-    out[s.index[at]] = x
-    return out[:-1, 0] if vec.ndim == 1 else out[:-1]
+        return GradedMap(p, s, rhs.shift - mat.shift, x, rhs.source)
+    return _scatter(s, at, x, np.shape(rhs)[1:])
 
 
 def frobenius_power(mat: GradedMap) -> GradedMap:

@@ -27,7 +27,6 @@ import numpy as np
 from .fpmatrix import GradedMap, Grading, check_prime
 
 GENERATOR_WEIGHTS = {"e": 2, "h": 0, "f": -2}
-POSITIVE_ROOT = 2
 
 
 @dataclass(frozen=True)

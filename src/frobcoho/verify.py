@@ -45,6 +45,7 @@ from .characters import (
 from .cohomology import (
     PeriodicCohomology,
     Sl2Pieces,
+    check_maxdeg,
     collapse_check,
     cup_product,
     degree_characters,
@@ -267,6 +268,7 @@ def verify_appendix(p: int, maxdeg: int = 8, allow_synth: bool = False) -> Verif
     one Sl2Pieces, whose Casimir split also synthesizes missing rows.
     """
     t0 = time.perf_counter()
+    check_maxdeg(maxdeg)
     synthetic = p not in FIXTURE_PRIMES
     if synthetic and not allow_synth:
         raise ValueError(f"no shipped fixture for p={p}; pass allow_synth=True")

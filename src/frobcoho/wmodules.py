@@ -53,6 +53,7 @@ from .fpmatrix import (
     GradedMap,
     Grading,
     cell_nullities,
+    check_prime,
     frobenius_power,
     graded_eigenspaces,
     graded_kernel,
@@ -351,6 +352,7 @@ def simple_model(lam: int, p: int) -> WeightModule:
 def simple_module(lam: int, p: int) -> WeightModule:
     """L(lam) for any lam >= 0 by Steinberg digits: restricted factors
     tensored with Frobenius twists."""
+    check_prime(p)
     if lam < 0:
         raise ValueError("dominant weight required")
     first, *rest = _digits(lam, p)

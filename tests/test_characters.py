@@ -65,6 +65,17 @@ def test_simple_char_digit_dimension_product():
             assert simple_char(lam, p).dim() == expected
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_character_functions_reject_a_modulus_that_is_not_prime(p):
+    # unchecked, p = 1 would never end (_digits divides by 1), p = 0 would
+    # divide by zero and p = 4 would be answered as if prime
+    for call in (lambda: simple_char(3, p), lambda: tilting_char(3, p),
+                 lambda: decompose_simples(weyl_chi(2), p),
+                 lambda: decompose_tilting_greedy(weyl_chi(2), p)):
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            call()
+
+
 def test_tilting_char_ranges():
     for p in PRIMES:
         assert tilting_char(2 * p - 2, p).dim() == 2 * p

@@ -240,7 +240,8 @@ def test_each_graded_function_reduces_all_cells_at_once(monkeypatch):
 @st.composite
 def graded_triples(draw):
     """On one random grading: maps a and a2 of one random shift and b of
-    another, each with its shift, a vector, an array of columns and a
+    another, each with its shift, a vector and an array of columns, both
+    zero outside a random subset of the weights (all, some or none), and a
     weight-homogeneous column set with its column weights (some of them
     weights of no basis vector) and a coefficient vector."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
@@ -248,10 +249,11 @@ def graded_triples(draw):
     sa, sb = draw(SHIFTS), draw(SHIFTS)
     maps = [(_draw_map(draw, p, weights, s), s) for s in (sa, sa, sb)]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    vec = rng.integers(-p, 2 * p, size=len(weights))
-    cols = rng.integers(0, p, size=(len(weights), draw(st.integers(0, 3))))
-    col_weights = draw(st.lists(st.sampled_from([*weights, 8]), max_size=5))
     w = np.array(weights, dtype=np.int64)
+    live = np.isin(w, list(draw(st.sets(st.sampled_from([*weights, 8])))))
+    vec = np.where(live, rng.integers(-p, 2 * p, size=len(weights)), 0)
+    cols = rng.integers(0, p, size=(len(weights), draw(st.integers(0, 3)))) * live[:, None]
+    col_weights = draw(st.lists(st.sampled_from([*weights, 8]), max_size=5))
     colset = np.zeros((w.size, len(col_weights)), dtype=np.int64)
     for j, cw in enumerate(col_weights):
         colset[:, j] = np.where(w == cw, rng.integers(0, p, size=w.size), 0)
@@ -306,6 +308,10 @@ def test_graded_map_matches_dense(case, power, scalar):
     assert (ga - ga2).dense() == a - a2
     assert np.array_equal(ga @ vec, a @ vec)
     assert np.array_equal(ga @ cols, (a @ FpMatrix(p, cols)).a)
+    # solving for the images of the vector and the columns
+    rhs = a @ FpMatrix(p, np.column_stack([vec % p, cols]))
+    assert np.array_equal(graded_solve(ga, rhs.a[:, 0]), a.solve(rhs).a[:, 0])
+    assert np.array_equal(graded_solve(ga, rhs.a[:, 1:]), a.solve(rhs).a[:, 1:])
     # the joint kernel against the dense kernel of the stacked maps
     kb, kweights = _dense(graded_kernel(ga, gb))
     stacked = FpMatrix(p, np.concatenate([a.a, b.a]))

@@ -19,6 +19,7 @@ from frobcoho.wmodules import truncated_sym
 
 P = 11
 DENSE = (P ** 3) ** 2 * np.dtype(np.int64).itemsize  # one dense n x n array: 14.2 MB
+VECTOR = P ** 3 * np.dtype(np.int64).itemsize  # one dense int64 vector: 10.6 KB
 
 
 def _traced(fn):
@@ -49,6 +50,20 @@ def test_degree_one_classes_peak_below_one_dense_array():
     reps, peak = _traced(lambda: engine.t1_representatives(1))
     assert len(reps) == 10
     assert peak < DENSE, f"{peak / 1e6:.1f} MB"
+
+
+def test_f_on_a_one_cell_vector_multiplies_that_cell_only():
+    # an H^1 T_1-representative lies in one (weight, degree) cell.  Padding
+    # it into all 431 cells and multiplying the whole stack peaks at 214 KB;
+    # gathering its one cell peaks at 25 KB.
+    M = TruncatedSymAlgebra(sl2(P)).module
+    vec, _ = PeriodicCohomology(M).t1_representatives(1)[0]
+    support = np.flatnonzero(vec)
+    assert len(set(zip(M.grading.weights[support], M.grading.degrees[support]))) == 1
+    F = M.maps["f"]
+    out, peak = _traced(lambda: F @ vec)
+    assert np.array_equal(out, sum(int(vec[j]) * F.column(j) for j in support) % P)
+    assert peak < 4 * VECTOR, f"{peak / 1e3:.1f} KB"
 
 
 def test_casimir_blocks_reduce_one_eigenvalue_at_a_time():

@@ -119,6 +119,13 @@ def test_flags_outside_allowlist_fail():
     assert ALLOWLISTED_FLAGS == {"hh0-vs-theorem-count", "appendix-p5-n7-exponent"}
 
 
+def test_verify_appendix_rejects_a_negative_maxdeg():
+    # unchecked, every cohomology-pattern row would pass with no degree compared
+    with pytest.raises(ValueError, match="maxdeg = -1"):
+        verify_appendix(3, maxdeg=-1)
+    assert verify_appendix(3, maxdeg=0).exit_code() == 0
+
+
 def test_report_json_schema_and_stability():
     r1 = verify_appendix(3, maxdeg=4)
     r2 = verify_appendix(3, maxdeg=4)

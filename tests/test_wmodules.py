@@ -285,6 +285,9 @@ def test_simple_model_and_module():
     assert simple_module(12, 7).character() == simple_char(12, 7)
     with pytest.raises(ValueError):
         simple_model(5, 3)
+    for p in (0, 1, 4):  # unchecked, p = 1 would never end
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            simple_module(3, p)
 
 
 def test_validation_rejects_broken_action():
