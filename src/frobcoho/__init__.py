@@ -34,10 +34,7 @@ from .cohomology import (
     u1_cohomology,
     u_cohomology,
 )
-from .fpmatrix import (
-    FpMatrix,
-    generalized_eigenspace,
-)
+from .fpmatrix import FpMatrix
 from .lie import (
     GENERATOR_WEIGHTS,
     RestrictedLieAlgebra,

@@ -57,6 +57,7 @@ def cochain_twist(p: int, n: int) -> int:
 
 def t1_invariants(c: LaurentCharacter, p: int) -> LaurentCharacter:
     """Restriction of a character to the weights divisible by p."""
+    check_prime(p)
     return LaurentCharacter({w: m for w, m in c.coeffs.items() if w % p == 0})
 
 

@@ -17,16 +17,19 @@ where that bound fails.
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
 
-FpMatrix is the dense primitive.  Every action maps weight w to w + wt(x)
-and every kernel, image or eigenspace basis has weight-homogeneous
-columns, so a GradedMap stores either as a shift and one dense block per
-source cell, built from its entries: an action on the Grading of a
-basis, a column set from the Grading of its columns into that one.  A
-Grading's cells are its weight spaces or, when the basis also carries a
-degree that every map keeps (the polynomial degree of a truncated
-symmetric algebra), the (weight, degree) spaces.  _rref_stack is the
-one row reduction, of a stack of matrices in one pass; a dense matrix is
-a stack of one.  Each graded_* function reduces the zero-padded stack of
+GradedMap is the primitive the package computes with; FpMatrix is the
+dense record at its boundary, cut into cells where dense input comes in
+(GradedMap.cut) and rebuilt where a dense matrix goes out
+(GradedMap.dense).  Every action maps weight w to w + wt(x) and every
+kernel, image or eigenspace basis has weight-homogeneous columns, so a
+GradedMap stores either as a shift and one dense block per source cell,
+built from its entries: an action on the Grading of a basis, a column
+set from the Grading of its columns into that one.  A Grading's cells
+are its weight spaces or, when the basis also carries a degree that
+every map keeps (the polynomial degree of a truncated symmetric
+algebra), the (weight, degree) spaces.  _rref_stack is the one row
+reduction, of a stack of matrices in one pass; an FpMatrix reduces as a
+stack of one.  Each graded_* function reduces the zero-padded stack of
 all its cells in one call: the reduced echelon form of a direct sum is
 that of its summands and zero padding never becomes a pivot, so greedy
 pivots, kernels (_kernels) and free-variables-zero solutions
@@ -155,9 +158,13 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class FpMatrix:
-    """Dense matrix over F_p with exact rank/kernel/solve primitives."""
+    """A dense matrix over F_p, the record the public API takes in and
+    hands out: the prime p, the int64 array a with entries in [0, p), its
+    shape, and equality.  Its products and reductions run _matmul and
+    _rref_stack on the array as a stack of one; the package computes on
+    GradedMaps and calls none of them."""
 
-    __slots__ = ("p", "a", "_rref_cache")
+    __slots__ = ("p", "a")
 
     def __init__(self, p: int, data):
         check_prime(p)
@@ -166,23 +173,14 @@ class FpMatrix:
             raise ValueError("FpMatrix needs a 2-d array")
         self.p = p
         self.a = a % p
-        self._rref_cache = None
 
     @classmethod
     def _reduced(cls, p: int, a: np.ndarray) -> "FpMatrix":
         """The matrix of a 2-d integer array already in [0, p), p a checked
         prime, kept as it is if int64."""
         m = cls.__new__(cls)
-        m.p, m.a, m._rref_cache = p, a.astype(np.int64, copy=False), None
+        m.p, m.a = p, a.astype(np.int64, copy=False)
         return m
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -196,13 +194,6 @@ class FpMatrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @property
-    def T(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FpMatrix)
@@ -211,36 +202,16 @@ class FpMatrix:
             and np.array_equal(self.a, other.a)
         )
 
-    def __hash__(self):
-        return hash((self.p, self.shape, self.a.tobytes()))
-
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.a.tolist()})"
 
-    def _same_field(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_field(other)
-        return FpMatrix(self.p, self.a + other.a)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_field(other)
-        return FpMatrix(self.p, self.a - other.a)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self.a)
-
-    def __rmul__(self, scalar: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a * (scalar % self.p))
-
     def __matmul__(self, other):
         if isinstance(other, FpMatrix):
-            self._same_field(other)
+            if self.p != other.p:
+                raise ValueError("mixed moduli")
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            return FpMatrix(self.p, _matmul(self.a, other.a, self.p))
+            return FpMatrix._reduced(self.p, _matmul(self.a, other.a, self.p))
         vec = np.asarray(other, dtype=np.int64) % self.p
         return _matmul(self.a, vec.reshape(-1, 1), self.p)[:, 0]
 
@@ -250,15 +221,12 @@ class FpMatrix:
         if n < 0:
             raise ValueError("negative powers unsupported")
         if n == 0:
-            return FpMatrix.identity(self.p, self.rows)
+            return FpMatrix._reduced(self.p, np.eye(self.rows, dtype=np.int64))
         return _power(self, n, FpMatrix.__matmul__)
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        if self._rref_cache is None:
-            red, piv = _rref_stack(self.a[None], self.p)
-            self._rref_cache = (FpMatrix._reduced(self.p, red[0]),
-                                tuple(np.flatnonzero(piv[0]).tolist()))
-        return self._rref_cache
+        red, piv = _rref_stack(self.a[None], self.p)
+        return FpMatrix._reduced(self.p, red[0]), tuple(np.flatnonzero(piv[0]).tolist())
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -280,7 +248,8 @@ class FpMatrix:
 
     def solve(self, rhs: "FpMatrix") -> "FpMatrix":
         """A particular solution X of self @ X = rhs (free variables 0)."""
-        self._same_field(rhs)
+        if self.p != rhs.p:
+            raise ValueError("mixed moduli")
         if rhs.rows != self.rows:
             raise ValueError("shape mismatch")
         return FpMatrix._reduced(self.p, _solve_stack(self.a[None], rhs.a[None], self.p)[0])
@@ -291,9 +260,9 @@ def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
     if m.rows != m.cols:
         raise ValueError("needs a square matrix")
     n = m.rows
-    shifted = m - (lam % m.p) * FpMatrix.identity(m.p, n)
+    shifted = FpMatrix(m.p, m.a - (lam % m.p) * np.eye(n, dtype=np.int64))
     if shifted.rank() == n:  # lam is no eigenvalue: skip the power
-        return FpMatrix.zeros(m.p, n, 0)
+        return FpMatrix._reduced(m.p, np.zeros((n, 0), dtype=np.int64))
     return (shifted ** n).kernel_basis()
 
 

@@ -118,6 +118,7 @@ def _check_relations(alg: RestrictedLieAlgebra, maps: dict, bracket_error: str,
 # one instance per prime (the dataclass is frozen): construction validates
 @cache
 def sl2(p: int) -> RestrictedLieAlgebra:
+    check_prime(p)  # before -2 % p
     return RestrictedLieAlgebra(
         p=p,
         generators=("e", "h", "f"),
@@ -129,6 +130,7 @@ def sl2(p: int) -> RestrictedLieAlgebra:
 @cache
 def borel(p: int) -> RestrictedLieAlgebra:
     """The negative Borel subalgebra b = span{h, f} of sl2."""
+    check_prime(p)  # before -2 % p
     return RestrictedLieAlgebra(
         p=p,
         generators=("h", "f"),

@@ -52,7 +52,7 @@ from .cohomology import (
     ip_expected_dims,
     t1_invariants,
 )
-from .fpmatrix import cell_nullities, graded_columns, graded_solve, is_prime
+from .fpmatrix import cell_nullities, check_prime, graded_columns, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
@@ -97,6 +97,7 @@ def _parse_label(text: str) -> tuple[str, int]:
 def load_fixture(p: int) -> AppendixFixture:
     """Load the reference table for p from the fixture directory (the
     FROBCOHO_FIXTURES environment variable overrides the shipped one)."""
+    check_prime(p)
     directory = os.environ.get(FIXTURE_ENV) or os.path.join(os.path.dirname(__file__), "fixtures")
     path = os.path.join(directory, f"p{p}.txt")
     if not os.path.exists(path):

@@ -101,7 +101,8 @@ class WeightModule:
         return len(self.labels)
 
     def action(self, x: str) -> FpMatrix:
-        """The dense action matrix of x, rebuilt from its cell blocks."""
+        """The action of x as a dense FpMatrix record, rebuilt from its cell
+        blocks for the caller; the package itself computes on self.maps."""
         return self.maps[x].dense()
 
     def character(self) -> LaurentCharacter:

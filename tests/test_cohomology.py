@@ -110,6 +110,9 @@ def test_t1_invariants_examples():
     even = LaurentCharacter({-2: 1, 0: 2, 4: 1})
     assert t1_invariants(even, 2) == even
     assert t1_invariants(weyl_chi(2), 5) == line(0)
+    for p in (0, 1, 4):  # unchecked, p = 0 divides by zero and p = 1, 4 answer
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            t1_invariants(weyl_chi(4), p)
 
 
 def test_e2_page_basics():

@@ -1,23 +1,22 @@
 """The F_p primitives and H^*(U_1, M) against independent implementations.
 
 Every other linear-algebra test compares graded code with the dense
-FpMatrix path, and both run on the same row reduction, _rref_stack.
-Here rank, the reduced echelon form and its pivot columns, the kernel
-and the solvability of linear systems are checked against sympy's
-DomainMatrix over GF(p), which is separate code: on random matrices
-through FpMatrix, and on random stacks, with and without zero padding,
-through _rref_stack, _kernels and _solve_stack.  The characters of
-H^n(U_1, M) are checked against a closed form in the per-weight ranks of
-f and f^(p-1), taken from sympy, on the truncated symmetric algebras and
-on random modules with a nilpotent f.
+references of tests/oracles.py, and both run on the same row reduction,
+_rref_stack.  Here rank, the reduced echelon form and its pivot
+columns, the kernel and the solvability of linear systems are checked
+against sympy's DomainMatrix over GF(p) (oracles.sympy_matrix), which is
+separate code: on random matrices through FpMatrix, and on random
+stacks, with and without zero padding, through _rref_stack, _kernels
+and _solve_stack.  The characters of H^n(U_1, M) are checked against a
+closed form in the per-weight ranks of f and f^(p-1), taken from sympy,
+on the truncated symmetric algebras and on random modules with a
+nilpotent f.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF
-from sympy.polys.matrices import DomainMatrix
 
 from frobcoho import (
     PeriodicCohomology,
@@ -29,15 +28,7 @@ from frobcoho import (
     truncated_sym,
 )
 from frobcoho.fpmatrix import FpMatrix, _kernels, _rref_stack, _solve_stack
-
-
-def _oracle(a: np.ndarray, p: int) -> DomainMatrix:
-    field = GF(p)
-    return DomainMatrix([[field(int(x)) for x in row] for row in a.tolist()], a.shape, field)
-
-
-def _ints(dm: DomainMatrix, p: int) -> list[list[int]]:
-    return [[int(x) % p for x in row] for row in dm.to_list()]
+from oracles import sympy_ints, sympy_matrix
 
 
 @st.composite
@@ -62,16 +53,16 @@ def fp_matrices(draw):
 @given(fp_matrices())
 def test_primitives_match_sympy_gf(case):
     p, a, b = case
-    mat, ref = FpMatrix(p, a), _oracle(a, p)
+    mat, ref = FpMatrix(p, a), sympy_matrix(a, p)
     red, pivots = mat.rref()
     ref_red, ref_pivots = ref.rref()
     assert mat.rank() == ref.rank()
     assert pivots == tuple(ref_pivots)
-    assert red.a.tolist() == _ints(ref_red, p)
+    assert red.a.tolist() == sympy_ints(ref_red, p)
     kernel = mat.kernel_basis()
     assert kernel.cols == ref.nullspace().shape[0] == a.shape[1] - ref.rank()
-    assert (mat @ kernel).is_zero() and kernel.rank() == kernel.cols
-    solvable = _oracle(np.concatenate([a, b], axis=1), p).rank() == ref.rank()
+    assert not (mat @ kernel).a.any() and kernel.rank() == kernel.cols
+    solvable = sympy_matrix(np.concatenate([a, b], axis=1), p).rank() == ref.rank()
     try:
         x = mat.solve(FpMatrix(p, b))
     except ValueError:
@@ -101,8 +92,8 @@ def test_rref_stack_matches_sympy_per_slice(case):
     red, pivots = _rref_stack(stack, p)
     assert red.shape == stack.shape and pivots.shape == (stack.shape[0], stack.shape[2])
     for b in range(stack.shape[0]):
-        ref_red, ref_pivots = _oracle(stack[b], p).rref()
-        assert red[b].tolist() == _ints(ref_red, p)
+        ref_red, ref_pivots = sympy_matrix(stack[b], p).rref()
+        assert red[b].tolist() == sympy_ints(ref_red, p)
         assert tuple(np.flatnonzero(pivots[b]).tolist()) == tuple(ref_pivots)
 
 
@@ -140,10 +131,10 @@ def test_stacked_kernels_match_sympy(case):
         kernel = basis[k][:, ~piv[k] & real]
         assert not (a[k] @ kernel % p).any() and not kernel[~real].any()
         block = a[k, :rows[k], :cols[k]]
-        ref = _oracle(block, p).nullspace()
-        assert kernel.shape[1] == ref.shape[0] == cols[k] - _oracle(block, p).rank()
+        ref = sympy_matrix(block, p).nullspace()
+        assert kernel.shape[1] == ref.shape[0] == cols[k] - sympy_matrix(block, p).rank()
         if kernel.size:
-            assert _oracle(kernel[real].T, p).rref()[0] == ref.rref()[0]
+            assert sympy_matrix(kernel[real].T, p).rref()[0] == ref.rref()[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,8 +147,8 @@ def test_stacked_solve_matches_sympy(case):
     solvable = []
     for k in range(a.shape[0]):
         block, rhs = a[k, :rows[k], :cols[k]], b[k, :rows[k]]
-        rank = _oracle(block, p).rank()
-        solvable.append(_oracle(np.concatenate([block, rhs], axis=1), p).rank() == rank)
+        rank = sympy_matrix(block, p).rank()
+        solvable.append(sympy_matrix(np.concatenate([block, rhs], axis=1), p).rank() == rank)
         try:
             x = _solve_stack(a[k:k + 1], b[k:k + 1], p)[0]
         except ValueError:
@@ -188,7 +179,7 @@ def _closed_form(M, n: int) -> dict[int, int]:
 
     def rank(mat, src, shift):  # sympy rank of the block from weight src to src + shift
         block = mat[np.ix_(w == src + shift, w == src)]
-        return _oracle(block, p).rank() if block.size else 0
+        return sympy_matrix(block, p).rank() if block.size else 0
 
     down = 2 * (p - 1)  # f^(p-1) lowers weights by this much
     out = {}

@@ -16,8 +16,12 @@ from frobcoho.fpmatrix import (
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def _eye(p, n):
+    return FpMatrix(p, np.eye(n, dtype=np.int64))
+
+
 def test_rank_identity():
-    assert FpMatrix.identity(5, 3).rank() == 3
+    assert _eye(5, 3).rank() == 3
 
 
 def test_matmul_refuses_inexact_float64_products():
@@ -34,11 +38,11 @@ def test_matmul_refuses_inexact_float64_products():
         g @ g
     with pytest.raises(ValueError, match="not exact in float64"):
         g @ np.array([1])
-    assert (FpMatrix.identity(13, 3) @ FpMatrix.identity(13, 3)).rank() == 3
+    assert (_eye(13, 3) @ _eye(13, 3)).rank() == 3
 
 
 def test_rank_zero_map():
-    assert FpMatrix.zeros(3, 4, 7).rank() == 0
+    assert FpMatrix(3, np.zeros((4, 7))).rank() == 0
 
 
 def test_rank_reduces_mod_p():
@@ -53,6 +57,10 @@ def test_modulus_must_be_prime():
         FpMatrix(6, [[1]])
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
         GradedMap.scatter(4, Grading([0, 0]), 0, [0], [1], [1])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        FpMatrix(3, [[1]]) @ FpMatrix(5, [[1]])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        FpMatrix(3, [[1]]).solve(FpMatrix(5, [[1]]))
 
 
 def test_grading_cells_are_weight_then_degree():
@@ -83,11 +91,11 @@ def test_grading_weights_and_degrees_decode_the_keys(weights, degrees):
 
 
 def test_kernel_identity_empty():
-    assert FpMatrix.identity(3, 4).kernel_basis().cols == 0
+    assert _eye(3, 4).kernel_basis().cols == 0
 
 
 def test_kernel_zero_full():
-    kb = FpMatrix.zeros(5, 2, 2).kernel_basis()
+    kb = FpMatrix(5, np.zeros((2, 2))).kernel_basis()
     assert kb.cols == 2
     assert kb.rank() == 2
 
@@ -105,7 +113,7 @@ def test_kernel_vectors_are_in_kernel_and_independent():
         m = FpMatrix(p, rng.integers(0, p, size=(6, 9)))
         kb = m.kernel_basis()
         assert kb.cols == 9 - m.rank()
-        assert (m @ kb).is_zero()
+        assert not (m @ kb).a.any()
         assert kb.rank() == kb.cols
 
 
@@ -115,12 +123,12 @@ def test_rank_transpose_and_rank_nullity():
         for _ in range(8):
             rows, cols = rng.integers(1, 9, size=2)
             m = FpMatrix(p, rng.integers(0, p, size=(rows, cols)))
-            assert m.rank() == m.T.rank()
+            assert m.rank() == FpMatrix(p, m.a.T).rank()
             assert m.rank() + m.kernel_basis().cols == int(cols)
 
 
 def test_generalized_eigenspace_scalar_and_diag():
-    m = 2 * FpMatrix.identity(5, 3)
+    m = FpMatrix(5, 2 * np.eye(3, dtype=np.int64))
     assert generalized_eigenspace(m, 2).cols == 3
     d = FpMatrix(5, [[1, 0], [0, 2]])
     assert generalized_eigenspace(d, 1).cols == 1
@@ -148,12 +156,12 @@ def test_solve_roundtrip_and_inconsistency():
 def test_matrix_power_and_ops():
     m = FpMatrix(5, [[1, 1], [0, 1]])
     assert (m ** 5).a[0, 1] == 0  # unipotent order p
-    assert (m - m).is_zero()
-    assert (3 * m).a[0, 0] == 3
+    assert m ** 0 == _eye(5, 2)
     # an empty inner dimension gives zero products, for stacks too
     empty = _matmul(np.zeros((2, 3, 0), dtype=np.int64), np.zeros((2, 0, 4), dtype=np.int64), 5)
     assert empty.shape == (2, 3, 4) and empty.dtype == np.int64 and not empty.any()
-    assert (FpMatrix.zeros(5, 3, 0) @ FpMatrix.zeros(5, 0, 2)) == FpMatrix.zeros(5, 3, 2)
+    assert FpMatrix(5, np.zeros((3, 0))) @ FpMatrix(5, np.zeros((0, 2))) == FpMatrix(
+        5, np.zeros((3, 2)))
 
 
 def test_independent_columns_greedy():
@@ -174,7 +182,7 @@ def test_graded_kernel_matches_plain_kernel():
     cols = graded_kernel(GradedMap.cut(mat, Grading(weights), -2))
     kb, kw = cols.dense(), cols.source.weights.tolist()
     assert kb.cols == mat.kernel_basis().cols
-    assert (mat @ kb).is_zero()
+    assert not (mat @ kb).a.any()
     for j, w in enumerate(kw):
         support = np.nonzero(kb.a[:, j])[0]
         assert all(weights[i] == w for i in support)

@@ -13,7 +13,6 @@ from frobcoho import cohomology, wmodules
 from frobcoho.cohomology import (
     PeriodicCohomology,
     Sl2Pieces,
-    degree_characters,
     g1_cohomology_char,
     hh_table,
     u_cohomology,
@@ -39,6 +38,7 @@ from frobcoho.wmodules import (
     truncated_sym,
     weight_line,
 )
+from oracles import module_degree_characters
 
 
 def _visited(piece, p):
@@ -120,16 +120,12 @@ def test_whole_algebra_pass_builds_one_engine(monkeypatch):
     assert "module_hom_dim" not in counts
 
 
-def _degree_characters(M, top):
-    return degree_characters(M.grading.weights, M.grading.degrees, top)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_props_pass_matches_per_piece_route(p):
     g, pieces = sl2(p), Sl2Pieces(p)
     u_chars = [pieces.engine.u_characters(j) for j in (0, 1)]
     u1_chars = [pieces.engine.characters(d) for d in (1, 2, 3)]
-    principal = _degree_characters(pieces.engine.M, pieces.top)
+    principal = module_degree_characters(pieces.engine.M, pieces.top)
     for n in range(pieces.top + 1):
         piece0 = block_projection_principal(truncated_sym(g, n))
         assert principal[n] == piece0.character(), n
@@ -140,12 +136,12 @@ def test_props_pass_matches_per_piece_route(p):
     assert g1_invariants(pieces.module).dim == invariants
     assert sum(c.dim() for c, _ in pieces.g1_chars(0)) == invariants
     sym = _monomial_module(g, range(2 * p - 1), None)
-    assert _degree_characters(sym, 2 * p - 2) == [
+    assert module_degree_characters(sym, 2 * p - 2) == [
         sym_power(g, n).character() for n in range(2 * p - 1)]
     for alg, whole in ((g, pieces.algebra), (borel(p), None), (nilradical(p), None)):
         whole = whole or TruncatedSymAlgebra(alg)
         pieces_of = [truncated_sym(alg, i) for i in range(whole.top_degree + 1)]
-        assert _degree_characters(whole.module, whole.top_degree) == [
+        assert module_degree_characters(whole.module, whole.top_degree) == [
             piece.character() for piece in pieces_of]
         assert whole.duality_ranks() == [piece.dim for piece in pieces_of]
 
