@@ -106,6 +106,9 @@ class LaurentCharacter:
         return LaurentCharacter({w * k: m for w, m in self.coeffs.items()})
 
     def untwist(self, p: int) -> "LaurentCharacter":
+        """Every weight divided by p >= 1; raises ValueError unless p divides each."""
+        if p < 1:
+            raise ValueError(f"untwist needs p >= 1, got p = {p}")
         if any(w % p for w in self.coeffs):
             raise ValueError("weights not divisible by p; cannot untwist")
         return LaurentCharacter({w // p: m for w, m in self.coeffs.items()})

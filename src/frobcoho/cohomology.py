@@ -68,7 +68,11 @@ class PeriodicCohomology:
     representatives per degree, so classes can be identified, T_1-selected
     and multiplied.  It is the one reader of its complex: every character
     of H^*(U_1, .) and H^*(u, .) comes from its cells, for the whole module
-    or per degree of M (top is the largest)."""
+    or per degree of M (top is the largest).
+
+    Each column set is built on first read and cached; the cocycles and the
+    boundaries of a differential share one row reduction of its blocks
+    (graded_kernel and graded_image), so f and f^(p-1) are reduced once."""
 
     def __init__(self, M: WeightModule):
         self.M = M
@@ -88,21 +92,23 @@ class PeriodicCohomology:
             raise ValueError("no incoming differential in degree 0")
         return self.F if n % 2 else self.Fq
 
-    def _boundaries(self, n: int) -> GradedMap:
-        """The boundaries B in degree n > 0, a column set: the image of
-        d_in(n), of f in odd degrees."""
-        kind = "B1" if n % 2 else "B2"
-        if kind not in self._cache:
-            self._cache[kind] = graded_image(self.d_in(n))
-        return self._cache[kind]
+    def _columns(self, kind: str, n: int) -> GradedMap:
+        """A column set in degree n, cached per parity: the boundaries "B"
+        (n > 0), the image of d_in(n), or the cocycles "K", the kernel of
+        d_out(n); the image of f in odd degrees, its kernel in even ones."""
+        key = kind + str(n % 2)
+        if key not in self._cache:
+            self._cache[key] = (graded_image(self.d_in(n)) if kind == "B"
+                                else graded_kernel(self.d_out(n)))
+        return self._cache[key]
 
     def _data(self, n: int):
         """(cocycles K, the number b of columns of B, [B | K], rep positions):
         column sets, B empty in degree 0, and the columns of K that complete B."""
         kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
         if kind not in self._cache:
-            K = graded_kernel(self.d_out(n))
-            BK = graded_columns(self._boundaries(n), K) if n else K
+            K = self._columns("K", n)
+            BK = graded_columns(self._columns("B", n), K) if n else K
             b = BK.shape[1] - K.shape[1]
             self._cache[kind] = K, b, BK, tuple(graded_complement(BK, b))
         return self._cache[kind]
@@ -140,7 +146,7 @@ class PeriodicCohomology:
             raise ValueError("negative cohomological degree")
         if j >= 2:
             return [LaurentCharacter.zero()] * (self.top + 1)
-        g, image, root = self.M.grading, self._boundaries(1).source, LaurentCharacter.line(2)
+        g, image, root = self.M.grading, self._columns("B", 1).source, LaurentCharacter.line(2)
         return [char - im * root if j == 0 else (char - im) * root
                 for char, im in zip(degree_characters(g.weights, g.degrees, self.top),
                                     degree_characters(image.weights, image.degrees, self.top))]
@@ -173,7 +179,7 @@ class PeriodicCohomology:
         p = self.M.p
         if p == 2:
             raise ValueError("collapse bookkeeping needs p >= 3")
-        w, image = self.M.grading.weights, self._boundaries(1).source.weights + 2
+        w, image = self.M.grading.weights, self._columns("B", 1).source.weights + 2
         m0, m1, im = (np.count_nonzero(v % p == 0) for v in (w, w + 2, image))
         e2_dims, rows = [int(m0 - im), int(m1 - im)], []
         for n in range(maxdeg + 1):

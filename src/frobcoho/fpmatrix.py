@@ -9,10 +9,10 @@ int8 for p <= 11, int16 for 13 <= p <= 181.  For entries in [0, p), a
 sum, a scalar multiple, a - b = a + (p-1) b and an update a - c row all
 stay within p(p-1) in absolute value, and so does the reduction
 x - (x // p) p (_mod), so no stack is ever upcast.  Products are routed
-through float64 so that numpy can use BLAS, then reduced and narrowed;
-this is exact while every product entry before reduction, at most
-(p-1)^2 times the inner dimension, stays below 2^53, and _matmul raises
-where that bound fails.
+through float32, or float64 where an entry before reduction, at most
+(p-1)^2 times the inner dimension, can reach 2^24, so that numpy can use
+BLAS, then reduced and narrowed; this is exact while every such entry
+stays below 2^53, and _matmul raises where that bound fails.
 
 Row reduction uses the first nonzero entry as pivot, so echelon forms,
 kernel bases and particular solutions are reproducible across runs.
@@ -43,6 +43,9 @@ of S - lam, and the projector is 1 - S^(p-1) once S^p = S.  The padded
 stack, the cell keys and every _-prefixed name are private to this module:
 other modules see cells only as Grading's weights and degrees, per vector
 and per cell, and as GradedMap entries.
+
+The kernel and the image of one map share one reduction (_echelon), so
+the periodic complex reduces each of its two differentials once.
 """
 
 from __future__ import annotations
@@ -74,19 +77,25 @@ def _dtype(p: int) -> np.dtype:
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place, as x - (x // p) p, since numpy vectorizes integer
-    floor division by a scalar but not %; exact while (x // p) p fits x's dtype."""
-    x -= x // p * p
+    floor division by a scalar but not %; exact while (x // p) p fits x's
+    dtype.  (x // p) p is formed in place, so x is copied once, not twice."""
+    q = x // p
+    q *= p
+    x -= q
     return x
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
     """a @ b mod p as dtype, for matrices or for stacks of them with entries
-    in [0, p); reduced in the narrowest dtype that holds (p-1)^2 inner."""
+    in [0, p); multiplied in float32 while (p-1)^2 inner < 2^24, where every
+    partial sum is an integer float32 holds exactly (half the memory of
+    float64), and reduced in the narrowest dtype that holds (p-1)^2 inner."""
     inner = a.shape[-1]
     if (p - 1) ** 2 * inner >= 2 ** 53:
         raise ValueError(f"a product over F_{p} with inner dimension {inner} "
                          "is not exact in float64")
-    c = a.astype(np.float64) @ b.astype(np.float64)
+    ftype = np.float32 if (p - 1) ** 2 * inner < 2 ** 24 else np.float64
+    c = a.astype(ftype) @ b.astype(ftype)
     return _mod(c.astype(np.min_scalar_type(-(p - 1) ** 2 * inner - 1)), p).astype(dtype)
 
 
@@ -364,9 +373,11 @@ class GradedMap:
         source = source or grading
         if not np.array_equal(grading.keys[rows], source.keys[cols] + shift * _CELL):
             raise ValueError(f"map does not move weights by {shift}")
-        stack = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]),
-                         dtype=np.int64)  # repeated positions may sum past a narrow dtype
-        np.add.at(stack, (source.pos[cols], grading.slot[rows], source.slot[cols]), vals)
+        vals = np.asarray(vals, dtype=np.int64) % p  # so a position sums to <= (p-1) len(vals)
+        dtype = np.min_scalar_type(-(p - 1) * vals.size)
+        stack = np.zeros((source.values.size, grading.index.shape[1], source.index.shape[1]), dtype)
+        at = (source.pos[cols], grading.slot[rows], source.slot[cols])
+        np.add.at(stack, at, vals.astype(dtype))  # one dtype: np.add.at casting is slow
         return cls(p, grading, shift, _mod(stack, p).astype(_dtype(p)), source)
 
     @classmethod
@@ -480,11 +491,25 @@ def _joint_rref(maps, cells=slice(None)):
     return g, p, *_rref_stack(np.concatenate([m.stack[cells] for m in maps], axis=1), p)
 
 
+def _echelon(mat: GradedMap, use: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced stack and pivot mask of mat's blocks for its "kernel" or
+    "image" (use): taken from mat if the other use left it there, else
+    computed and left on mat for the other use; so one reduction serves one
+    of each, and a map holds none once both are taken."""
+    left = mat.__dict__.pop("_reduction", None)
+    if left is not None and left[0] != use:
+        return left[1]
+    mat._reduction = use, _rref_stack(mat.stack, mat.p)
+    return mat._reduction[1]
+
+
 def graded_kernel(*maps: GradedMap) -> GradedMap:
     """Basis of the joint kernel of weight-graded maps from one grading, per
     cell from the blocks of all maps at that cell, stacked: a column set
-    into that grading, in cell order."""
-    g, p, red, piv = _joint_rref(maps)
+    into that grading, in cell order.  The kernel of one map shares its
+    reduction with graded_image (_echelon)."""
+    g, p, red, piv = ((maps[0].source, maps[0].p, *_echelon(maps[0], "kernel")) if len(maps) == 1
+                      else _joint_rref(maps))
     return column_set(p, g, g.values, _kernels(red, piv, p), ~piv & (g.index[:-1] < g.weights.size))
 
 
@@ -498,8 +523,9 @@ def cell_nullities(maps, cells=slice(None)) -> np.ndarray:
 
 
 def graded_image(mat: GradedMap) -> GradedMap:
-    """Greedy pivot columns of a weight-graded map, as a column set."""
-    piv = _rref_stack(mat.stack, mat.p)[1]
+    """Greedy pivot columns of a weight-graded map, as a column set, from
+    the reduction it shares with graded_kernel (_echelon)."""
+    piv = _echelon(mat, "image")[1]
     return column_set(mat.p, mat.grading, mat.source.values + mat.shift * _CELL, mat.stack, piv)
 
 
@@ -515,20 +541,28 @@ def graded_solve(mat: GradedMap, rhs):
     """The solution X of mat @ X = rhs that FpMatrix.solve gives on the dense
     matrices, found cell by cell in one stacked solve.  For an array rhs (a
     vector or columns) X is an array; for a GradedMap rhs into mat's
-    grading it is the GradedMap from rhs's source to mat's."""
+    grading it is the GradedMap from rhs's source to mat's, and for a list
+    of GradedMaps from one source the list of their solutions, from one
+    stacked solve of all their cells."""
     p, s, g = mat.p, mat.source, mat.grading
-    if isinstance(rhs, GradedMap):
-        if rhs.grading is not g or rhs.p != p:
+    maps = [rhs] if isinstance(rhs, GradedMap) else None
+    if isinstance(rhs, list) and rhs and isinstance(rhs[0], GradedMap):
+        maps = rhs
+    if maps:
+        if any(m.grading is not g or m.source is not maps[0].source or m.p != p for m in maps):
             raise ValueError("maps on different spaces")
-        keys, b = rhs.source.values + rhs.shift * _CELL, rhs.stack  # per rhs cell
+        keys = np.concatenate([m.source.values + m.shift * _CELL for m in maps])  # per rhs cell
+        b = np.concatenate([m.stack for m in maps])
     else:  # a cell of zero right-hand sides solves to zero
         live, b = _gather(g, rhs, p)
         keys = g.values[live]
     at = s.find(keys - mat.shift * _CELL)  # per cell of b its source cell, or a zero block
     x = _solve_stack(np.pad(mat.stack, ((0, 1), (0, 0), (0, 0)))[at], b, p)
-    if isinstance(rhs, GradedMap):
-        return GradedMap(p, s, rhs.shift - mat.shift, x, rhs.source)
-    return _scatter(s, at, x, np.shape(rhs)[1:])
+    if not maps:
+        return _scatter(s, at, x, np.shape(rhs)[1:])
+    out = [GradedMap(p, s, m.shift - mat.shift, part, m.source)
+           for m, part in zip(maps, np.split(x, len(maps)))]
+    return out if maps is rhs else out[0]
 
 
 def frobenius_power(mat: GradedMap) -> GradedMap:

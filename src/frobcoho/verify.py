@@ -368,7 +368,8 @@ def verify_propositions(p: int) -> VerificationReport:
 
     # multiplication pairing into the top line is nondegenerate
     for name, alg in (("sl2", total), ("b", taft), ("u", uu)):
-        dims = _fmt_dims(np.bincount(alg.degrees, minlength=alg.top_degree + 1).tolist())
+        degrees = alg.module.grading.degrees
+        dims = _fmt_dims(np.bincount(degrees, minlength=alg.top_degree + 1).tolist())
         try:
             ranks = _fmt_dims(alg.duality_ranks())
         except ValueError as exc:  # the product pairs unmatched weights
@@ -495,7 +496,7 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
 
     # the invariant quadratic element 4ef + h^2 and its powers
     x_rep = np.zeros(total.dim, dtype=np.int64)
-    x_rep[[total.index[(1, 0, 1)], total.index[(0, 2, 0)]]] = 4 % p, 1
+    x_rep[total._at_code[[p * p + 1, 2 * p]]] = 4 % p, 1  # ef and h^2, by their base-p codes
     powers = [total.unit_vector()]
     for _ in range(p):
         powers.append(total.mult(powers[-1], x_rep))
@@ -508,7 +509,7 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     odd_reps = []
     for vec, w in engine.t1_representatives(1):
         nm = "z" if w == 2 * p - 2 else "z'"
-        odd_reps.append((f"{nm}@{total.degrees[np.flatnonzero(vec)[0]]}", vec))
+        odd_reps.append((f"{nm}@{total.module.grading.degrees[np.flatnonzero(vec)[0]]}", vec))
     h0 = [vec for vec, _ in engine.t1_representatives(0)]
     squares = [cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]
     principal = pieces.blocks[0]

@@ -25,10 +25,10 @@ m + wt(x): the cells are the weight spaces, and for a monomial module of
 several degrees the (weight, degree) spaces, since the adjoint action
 keeps the polynomial degree.  Only dense input is cut, and only
 action(x) densifies; every construction scatters entries into blocks,
-and a submodule solves each action into blocks on its column set.  The
-principal block, that of the trivial module, is the kernel of the
-Casimir's Frobenius power S (fpmatrix.frobenius_power) for odd p and
-the whole module for p = 2.
+and a submodule solves all actions into blocks on its column set in one
+stacked solve.  The principal block, that of the trivial module, is the
+kernel of the Casimir's Frobenius power S (fpmatrix.frobenius_power) for
+odd p and the whole module for p = 2.
 
 Truncated symmetric powers carry the adjoint derivation action with
 p-th powers killed; the graded pieces assemble into a genuine algebra
@@ -37,6 +37,8 @@ duality pairing ranks.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -68,13 +70,17 @@ class WeightModule:
     a dense FpMatrix or a GradedMap on the Grading passed as weights.
     Construction validates the invariants of the module docstring and
     raises ValueError on the first failure, so every instance has their
-    three consequences: a central, split Casimir and a p-nilpotent f."""
+    three consequences: a central, split Casimir and a p-nilpotent f.
+    The tuples labels and weights are built on first read, from the labels
+    given (a sequence, or inside the package a function building them) and
+    the grading."""
 
     def __init__(self, algebra: RestrictedLieAlgebra, labels, weights, actions):
         self.algebra = algebra
-        self.labels = tuple(labels)
         self.grading = weights if isinstance(weights, Grading) else Grading(weights)
-        self.weights = tuple(self.grading.weights.tolist())
+        self._labels = labels if callable(labels) else tuple(labels)
+        if not callable(labels) and len(self._labels) != self.dim:
+            raise ValueError("need one label per weight")
         if set(actions) != set(algebra.generators):
             raise ValueError("need one action matrix per algebra generator")
         self.maps = {}  # generator -> its action as cell blocks
@@ -98,7 +104,15 @@ class WeightModule:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.grading.weights.size
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(_read(self._labels))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(self.grading.weights.tolist())
 
     def action(self, x: str) -> FpMatrix:
         """The action of x as a dense FpMatrix record, rebuilt from its cell
@@ -106,7 +120,7 @@ class WeightModule:
         return self.maps[x].dense()
 
     def character(self) -> LaurentCharacter:
-        return LaurentCharacter.from_weights(self.weights)
+        return LaurentCharacter.from_weights(self.grading.weights.tolist())
 
     def validate(self) -> None:
         """The last three invariants; weight compatibility is checked when
@@ -131,42 +145,55 @@ class WeightModule:
         ):
             raise ValueError("tensor factors live over different algebras")
         alg, n, m = self.algebra, self.dim, other.dim
-        labels = [f"{a}*{b}" for a in self.labels for b in other.labels]
+        left, right = self._labels, other._labels
         grading = Grading(np.add.outer(self.grading.weights, other.grading.weights))
         actions = {x: GradedMap.scatter(alg.p, grading, alg.weight(x), *_tensor_entries(
             self.maps[x].entries(), other.maps[x].entries(), n, m)) for x in alg.generators}
-        return WeightModule(alg, labels, grading, actions)
+        return WeightModule(alg, lambda: [f"{a}*{b}" for a in _read(left) for b in _read(right)],
+                            grading, actions)
 
     def dual(self) -> "WeightModule":
-        alg, grading, actions = self.algebra, Grading(-self.grading.weights), {}
+        alg, grading, actions, labels = self.algebra, Grading(-self.grading.weights), {}, self._labels
         for x in alg.generators:
             rows, cols, vals = self.maps[x].entries()
             actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x), cols, rows, -vals)
-        return WeightModule(alg, [f"{a}^" for a in self.labels], grading, actions)
+        return WeightModule(alg, lambda: [f"{a}^" for a in _read(labels)], grading, actions)
 
     def frobenius_twist(self, r: int = 1) -> "WeightModule":
         """Weights scaled by p^r, infinitesimal action trivialized."""
         if r < 1:
             raise ValueError(f"Frobenius twist needs r >= 1, got r = {r}")
-        return _torus_module(self.algebra, [f"{a}({r})" for a in self.labels],
+        labels = self._labels
+        return _torus_module(self.algebra, lambda: [f"{a}({r})" for a in _read(labels)],
                              self.grading.weights * self.p ** r)
 
     def submodule(self, columns: GradedMap, prefix: str = "s") -> "WeightModule":
         """Restrict actions to the span of a column set into this module,
-        each solved into blocks on the column grading.
+        all solved into blocks on the column grading in one stacked solve.
 
-        Raises if the span is not stable under every generator.
+        Raises if the span is not stable under every generator, naming the
+        first generator that leaves it.
         """
         if columns.grading is not self.grading or columns.shift:
             raise ValueError("columns do not lie in this module")
-        labels = [f"{prefix}{k}" for k in range(columns.shape[1])]
-        actions = {}
-        for x in self.algebra.generators:
-            try:
-                actions[x] = graded_solve(columns, self.maps[x] @ columns)
-            except ValueError as exc:
-                raise ValueError(f"span is not stable under {x}") from exc
-        return WeightModule(self.algebra, labels, columns.source, actions)
+        gens, n = self.algebra.generators, columns.shape[1]
+        images = [self.maps[x] @ columns for x in gens]
+        try:
+            actions = dict(zip(gens, graded_solve(columns, images)))
+        except ValueError:  # name the first generator whose image leaves the span
+            for x, image in zip(gens, images):
+                try:
+                    graded_solve(columns, image)
+                except ValueError as exc:
+                    raise ValueError(f"span is not stable under {x}") from exc
+            raise
+        return WeightModule(self.algebra, lambda: [f"{prefix}{k}" for k in range(n)],
+                            columns.source, actions)
+
+
+def _read(labels) -> tuple[str, ...] | list[str]:
+    """Labels kept as a tuple, or built by the function kept in their place."""
+    return labels() if callable(labels) else labels
 
 
 def _tensor_entries(a, b, n: int, m: int):
@@ -199,9 +226,6 @@ def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
     exps, total = exps[codes], total[codes]
     grading = Grading(exps @ np.array(alg.weights, dtype=np.int64),
                       total if len(degrees) > 1 else None)
-    pieces = [np.array(["", g, *(f"{g}^{a}" for a in range(2, base))], dtype=object)[e]
-              for g, e in zip(gens, exps.T)]
-    labels = ["*".join(filter(None, parts)) or "1" for parts in zip(*pieces)]
     # x acts by the Leibniz rule: g_i -> c z per [x, g_i] = c z, dropping an exponent past cap
     actions = {}
     for x in gens:
@@ -213,6 +237,12 @@ def _monomial_module(alg: RestrictedLieAlgebra, degrees, cap) -> WeightModule:
                 terms.append((at[codes[j] - digit[i] + digit[zi]], j, exps[j, i] * c))
         actions[x] = GradedMap.scatter(alg.p, grading, alg.weight(x),
                                        *map(np.concatenate, zip(*terms)))
+
+    def labels():  # g^a per nonzero exponent a, joined by *
+        pieces = [np.array(["", g, *(f"{g}^{a}" for a in range(2, base))], dtype=object)[e]
+                  for g, e in zip(gens, exps.T)]
+        return ["*".join(filter(None, parts)) or "1" for parts in zip(*pieces)]
+
     mod = WeightModule(alg, labels, grading, actions)
     mod.exponents = exps
     return mod
@@ -243,24 +273,38 @@ class TruncatedSymAlgebra:
     nonzero monomial exactly when adding their codes carries no digit,
     i.e. when the code sum is below p^dim and its digit sum (the degree)
     is the sum of the two degrees; the product is the monomial of the
-    code sum."""
+    code sum.  Per monomial only arrays are kept: the module's exponent rows
+    and grading, the codes and each code's position (_codes, _at_code).
+    exponents (tuples), degrees and index (a dict from exponent tuple to
+    position) are built on first read; unit_index is the position of code 0."""
 
     def __init__(self, alg: RestrictedLieAlgebra):
         p = self.p = alg.p
         self.algebra, self.top_degree = alg, (p - 1) * alg.dim
         self.module = _monomial_module(alg, range(self.top_degree + 1), p - 1)
-        exps = self.module.exponents
-        self._codes = exps @ p ** np.arange(alg.dim - 1, -1, -1)
-        self.exponents = list(map(tuple, exps.tolist()))
+        self._codes = self.module.exponents @ p ** np.arange(alg.dim - 1, -1, -1)
         self._degree = self.module.grading.degrees
-        self.degrees = tuple(self._degree.tolist())
-        self.index = {e: k for k, e in enumerate(self.exponents)}
-        self.unit_index = self.index[(0,) * alg.dim]
         self._at_code = np.argsort(self._codes)  # every code below p^dim is a monomial
 
     @property
     def dim(self) -> int:
         return self.module.dim
+
+    @cached_property
+    def exponents(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.module.exponents.tolist()))
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self._degree.tolist())
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {e: k for k, e in enumerate(self.exponents)}
+
+    @property
+    def unit_index(self) -> int:
+        return int(self._at_code[0])
 
     def unit_vector(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
@@ -286,14 +330,14 @@ class TruncatedSymAlgebra:
 
     def duality_ranks(self) -> list[int]:
         """Per degree i, the rank of the product pairing S^i x S^(top-i) -> top
-        line (the top monomial found by its exponents), by the code rule of
+        line (the top monomial, of code p^dim - 1), by the code rule of
         mult.  The pairing joins cell (w, i) only to (wt(top) - w, top - i), so
         it is a map of shift 0 from the partner grading, where each monomial
         sits at (wt(top) - w, top - i), and all cells are ranked in one
         reduction; a product that reaches the top line from any other cell
         raises ValueError."""
         g, n = self.module.grading, self.top_degree
-        top = self.index[(self.p - 1,) * self.algebra.dim]
+        top = self._at_code[self.dim - 1]
         hits = []
         for i in range(n + 1):  # one degree pair at a time, keeping only the hits
             left, right = np.flatnonzero(self._degree == i), np.flatnonzero(self._degree == n - i)

@@ -29,12 +29,19 @@ primitives of frobcoho compute, kept in one place.
   cell of N (x) M^*.
 * reference_mult: the product of TruncatedSymAlgebra by adding exponent
   tuples.  The reference for TruncatedSymAlgebra.mult, which adds codes.
+* reference_monomials: the monomial basis of the truncated symmetric
+  algebra built eagerly in plain Python, from every exponent tuple.  The
+  reference for the labels, weights, exponents, degrees, index and
+  unit_index that TruncatedSymAlgebra and its module build on first read
+  from their arrays.
 * module_degree_characters: the characters of a module's degree pieces,
   read off its Grading.  The whole-module side of the per-piece routes of
   test_sl2_pieces.py.
 * same_map, assert_same_module and assert_same_eigenspaces: byte-for-byte
   comparisons of GradedMap stacks, modules and eigenspaces.
 """
+
+from itertools import product
 
 import numpy as np
 from sympy import GF
@@ -293,6 +300,23 @@ def reference_mult(alg, v1, v2) -> list[int]:
             if max(s) <= alg.p - 1:
                 out[alg.index[s]] += int(v1[i]) * int(v2[j])
     return [c % alg.p for c in out]
+
+
+def reference_monomials(alg) -> dict:
+    """Per monomial of the truncated symmetric algebra of alg, listed by
+    degree and then by exponent tuple: its label, weight, exponent tuple
+    and degree; with the index of each tuple and the unit's position."""
+    exponents = sorted(product(range(alg.p), repeat=alg.dim), key=lambda e: (sum(e), e))
+    index = {e: k for k, e in enumerate(exponents)}
+    return {
+        "labels": tuple("*".join(g if a == 1 else f"{g}^{a}" for g, a in zip(alg.generators, e) if a)
+                        or "1" for e in exponents),
+        "weights": tuple(sum(a * w for a, w in zip(e, alg.weights)) for e in exponents),
+        "exponents": exponents,
+        "degrees": tuple(map(sum, exponents)),
+        "index": index,
+        "unit_index": index[(0,) * alg.dim],
+    }
 
 
 def module_degree_characters(M: WeightModule, top: int):

@@ -166,3 +166,10 @@ def test_character_algebra_and_serialization():
     assert q(4).untwist(2) == q(2)
     with pytest.raises(ValueError):
         q(3).untwist(2)
+
+
+def test_untwist_needs_a_positive_modulus():
+    for n in (0, -1, -3):  # 0 divided by zero; -3 answered silently
+        with pytest.raises(ValueError, match=f"p = {n}"):
+            q(6).untwist(n)
+    assert q(6).untwist(1) == q(6) and q(8).untwist(4) == q(2)

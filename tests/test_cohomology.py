@@ -183,6 +183,26 @@ def test_collapse_check_takes_the_image_of_f_once(monkeypatch):
         e2_page(M, (n - n % 2) // 2, n % 2).dim() for n in range(9)]
 
 
+def test_collapse_check_reduces_each_differential_once(monkeypatch):
+    """The kernel and the image of f come from one row reduction of its
+    blocks, and those of f^(p-1) from one of theirs."""
+    from frobcoho import fpmatrix
+
+    M, stacks = truncated_sym(sl2(5), 3), []
+    F = M.maps["f"]
+    Fq = F ** 4
+    reduce = fpmatrix._rref_stack
+
+    def counted(a, p):
+        stacks.append(np.array(a))
+        return reduce(a, p)
+
+    monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
+    collapse_check(M, 8)
+    assert [sum(a.shape == d.stack.shape and np.array_equal(a, d.stack) for a in stacks)
+            for d in (F, Fq)] == [1, 1]
+
+
 def test_ip_expected_dims_shape():
     assert ip_expected_dims(3, 6) == [0, 2, 2, 2, 2, 2, 2]
     assert ip_expected_dims(5, 5) == [0, 3, 3, 3, 3, 3]

@@ -41,6 +41,15 @@ def test_matmul_refuses_inexact_float64_products():
     assert (_eye(13, 3) @ _eye(13, 3)).rank() == 3
 
 
+def test_matmul_is_exact_on_both_sides_of_the_float32_bound():
+    # 100^2 * 1677 < 2^24 <= 100^2 * 1678: the first product runs in float32,
+    # the second in float64; both sums of p-1 squared are exact
+    p = 101
+    for inner in (1677, 1678):
+        a = np.full((2, 1, inner), p - 1, dtype=np.int64)
+        assert _matmul(a, a.transpose(0, 2, 1), p).tolist() == [[[(p - 1) ** 2 * inner % p]]] * 2
+
+
 def test_rank_zero_map():
     assert FpMatrix(3, np.zeros((4, 7))).rank() == 0
 

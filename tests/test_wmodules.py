@@ -45,6 +45,7 @@ from oracles import (
     dense_weight_line,
     kronecker_hom_dim,
     rank,
+    reference_monomials,
     reference_mult,
     solve,
 )
@@ -408,6 +409,54 @@ def test_submodule_actions_equal_dense_solve():
         cols = blocks[0].dense()
         for x in M.algebra.generators:
             assert sub.action(x) == FpMatrix(p, solve(cols.a, (M.action(x) @ cols).a, p)), (n, x)
+
+
+def test_submodule_solves_every_generator_at_once(monkeypatch):
+    """One stacked solve for all generators; when several leave the span,
+    the error names the first in generator order."""
+    from frobcoho import fpmatrix
+
+    M, calls = truncated_sym(sl2(5), 2), []
+    reduce = fpmatrix._rref_stack
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return reduce(a, p)
+
+    blocks = casimir_blocks(M)
+    monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
+    M.submodule(blocks[0])
+    assert len(calls) == 1
+    ef_line = np.zeros((M.dim, 1), dtype=np.int64)
+    ef_line[M.labels.index("e*f")] = 1  # e and f both move e*f off its line
+    with pytest.raises(ValueError, match="span is not stable under e"):
+        M.submodule(GradedMap.cut(FpMatrix(5, ef_line), M.grading, 0, Grading([0])))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("make", [sl2, borel, nilradical], ids=["sl2", "b", "u"])
+def test_basis_data_built_on_first_read_equals_the_eager_reference(p, make):
+    g = make(p)
+    alg, ref = TruncatedSymAlgebra(g), reference_monomials(g)
+    n = min(2, alg.top_degree)  # u at p = 2 stops at degree 1
+    M, one, two = alg.module, truncated_sym(g, 1), truncated_sym(g, n)
+    # derived modules are built before any label is read
+    derived = [(one.tensor(two.dual()), [f"{a}*{b}^" for a in _piece(ref, 1) for b in _piece(ref, n)]),
+               (one.frobenius_twist(2), [f"{a}(2)" for a in _piece(ref, 1)]),
+               (M.submodule(GradedMap.identity(p, M.grading), prefix="t"),
+                [f"t{k}" for k in range(alg.dim)])]
+    for mod, want in derived:
+        assert mod.labels == tuple(want)
+    assert (M.labels, M.weights) == (ref["labels"], ref["weights"])
+    assert (alg.exponents, alg.degrees, alg.index, alg.unit_index) == (
+        ref["exponents"], ref["degrees"], ref["index"], ref["unit_index"])
+    assert two.labels == tuple(_piece(ref, n))
+    with pytest.raises(ValueError, match="one label per weight"):
+        WeightModule(g, one.labels[1:], one.grading, one.maps)
+
+
+def _piece(ref: dict, n: int) -> list[str]:
+    return [label for label, d in zip(ref["labels"], ref["degrees"]) if d == n]
 
 
 # -- the constructions against their dense routes ---------------------------
