@@ -104,13 +104,15 @@ class PeriodicCohomology:
 
     def _data(self, n: int):
         """(cocycles K, the number b of columns of B, [B | K], rep positions):
-        column sets, B empty in degree 0, and the columns of K that complete B."""
+        column sets, B empty in degree 0, and the columns of K that complete B,
+        in degree 0 all of K with no reduction: a kernel basis is independent."""
         kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
         if kind not in self._cache:
             K = self._columns("K", n)
             BK = graded_columns(self._columns("B", n), K) if n else K
             b = BK.shape[1] - K.shape[1]
-            self._cache[kind] = K, b, BK, tuple(graded_complement(BK, b))
+            reps = graded_complement(BK, b) if n else range(K.shape[1])
+            self._cache[kind] = K, b, BK, tuple(reps)
         return self._cache[kind]
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:

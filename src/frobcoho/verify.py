@@ -488,11 +488,13 @@ def _sym_checks(report: VerificationReport, g) -> None:
 def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     """Ring samples on the principal-block coefficients (p >= 3).
 
-    A vector's principal part is its eigenvalue-0 coordinates over the
-    columns of all Casimir blocks of the whole algebra: coordinates in the
-    basis of pieces.engine's module, by degree."""
-    p, total = pieces.p, pieces.algebra
-    engine = PeriodicCohomology(total.module)
+    Every T_1 class is read from pieces.engine and lifted by blocks[0]: L(lam)
+    has B_1-cohomology only if p divides -lam (ker f) or lam + 2 (coker f), so
+    for lam in {0, p - 2}, the principal block.  A product's principal part is
+    its eigenvalue-0 coordinates over all Casimir blocks, by degree."""
+    p, total, principal = pieces.p, pieces.algebra, pieces.blocks[0]
+    engine = PeriodicCohomology(total.module)  # cup_product's argument only
+    degrees = pieces.engine.M.grading.degrees
 
     # the invariant quadratic element 4ef + h^2 and its powers
     x_rep = np.zeros(total.dim, dtype=np.int64)
@@ -504,22 +506,19 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     report.add("cup-x-powers", ok, f"x^k nonzero for k<{p}, x^{p}=0",
                "as expected" if ok else "mismatch")
 
-    # squares of the surviving odd classes; the principal parts of them and
-    # of the invariant lines come from one solve over all Casimir blocks
+    # squares of the surviving odd classes; their principal parts come from
+    # one solve over all Casimir blocks
     odd_reps = []
-    for vec, w in engine.t1_representatives(1):
+    for vec, w in pieces.engine.t1_representatives(1):
         nm = "z" if w == 2 * p - 2 else "z'"
-        odd_reps.append((f"{nm}@{total.module.grading.degrees[np.flatnonzero(vec)[0]]}", vec))
-    h0 = [vec for vec, _ in engine.t1_representatives(0)]
+        odd_reps.append((f"{nm}@{degrees[np.flatnonzero(vec)[0]]}", principal @ vec))
     squares = [cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]
-    principal = pieces.blocks[0]
     basis = graded_columns(*(pieces.blocks[lam] for lam in sorted(pieces.blocks)))
-    coords = graded_solve(basis, np.array(h0 + squares).T)[:principal.shape[1]]
+    coords = graded_solve(basis, np.array(squares).T)[:principal.shape[1]]
 
     # one-dimensional kernel-invariant line per even internal degree
-    degrees = principal.source.degrees
-    by_degree = Counter(int(degrees[np.flatnonzero(c)[0]])
-                        for c in coords[:, :len(h0)].T if c.any())
+    by_degree = Counter(int(degrees[np.flatnonzero(vec)[0]])
+                        for vec, _ in pieces.engine.t1_representatives(0))
     expect = {2 * i: 1 for i in range(0, 3 * (p - 1) // 2 + 1)}
     report.add("invariant-line-per-even-degree", by_degree == expect,
                _fmt_socle({(k, 0): v for k, v in sorted(expect.items())}),
@@ -549,18 +548,16 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     # weight-(2p-2) class with its weight-(-2) partner is generally NOT
     # zero (it drops filtration onto the invariant line of the top), so
     # only squares are asserted here.
-    ok = len(odd_reps) == p - 1
-    detail = []
-    for (na, _), col in zip(odd_reps, coords[:, len(h0):].T):
-        vanishes = pieces.engine.is_coboundary(2, col)
-        detail.append(f"{na}^2={'0' if vanishes else 'X'}")
-        ok = ok and vanishes
+    vanish = [pieces.engine.is_coboundary(2, col) for col in coords.T]
+    ok = len(odd_reps) == p - 1 and all(vanish)
+    detail = [f"{na}^2={'0' if v else 'X'}" for (na, _), v in zip(odd_reps, vanish)]
     report.add("cup-odd-squares-zero", ok, f"{p - 1} odd classes, squares zero",
                " ".join(detail))
 
-    # sample commutation of an even class with an odd one
-    z_vec = odd_reps[0][1]
-    left = cup_product(engine, total, 0, x_rep, 1, z_vec)
-    right = cup_product(engine, total, 1, z_vec, 0, x_rep)
-    same = engine.is_coboundary(1, (left - right) % p)
+    # sample commutation of an even class with an odd one: x.z and z.x are one
+    # vector (mult commutes and both diagonal components are 1 (x) 1), principal
+    # as x acts by a module map; this guards cup_product's sign and diagonal only
+    left = cup_product(engine, total, 0, x_rep, 1, odd_reps[0][1])
+    right = cup_product(engine, total, 1, odd_reps[0][1], 0, x_rep)
+    same = pieces.engine.is_coboundary(1, graded_solve(principal, (left - right) % p))
     report.add("cup-even-odd-commute", same, "x.z = z.x", "equal" if same else "different")

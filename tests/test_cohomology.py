@@ -203,6 +203,23 @@ def test_collapse_check_reduces_each_differential_once(monkeypatch):
             for d in (F, Fq)] == [1, 1]
 
 
+def test_degree0_classes_take_no_complement(monkeypatch):
+    """With no boundaries, the classes of H^0 are the columns of the kernel
+    basis: the reduction of f's blocks is the only one."""
+    from frobcoho import fpmatrix
+
+    M, calls = truncated_sym(sl2(5), 3), []
+    reduce = fpmatrix._rref_stack
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return reduce(a, p)
+
+    monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
+    PeriodicCohomology(M).character(0)
+    assert len(calls) == 1
+
+
 def test_ip_expected_dims_shape():
     assert ip_expected_dims(3, 6) == [0, 2, 2, 2, 2, 2, 2]
     assert ip_expected_dims(5, 5) == [0, 3, 3, 3, 3, 3]

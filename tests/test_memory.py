@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 
 from frobcoho import PeriodicCohomology, TruncatedSymAlgebra, casimir_blocks, sl2
+from frobcoho.verify import verify_propositions
 from frobcoho.wmodules import truncated_sym
 
 P = 11
@@ -103,3 +104,12 @@ def test_tensor_with_the_dual_scatters_blocks():
     T, peak = _traced(lambda: M.tensor(dual))
     assert T.dim == 37 * 37
     assert peak < 45e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_props_pass_reads_classes_from_the_principal_block():
+    # p = 13: a second engine on the whole algebra (2197 vectors) finding the
+    # T_1 classes peaked at 4.82 MB; reading them from the engine on the
+    # principal block (338 vectors) peaks at 2.66 MB.
+    report, peak = _traced(lambda: verify_propositions(13))
+    assert report.exit_code() == 2
+    assert peak < 3.7e6, f"{peak / 1e6:.2f} MB"

@@ -7,9 +7,10 @@ ranks against the piece dimensions."""
 
 import sys
 
+import numpy as np
 import pytest
 
-from frobcoho import cohomology, wmodules
+from frobcoho import cohomology, verify, wmodules
 from frobcoho.cohomology import (
     PeriodicCohomology,
     Sl2Pieces,
@@ -179,3 +180,31 @@ def test_props_pass_takes_no_dense_solve(monkeypatch):
         _count_calls(monkeypatch, FpMatrix, name, counts)
     verify_propositions(7)
     assert counts == {}
+
+
+def test_props_pass_reduces_no_cohomology_of_the_whole_algebra(monkeypatch):
+    # every T_1 class lies in the principal block (50 of the 125 vectors at
+    # p = 5), so the engine on the whole algebra only carries cup_product
+    dims, data = [], PeriodicCohomology._data
+
+    def recorded(self, n):
+        dims.append(self.M.dim)
+        return data(self, n)
+
+    monkeypatch.setattr(PeriodicCohomology, "_data", recorded)
+    verify_propositions(5)
+    assert 50 in dims and 5 ** 3 not in dims
+
+
+def test_cup_checks_solve_only_products(monkeypatch):
+    # one solve for the p - 1 odd squares and one for x.z - z.x; the
+    # invariant lines are counted from the principal engine, not solved
+    shapes, solve = [], verify.graded_solve
+
+    def recorded(mat, rhs):
+        shapes.append(np.shape(rhs))
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(verify, "graded_solve", recorded)
+    verify_propositions(5)
+    assert shapes == [(125, 4), (125,)]
