@@ -184,27 +184,21 @@ def test_props_pass_takes_no_dense_solve(monkeypatch):
 
 def test_props_pass_reduces_no_cohomology_of_the_whole_algebra(monkeypatch):
     # every T_1 class lies in the principal block (50 of the 125 vectors at
-    # p = 5), so the engine on the whole algebra only carries cup_product
-    dims, data = [], PeriodicCohomology._data
+    # p = 5), so the engine on the whole algebra only carries cup_product;
+    # the one solve takes the p - 1 odd squares, the second x.z - z.x
+    dims, shapes = [], []
+    data, solve = PeriodicCohomology._data, verify.graded_solve
 
-    def recorded(self, n):
+    def recorded_data(self, n):
         dims.append(self.M.dim)
         return data(self, n)
 
-    monkeypatch.setattr(PeriodicCohomology, "_data", recorded)
-    verify_propositions(5)
-    assert 50 in dims and 5 ** 3 not in dims
-
-
-def test_cup_checks_solve_only_products(monkeypatch):
-    # one solve for the p - 1 odd squares and one for x.z - z.x; the
-    # invariant lines are counted from the principal engine, not solved
-    shapes, solve = [], verify.graded_solve
-
-    def recorded(mat, rhs):
+    def recorded_solve(mat, rhs):
         shapes.append(np.shape(rhs))
         return solve(mat, rhs)
 
-    monkeypatch.setattr(verify, "graded_solve", recorded)
+    monkeypatch.setattr(PeriodicCohomology, "_data", recorded_data)
+    monkeypatch.setattr(verify, "graded_solve", recorded_solve)
     verify_propositions(5)
+    assert 50 in dims and 5 ** 3 not in dims
     assert shapes == [(125, 4), (125,)]
