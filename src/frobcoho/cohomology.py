@@ -289,14 +289,16 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
     may be passed instead, and gives the same class."""
     if engine.M is not alg.module:
         raise ValueError("engine and coefficient algebra disagree")
-    if not engine.is_cocycle(a_deg, a_vec) or not engine.is_cocycle(b_deg, b_vec):
+    square = a_vec is b_vec and a_deg == b_deg  # one cocycle check and one list of iterates
+    if not engine.is_cocycle(a_deg, a_vec) or not (square or engine.is_cocycle(b_deg, b_vec)):
         raise ValueError("cup product needs cocycle inputs")
     p = alg.p
     if diagonal is None:
         diagonal = CupDiagonal(p)
     terms = diagonal.component(a_deg, b_deg)
-    left = _f_iterates(engine, a_vec, max((s for s, _, _ in terms), default=0))
-    right = _f_iterates(engine, b_vec, max((t for _, t, _ in terms), default=0))
+    ks = [max((term[i] for term in terms), default=0) for i in (0, 1)]
+    left = _f_iterates(engine, a_vec, max(ks) if square else ks[0])
+    right = left if square else _f_iterates(engine, b_vec, ks[1])
     out = np.zeros(alg.dim, dtype=np.int64)
     sign = -1 if (a_deg % 2 and b_deg % 2) else 1
     for (s, t, co) in terms:

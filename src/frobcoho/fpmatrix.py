@@ -331,7 +331,8 @@ def _gather(grading: Grading, array, p: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(array, dtype=np.int64) % p
     if x.shape[0] != grading.weights.size:
         raise ValueError("shape mismatch")
-    x = np.pad(x[:, None] if x.ndim == 1 else x, ((0, 1), (0, 0)))
+    x = x[:, None] if x.ndim == 1 else x
+    x = np.concatenate((x, np.zeros((1, x.shape[1]), dtype=np.int64)))  # the padding row
     live = np.flatnonzero(np.bincount(grading.pos[x[:-1].any(1)], minlength=grading.values.size))
     return live, x[grading.index[live]]
 

@@ -1,9 +1,10 @@
 """Byte counts and sha256 of API results beyond the CLI's p <= 13.
 
 The pinned CLI outputs stop at p = 13, where cells are at most 7 wide.
-These texts, at p = 17 and 19, run the same engine on wider cells and
-wider stack dtypes, so they guard every change to the cell layout, the
-products and the cup checks there.  None of them holds a runtime.
+These texts, at p = 17, 19 and 23 (cells up to 12 wide), run the same
+engine on wider cells and wider stack dtypes, so they guard every change
+to the cell layout, the products and the cup checks there.  None of them
+holds a runtime.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ PINS = {
                 "d2d44cc87d52a8962643fc96c4395835fb9d202531d39410be0f913eee7274c2"),
     "props19": (lambda: verify_propositions(19).to_text(), 13609,
                 "73c25ad3db7570f781567f6b10ddf7a001fbb964f45f48d9354ddf365359b599"),
+    "props23": (lambda: verify_propositions(23).to_text(), 18076,
+                "242a82bf022a2459d030251441cb64a156e901b07c25f4aa35c6cca50457815e"),
     "g1-17": (lambda: hh_table("g1", 17, 8).to_tsv(), 8971,
               "6f3b68894de71178322b1d760636d8557f2408b816bd7e24b28bacccc7f3506d"),
     "b1-17": (lambda: hh_table("b1", 17, 8).to_tsv(), 218,
