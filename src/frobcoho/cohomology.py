@@ -40,14 +40,15 @@ from .characters import LaurentCharacter, euler_induction
 from .fpmatrix import (
     GradedMap,
     check_prime,
+    frobenius_power,
     graded_columns,
     graded_complement,
     graded_image,
     graded_kernel,
     graded_solve,
 )
-from .lie import borel, nilradical, sl2
-from .wmodules import TruncatedSymAlgebra, WeightModule, casimir_blocks
+from .lie import borel, casimir_operator, nilradical, sl2
+from .wmodules import TruncatedSymAlgebra, WeightModule
 
 
 def cochain_twist(p: int, n: int) -> int:
@@ -333,16 +334,17 @@ def _g1_char(char: LaurentCharacter, p: int) -> tuple[LaurentCharacter, bool]:
 class Sl2Pieces:
     """The pieces S^n, n <= 3(p-1), of the truncated symmetric algebra of
     sl2(p) as the degree-n cells of the whole algebra: one TruncatedSymAlgebra,
-    one Casimir split of its module (none for p = 2: the principal part is
-    the module) and one engine on its principal block.  Every map keeps the
-    degree, so every per-piece quantity is read off by cell degree."""
+    the Frobenius power S of its Casimir, one engine on the principal block
+    ker S (for p = 2 no S: the principal part is the module).  Every map keeps
+    the degree, so every per-piece quantity is read off by cell degree."""
 
     def __init__(self, p: int):
         self.p, self.algebra = p, TruncatedSymAlgebra(sl2(p))
         self.top, self.module = self.algebra.top_degree, self.algebra.module
         M = self.module
-        self.blocks = {} if p == 2 else casimir_blocks(M)  # degree 0 makes 0 an eigenvalue
-        self.engine = PeriodicCohomology(M if p == 2 else M.submodule(self.blocks[0], prefix="blk"))
+        self.S = None if p == 2 else frobenius_power(casimir_operator(M))
+        self.principal = None if p == 2 else graded_kernel(self.S)  # degree 0 makes 0 an eigenvalue
+        self.engine = PeriodicCohomology(M if p == 2 else M.submodule(self.principal, prefix="blk"))
 
     @cached_property
     def _characters(self) -> list[LaurentCharacter]:
@@ -359,11 +361,6 @@ class Sl2Pieces:
         """Per piece, g1_cohomology_char(., d) of its principal part; an
         empty part has no representatives and gives (0, exact)."""
         return [_g1_char(char, self.p) for char in self.engine.characters(d)]
-
-    def class_weights(self, n: int) -> list[list[int]]:
-        """Per Casimir eigenvalue, increasing, its eigenspace's weights in piece n."""
-        return [cols.source.weights[cols.source.degrees == n].tolist()
-                for _, cols in sorted(self.blocks.items())]
 
 
 @dataclass

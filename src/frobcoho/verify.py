@@ -52,12 +52,13 @@ from .cohomology import (
     ip_expected_dims,
     t1_invariants,
 )
-from .fpmatrix import cell_nullities, check_prime, graded_columns, graded_solve, is_prime
+from .fpmatrix import cell_nullities, check_prime, graded_solve, is_prime
 from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
     _class_labels,
+    casimir_nullities,
     simple_model,
     trivial_module,
 )
@@ -181,10 +182,11 @@ def synthesize_fixture(p: int) -> AppendixFixture:
 
 
 def _synthesized(pieces: Sl2Pieces) -> AppendixFixture:
-    """synthesize_fixture from the one Casimir split of the whole algebra."""
-    p, rows = pieces.p, []
+    """synthesize_fixture from the Casimir classes of pieces.S, counted once (casimir_nullities)."""
+    p, g, rows = pieces.p, pieces.module.grading, []
+    nullities = casimir_nullities(pieces.S)
     for n in range(pieces.top + 1):
-        dec = _class_labels(pieces.class_weights(n), p)
+        dec = _class_labels(nullities, g, p, g.cell_degrees == n)
         inside = p - 1 <= n <= 2 * (p - 1)
         pattern = ("K_DEG0" if inside else "KNULL") if n % 2 == 0 else ("ODD_IND" if inside else "ZERO")
         labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
@@ -261,7 +263,7 @@ def verify_appendix(p: int, maxdeg: int = 8, allow_synth: bool = False) -> Verif
     matches the one implied by the claimed summands (fixture primes
     only), from primitive vectors.  The fixture itself is audited first
     (row coverage and the p^3 dimension count).  All rows are read off
-    one Sl2Pieces, whose Casimir split also synthesizes missing rows.
+    one Sl2Pieces, whose S also counts the Casimir classes of missing rows.
     """
     t0 = time.perf_counter()
     check_maxdeg(maxdeg)
@@ -483,11 +485,11 @@ def _sym_checks(report: VerificationReport, g) -> None:
 def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     """Ring samples on the principal-block coefficients (p >= 3).
 
-    Every T_1 class is read from pieces.engine and lifted by blocks[0]: L(lam)
+    Every T_1 class is read from pieces.engine and lifted by ker S: L(lam)
     has B_1-cohomology only if p divides -lam (ker f) or lam + 2 (coker f), so
     for lam in {0, p - 2}, the principal block.  A product's principal part is
-    its eigenvalue-0 coordinates over all Casimir blocks, by degree."""
-    p, total, principal = pieces.p, pieces.algebra, pieces.blocks[0]
+    its image under 1 - S^(p-1) (S^p = S: the Casimir splits), solved in ker S."""
+    p, total, principal, S = pieces.p, pieces.algebra, pieces.principal, pieces.S
     engine = PeriodicCohomology(total.module)  # cup_product's argument only
     degrees = pieces.engine.M.grading.degrees
 
@@ -502,14 +504,13 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
                "as expected" if ok else "mismatch")
 
     # squares of the surviving odd classes; their principal parts come from
-    # one solve over all Casimir blocks
+    # the projector and one solve in the principal block
     odd_reps = []
     for vec, w in pieces.engine.t1_representatives(1):
         nm = "z" if w == 2 * p - 2 else "z'"
         odd_reps.append((f"{nm}@{degrees[np.flatnonzero(vec)[0]]}", principal @ vec))
-    squares = [cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]
-    basis = graded_columns(*(pieces.blocks[lam] for lam in sorted(pieces.blocks)))
-    coords = graded_solve(basis, np.array(squares).T)[:principal.shape[1]]
+    squares = np.array([cup_product(engine, total, 1, va, 1, va) for _, va in odd_reps]).T
+    coords = graded_solve(principal, (squares - S ** (p - 1) @ squares) % p)
 
     # one-dimensional kernel-invariant line per even internal degree
     by_degree = Counter(int(degrees[np.flatnonzero(vec)[0]])

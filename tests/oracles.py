@@ -19,6 +19,11 @@ primitives of frobcoho compute, kept in one place.
   block_projection_principal and principal_block_projector.
   reference_components finds the components by a plain graph search, the
   reference for support_parts.
+* all_block_principal_parts: the principal parts of vectors as their
+  coordinates in the eigenvalue-0 block, from one solve against the
+  columns of every block casimir_blocks gives.  The reference for the
+  projector route of verify's cup checks, 1 - S^(p-1) and one solve in
+  ker S.
 * dense_simple_model, dense_weight_line, dense_tensor, dense_dual and
   dense_twist: modules built from dense actions, with np.kron and
   transposes, and cut by WeightModule.  The reference for simple_model,
@@ -58,9 +63,11 @@ from frobcoho.fpmatrix import (
     _rref_stack,
     _solve_stack,
     generalized_eigenspace,
+    graded_columns,
+    graded_solve,
 )
 from frobcoho.lie import sl2
-from frobcoho.wmodules import WeightModule
+from frobcoho.wmodules import WeightModule, casimir_blocks
 
 # -- sympy over GF(p) ------------------------------------------------------------
 
@@ -230,6 +237,16 @@ def component_projector(mat: GradedMap) -> GradedMap:
         stack[g.pos[idx[:, :1, None]], slot[:, :, None], slot[:, None, :]] = _matmul(
             b * zero, inv, p)
     return GradedMap(p, g, 0, stack)
+
+
+def all_block_principal_parts(M: WeightModule, vectors: np.ndarray) -> np.ndarray:
+    """The coordinates, in the eigenvalue-0 column set of casimir_blocks, of
+    the principal parts of the columns of vectors: one solve against the
+    columns of every Casimir block, by increasing eigenvalue, keeping the
+    rows of block 0."""
+    blocks = casimir_blocks(M)
+    basis = graded_columns(*(blocks[lam] for lam in sorted(blocks)))
+    return graded_solve(basis, vectors)[:blocks[0].shape[1]]
 
 
 # -- modules from dense actions ----------------------------------------------------

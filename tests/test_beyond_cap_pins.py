@@ -1,10 +1,10 @@
 """Byte counts and sha256 of API results beyond the CLI's p <= 13.
 
 The pinned CLI outputs stop at p = 13, where cells are at most 7 wide.
-These texts, at p = 17, 19 and 23 (cells up to 12 wide), run the same
+These texts, at p = 17, 19, 23 and 29 (cells up to 15 wide), run the same
 engine on wider cells and wider stack dtypes, so they guard every change
-to the cell layout, the products and the cup checks there.  None of them
-holds a runtime.
+to the cell layout, the products and the cup checks there.  p = 29 is the
+yardstick prime beyond the cap.  None of them holds a runtime.
 """
 
 import hashlib
@@ -20,6 +20,8 @@ PINS = {
                 "73c25ad3db7570f781567f6b10ddf7a001fbb964f45f48d9354ddf365359b599"),
     "props23": (lambda: verify_propositions(23).to_text(), 18076,
                 "242a82bf022a2459d030251441cb64a156e901b07c25f4aa35c6cca50457815e"),
+    "props29": (lambda: verify_propositions(29).to_text(), 26077,
+                "61ac5c3a8063c87d623e86e8f17e397c72c49d1446fc43c5b4bb0c807e3e62ed"),
     "g1-17": (lambda: hh_table("g1", 17, 8).to_tsv(), 8971,
               "6f3b68894de71178322b1d760636d8557f2408b816bd7e24b28bacccc7f3506d"),
     "b1-17": (lambda: hh_table("b1", 17, 8).to_tsv(), 218,

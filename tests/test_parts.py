@@ -11,6 +11,8 @@ symmetric algebra (also with a shuffled basis), its pieces and symmetric
 powers whose cells are wider than p.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from frobcoho.fpmatrix import (
     FpMatrix,
     GradedMap,
     Grading,
+    frobenius_power,
     graded_eigenspaces,
     graded_projector,
     graded_solve,
@@ -31,7 +34,9 @@ from frobcoho.wmodules import (
     WeightModule,
     block_projection_principal,
     casimir_blocks,
+    casimir_nullities,
     principal_block_projector,
+    simple_module,
     sym_power,
     truncated_sym,
 )
@@ -221,6 +226,30 @@ def test_principal_block_is_one_kernel(monkeypatch):
     M0 = block_projection_principal(TruncatedSymAlgebra(sl2(11)).module)
     assert counts == {"graded_kernel": 1}
     assert M0.dim == component_eigenspaces(casimir_operator(M0))[0].shape[1]
+
+
+NULLITY_CASES = {
+    **{f"sl2-{p}": (lambda p=p: TruncatedSymAlgebra(sl2(p)).module) for p in (3, 5, 7, 11, 13)},
+    # graded by weight alone, with three Casimir classes
+    "L(3)xL(12)-7": lambda: simple_module(3, 7).tensor(simple_module(12, 7)),
+}
+
+
+@pytest.mark.parametrize("name", NULLITY_CASES)
+def test_casimir_nullities_count_the_blocks_columns(name):
+    # per Casimir value the nullity of S - lam on each cell is the number of
+    # columns casimir_blocks finds there, and it finds no other eigenvalue
+    M = NULLITY_CASES[name]()
+    g, values = M.grading, _casimir_values(M.p)
+    blocks = casimir_blocks(M)
+    assert set(blocks) <= set(values)
+    cells = list(zip(g.cell_weights.tolist(), g.cell_degrees.tolist()))
+    want = []
+    for lam in values:
+        cols = blocks[lam].source if lam in blocks else Grading([])
+        per_cell = Counter(zip(cols.weights.tolist(), cols.degrees.tolist()))
+        want.append([per_cell[cell] for cell in cells])
+    assert casimir_nullities(frobenius_power(casimir_operator(M))).tolist() == want
 
 
 # -- validation catches a corrupted entry inside one weight block -------------------------

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from frobcoho import cohomology, verify, wmodules
+from frobcoho import cohomology, fpmatrix, verify, wmodules
 from frobcoho.cohomology import (
     PeriodicCohomology,
     Sl2Pieces,
@@ -39,7 +39,7 @@ from frobcoho.wmodules import (
     truncated_sym,
     weight_line,
 )
-from oracles import module_degree_characters
+from oracles import all_block_principal_parts, module_degree_characters
 
 
 def _visited(piece, p):
@@ -202,3 +202,50 @@ def test_props_pass_reduces_no_cohomology_of_the_whole_algebra(monkeypatch):
     verify_propositions(5)
     assert 50 in dims and 5 ** 3 not in dims
     assert shapes == [(125, 4), (125,)]
+
+
+def test_casimir_classes_come_from_one_frobenius_power(monkeypatch):
+    # the principal block is ker S and the other Casimir classes are counted
+    # from S - lam, so no eigenspace basis is built; every pass builds the
+    # Casimir once per algebra, the synthesized fixture reading pieces.S
+    counts = {}
+    _count_calls(monkeypatch, fpmatrix, "graded_eigenspaces", counts)
+    _count_calls(monkeypatch, wmodules, "casimir_blocks", counts)
+    _count_calls(monkeypatch, wmodules, "casimir_operator", counts)
+    for run in (lambda: hh_table("g1", 13, 8), lambda: verify_propositions(7),
+                lambda: verify_appendix(7), lambda: verify_appendix(13, allow_synth=True),
+                lambda: summand_labels(truncated_sym(sl2(7), 6))):
+        counts.clear()
+        run()
+        assert counts == {"casimir_operator": 1}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_principal_parts_by_projector_match_the_all_block_solve(monkeypatch, p):
+    # _cup_checks projects the odd squares by 1 - S^(p-1) and solves in ker S;
+    # the route it replaced solved them against every Casimir block.  The
+    # squares are zero cochains, so each is replaced by a random degree-2
+    # cocycle f^(p-1) r (f^p = 0), with parts outside the principal block
+    rng, squares, solved = np.random.default_rng(p), [], []
+    cup, solve = verify.cup_product, verify.graded_solve
+
+    def random_cocycle_cup(engine, alg, a_deg, a_vec, b_deg, b_vec):
+        out = cup(engine, alg, a_deg, a_vec, b_deg, b_vec)
+        if alg.dim == p ** 3 and a_deg == b_deg == 1 and a_vec is b_vec:
+            out = alg.module.maps["f"] ** (p - 1) @ rng.integers(0, p, out.size)
+            squares.append(out)
+        return out
+
+    def recorded_solve(mat, rhs):
+        solved.append(solve(mat, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(verify, "cup_product", random_cocycle_cup)
+    monkeypatch.setattr(verify, "graded_solve", recorded_solve)
+    verify_propositions(p)
+    V = np.array(squares).T
+    assert V.shape == (p ** 3, p - 1)
+    pieces = Sl2Pieces(p)
+    want = all_block_principal_parts(pieces.module, V)
+    assert want.any() and not np.array_equal(pieces.principal @ want, V)
+    assert solved[0].dtype == want.dtype and np.array_equal(solved[0], want)
