@@ -20,7 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fpmatrix import check_prime
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 class LaurentCharacter:

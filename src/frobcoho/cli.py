@@ -9,7 +9,8 @@ Subcommands::
     frobcoho cohomology --target {u1,b1} --p P --n N --deg D
 
 Exit codes: 0 all checks pass, 1 failures, 2 only the documented flagged
-discrepancies, 3 usage error.  Primes are capped at 13 to keep the
+discrepancies, 3 usage error, also for a fixture file that is missing,
+unreadable or malformed.  Primes are capped at 13 to keep the
 p^3-dimensional modules desk-scale; FROBCOHO_FIXTURES overrides the
 fixture directory.
 """
@@ -20,11 +21,9 @@ import argparse
 import json
 import sys
 
-from .cohomology import hh_table, t1_invariants, u1_cohomology
-from .fpmatrix import is_prime
-from .lie import sl2
-from .verify import FIXTURE_PRIMES, verify_appendix, verify_propositions
-from .wmodules import summand_labels, sym_power, truncated_sym
+# lazy submodules (see __init__): a command executes only what it calls,
+# so `table` never runs verify.py and a usage error loads no numpy
+from . import characters, cohomology, lie, verify, wmodules
 
 MAX_PRIME = 13
 USAGE_EXIT = 3
@@ -41,8 +40,8 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
+    suites = sub.add_parser("verify", help="run a verification suite")
+    vsub = suites.add_subparsers(dest="suite", required=True)
     va = vsub.add_parser("appendix", help="check the reference tables")
     va.add_argument("--p", type=int, required=True)
     va.add_argument("--maxdeg", type=int, default=8)
@@ -75,7 +74,7 @@ def _build_parser() -> _Parser:
 
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not is_prime(args.p) or args.p > MAX_PRIME:
+    if not characters.is_prime(args.p) or args.p > MAX_PRIME:
         print(f"error: --p must be a prime <= {MAX_PRIME}, got {args.p}",
               file=sys.stderr)
         return USAGE_EXIT
@@ -85,19 +84,23 @@ def run_cli(argv=None) -> int:
 
     if args.command == "verify":
         if args.suite == "appendix":
-            if args.p not in FIXTURE_PRIMES and not args.no_fixture:
+            if args.p not in verify.FIXTURE_PRIMES and not args.no_fixture:
                 print(f"error: no shipped fixture for p={args.p}; "
                       "pass --no-fixture to recompute the rows", file=sys.stderr)
                 return USAGE_EXIT
-            report = verify_appendix(args.p, maxdeg=args.maxdeg,
-                                     allow_synth=args.no_fixture)
+            try:
+                report = verify.verify_appendix(args.p, maxdeg=args.maxdeg,
+                                                allow_synth=args.no_fixture)
+            except (OSError, verify.FixtureError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return USAGE_EXIT
         else:
-            report = verify_propositions(args.p)
+            report = verify.verify_propositions(args.p)
         sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
         return report.exit_code()
 
     if args.command == "table":
-        tab = hh_table(args.target, args.p, args.maxdeg)
+        tab = cohomology.hh_table(args.target, args.p, args.maxdeg)
         if args.format == "json":
             sys.stdout.write(json.dumps(tab.to_json_dict(), indent=2) + "\n")
         else:
@@ -105,20 +108,20 @@ def run_cli(argv=None) -> int:
         return 0
 
     if args.command == "decomp":
-        g = sl2(args.p)
+        g = lie.sl2(args.p)
         if args.kind == "tsym":
             top = 3 * (args.p - 1)
             if not 0 <= args.n <= top:
                 print(f"error: --n must lie in [0, {top}]", file=sys.stderr)
                 return USAGE_EXIT
-            dec = summand_labels(truncated_sym(g, args.n))
+            dec = wmodules.summand_labels(wmodules.truncated_sym(g, args.n))
         else:
             # ordinary symmetric powers are tilting exactly for n <= p-1
             if not 0 <= args.n <= args.p - 1:
                 print(f"error: --n must lie in [0, {args.p - 1}] for sym",
                       file=sys.stderr)
                 return USAGE_EXIT
-            dec = summand_labels(sym_power(g, args.n))
+            dec = wmodules.summand_labels(wmodules.sym_power(g, args.n))
         print(dec.format())
         return 0
 
@@ -127,10 +130,10 @@ def run_cli(argv=None) -> int:
         if not 0 <= args.n <= top or args.deg < 0:
             print(f"error: need 0 <= --n <= {top} and --deg >= 0", file=sys.stderr)
             return USAGE_EXIT
-        piece = truncated_sym(sl2(args.p), args.n)
-        char = u1_cohomology(piece, args.deg)
+        piece = wmodules.truncated_sym(lie.sl2(args.p), args.n)
+        char = cohomology.u1_cohomology(piece, args.deg)
         if args.target == "b1":
-            char = t1_invariants(char, args.p)
+            char = cohomology.t1_invariants(char, args.p)
         print(f"dim={char.dim()} character={char.serialize()}")
         return 0
 

@@ -54,20 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+from .characters import check_prime, is_prime  # noqa: F401  (is_prime re-exported)
 
 
 def _dtype(p: int) -> np.dtype:

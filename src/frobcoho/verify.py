@@ -79,6 +79,11 @@ PATTERNS = {
 }
 
 
+class FixtureError(ValueError):
+    """A fixture file that does not parse; the message names the file, and
+    the line where one is at fault."""
+
+
 @dataclass(frozen=True)
 class FixtureRow:
     n: int
@@ -99,14 +104,17 @@ class AppendixFixture:
 
 
 def _parse_label(text: str) -> tuple[str, int]:
-    text = text.strip()
-    fam, rest = text.split("(", 1)
-    return fam.strip(), int(rest.rstrip(")"))
+    fam, rest = text.strip().split("(", 1)
+    fam = fam.strip()
+    if fam not in ("T", "L", "Delta", "Nabla"):
+        raise ValueError(f"unknown summand family {fam!r}")
+    return fam, int(rest.rstrip(")"))
 
 
 def load_fixture(p: int) -> AppendixFixture:
     """Load the reference table for p from the fixture directory (the
-    FROBCOHO_FIXTURES environment variable overrides the shipped one)."""
+    FROBCOHO_FIXTURES environment variable overrides the shipped one).
+    A missing file raises FileNotFoundError, a malformed one FixtureError."""
     check_prime(p)
     directory = os.environ.get(FIXTURE_ENV) or os.path.join(os.path.dirname(__file__), "fixtures")
     path = os.path.join(directory, f"p{p}.txt")
@@ -114,21 +122,30 @@ def load_fixture(p: int) -> AppendixFixture:
         raise FileNotFoundError(f"no fixture for p={p} at {path}")
     rows = []
     seen_p = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
             if line.startswith("p "):
                 seen_p = int(line.split()[1])
                 continue
             n_text, labels_text, pattern = (part.strip() for part in line.split("|"))
-            labels = tuple(_parse_label(tok) for tok in labels_text.split(","))
-            if pattern not in PATTERNS:
-                raise ValueError(f"unknown pattern id {pattern!r}")
-            rows.append(FixtureRow(int(n_text), labels, pattern))
+            row = FixtureRow(int(n_text), tuple(map(_parse_label, labels_text.split(","))),
+                             pattern)
+        except ValueError:
+            raise FixtureError(f"{path}:{lineno}: malformed line {line!r}, expected "
+                               "'p P' or 'n | F(m), ... | pattern'") from None
+        if pattern not in PATTERNS:
+            raise FixtureError(f"{path}:{lineno}: unknown pattern id {pattern!r}")
+        rows.append(row)
     if seen_p != p:
-        raise ValueError(f"fixture file declares p={seen_p}, expected {p}")
+        raise FixtureError(f"{path}: fixture file declares p={seen_p}, expected {p}")
     return AppendixFixture(p, tuple(rows))
 
 

@@ -1,6 +1,7 @@
 """Verification suites, reports, fixtures, and the command line."""
 
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,41 @@ def test_fixture_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FROBCOHO_FIXTURES", str(tmp_path))
     fx = load_fixture(3)
     assert len(fx.rows) == 1
+
+
+def test_malformed_fixture_names_file_and_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FROBCOHO_FIXTURES", str(tmp_path))
+    target = tmp_path / "p3.txt"
+    for text, lineno in (("p 3\n0 | T(0) | KNULL\n# note\n1 | T(1)\n", 4),
+                         ("p 3\n0 | T0 | KNULL\n", 2),
+                         ("p 3\n0 | Q(0) | KNULL\n", 2),
+                         ("p 3\nx | T(0) | KNULL\n", 2),
+                         ("p 3\n0 | T(0) | NOPE\n", 2)):
+        target.write_text(text)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(target))}:{lineno}: "):
+            load_fixture(3)
+        assert run_cli(["verify", "appendix", "--p", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {target}:{lineno}: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_fixture_that_is_not_text_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FROBCOHO_FIXTURES", str(tmp_path))
+    (tmp_path / "p3.txt").write_bytes(b"p 3\n0 | T(0) | KNULL\xff\n")
+    with pytest.raises(ValueError, match="not UTF-8 text"):
+        load_fixture(3)
+    assert run_cli(["verify", "appendix", "--p", "3"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'p3.txt'}: not UTF-8 text")
+
+
+def test_missing_fixture_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FROBCOHO_FIXTURES", str(tmp_path / "nonexistent"))
+    assert run_cli(["verify", "appendix", "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no fixture for p=2 at {tmp_path / 'nonexistent' / 'p2.txt'}\n"
 
 
 def test_pattern_chars():
