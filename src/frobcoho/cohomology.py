@@ -43,8 +43,8 @@ from .fpmatrix import (
     frobenius_power,
     graded_columns,
     graded_complement,
-    graded_image,
     graded_kernel,
+    graded_kernel_image,
     graded_solve,
 )
 from .lie import borel, casimir_operator, nilradical, sl2
@@ -71,49 +71,52 @@ class PeriodicCohomology:
     of H^*(U_1, .) and H^*(u, .) comes from its cells, for the whole module
     or per degree of M (top is the largest).
 
-    Each column set is built on first read and cached; the cocycles and the
-    boundaries of a differential share one row reduction of its blocks
-    (graded_kernel and graded_image), so f and f^(p-1) are reduced once."""
+    f and f^(p-1) are each reduced once, on first read, into the pair of
+    their kernel and image (graded_kernel_image): the cocycles of degree n
+    are the kernel of d_out(n), the boundaries the image of d_in(n)."""
 
     def __init__(self, M: WeightModule):
         self.M = M
         self.F = M.maps["f"]
         self.top = int(M.grading.degrees.max(initial=0))
-        self._cache: dict[str, object] = {}
+        self._cache: dict[str, tuple[GradedMap, np.ndarray]] = {}
 
     @cached_property
     def Fq(self) -> GradedMap:
         return self.F ** (self.M.p - 1)
 
+    @cached_property
+    def _F_pair(self) -> tuple[GradedMap, GradedMap]:  # even cocycles, odd boundaries
+        return graded_kernel_image(self.F)
+
+    @cached_property
+    def _Fq_pair(self) -> tuple[GradedMap, GradedMap]:  # odd cocycles, even boundaries
+        return graded_kernel_image(self.Fq)
+
     def d_out(self, n: int) -> GradedMap:
+        check_degree(n)
         return self.F if n % 2 == 0 else self.Fq
 
     def d_in(self, n: int) -> GradedMap:
-        if n == 0:
-            raise ValueError("no incoming differential in degree 0")
+        if n <= 0:
+            raise ValueError(f"no incoming differential in degree {n}")
         return self.F if n % 2 else self.Fq
 
-    def _columns(self, kind: str, n: int) -> GradedMap:
-        """A column set in degree n, cached per parity: the boundaries "B"
-        (n > 0), the image of d_in(n), or the cocycles "K", the kernel of
-        d_out(n); the image of f in odd degrees, its kernel in even ones."""
-        key = kind + str(n % 2)
-        if key not in self._cache:
-            self._cache[key] = (graded_image(self.d_in(n)) if kind == "B"
-                                else graded_kernel(self.d_out(n)))
-        return self._cache[key]
-
-    def _data(self, n: int):
-        """(cocycles K, the number b of columns of B, [B | K], rep positions):
-        column sets, B empty in degree 0, and the columns of K that complete B,
-        in degree 0 all of K with no reduction: a kernel basis is independent."""
+    def _data(self, n: int) -> tuple[GradedMap, np.ndarray]:
+        """[B | K] in degree n and the positions in it of the class columns:
+        the cocycles K that complete the boundaries B; in degree 0 no B, and
+        all of K with no reduction, since a kernel basis is independent."""
+        check_degree(n)
         kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
         if kind not in self._cache:
-            K = self._columns("K", n)
-            BK = graded_columns(self._columns("B", n), K) if n else K
-            b = BK.shape[1] - K.shape[1]
-            reps = graded_complement(BK, b) if n else range(K.shape[1])
-            self._cache[kind] = K, b, BK, tuple(reps)
+            K = (self._Fq_pair if n % 2 else self._F_pair)[0]
+            if n:
+                B = (self._F_pair if n % 2 else self._Fq_pair)[1]
+                BK, b = graded_columns(B, K), B.shape[1]
+                cols = b + np.array(graded_complement(BK, b), dtype=np.int64)
+            else:
+                BK, cols = K, np.arange(K.shape[1])
+            self._cache[kind] = BK, cols
         return self._cache[kind]
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
@@ -121,16 +124,13 @@ class PeriodicCohomology:
 
     def representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         """Cocycle representatives of H^n with their raw module weights."""
-        K, *_, reps = self._data(n)
-        return [(K.column(j), int(K.source.weights[j])) for j in reps]
+        BK, cols = self._data(n)
+        return [(BK.column(j), int(BK.source.weights[j])) for j in cols]
 
     def _classes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The twisted weights and the degrees of the classes of H^n."""
-        if n < 0:
-            raise ValueError("negative cohomological degree")
-        K, *_, reps = self._data(n)
-        reps = np.array(reps, dtype=np.int64)
-        return K.source.weights[reps] + cochain_twist(self.M.p, n), K.source.degrees[reps]
+        BK, cols = self._data(n)
+        return BK.source.weights[cols] + cochain_twist(self.M.p, n), BK.source.degrees[cols]
 
     def character(self, n: int) -> LaurentCharacter:
         """Character of H^n(U_1, M), weights twisted per cochain degree."""
@@ -143,30 +143,28 @@ class PeriodicCohomology:
     def u_characters(self, j: int) -> list[LaurentCharacter]:
         """Per degree of M, the Lie-algebra cohomology H^j(u, .) of the
         one-dimensional u: H^0 = ker f, H^1 = coker f with weights shifted
-        by the root, zero above; both from the image of f, the boundaries
-        of odd degree."""
-        if j < 0:
-            raise ValueError("negative cohomological degree")
+        by the root, zero above; both from the image of f."""
+        check_degree(j)
         if j >= 2:
             return [LaurentCharacter.zero()] * (self.top + 1)
-        g, image, root = self.M.grading, self._columns("B", 1).source, LaurentCharacter.line(2)
+        g, image, root = self.M.grading, self._F_pair[1].source, LaurentCharacter.line(2)
         return [char - im * root if j == 0 else (char - im) * root
                 for char, im in zip(degree_characters(g.weights, g.degrees, self.top),
                                     degree_characters(image.weights, image.degrees, self.top))]
 
     def t1_representatives(self, n: int) -> list[tuple[np.ndarray, int]]:
         """representatives(n) of twisted weight divisible by p (T_1-invariant)."""
-        K, *_, reps = self._data(n)
-        kept = np.array(reps, dtype=np.int64)[self._classes(n)[0] % self.M.p == 0]
-        return [(K.column(j), int(K.source.weights[j])) for j in kept]
+        BK, cols = self._data(n)
+        kept = cols[self._classes(n)[0] % self.M.p == 0]
+        return [(BK.column(j), int(BK.source.weights[j])) for j in kept]
 
     def class_coordinates(self, n: int, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle's class over representatives(n)."""
         if not self.is_cocycle(n, vec):
             raise ValueError("not a cocycle")
-        _, b, BK, reps = self._data(n)
-        # B and the reps are the pivot columns of [B | K]; the others solve to 0
-        return graded_solve(BK, vec)[b + np.array(reps, dtype=np.int64)]
+        BK, cols = self._data(n)
+        # B and the class columns are the pivot columns of [B | K]; the others solve to 0
+        return graded_solve(BK, vec)[cols]
 
     def is_coboundary(self, n: int, vec: np.ndarray) -> bool:
         return not self.class_coordinates(n, vec).any()
@@ -182,7 +180,7 @@ class PeriodicCohomology:
         p = self.M.p
         if p == 2:
             raise ValueError("collapse bookkeeping needs p >= 3")
-        w, image = self.M.grading.weights, self._columns("B", 1).source.weights + 2
+        w, image = self.M.grading.weights, self._F_pair[1].source.weights + 2
         m0, m1, im = (np.count_nonzero(v % p == 0) for v in (w, w + 2, image))
         e2_dims, rows = [int(m0 - im), int(m1 - im)], []
         for n in range(maxdeg + 1):
@@ -234,6 +232,11 @@ def collapse_check(M: WeightModule, maxdeg: int) -> list[CollapseRow]:
     return PeriodicCohomology(M).collapse_rows(maxdeg)
 
 
+def check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"negative cohomological degree {n}")
+
+
 def check_maxdeg(maxdeg: int) -> None:
     if maxdeg < 0:
         raise ValueError(f"maxdeg must be >= 0, got maxdeg = {maxdeg}")
@@ -272,8 +275,7 @@ class CupDiagonal:
         self.p = p
 
     def component(self, i: int, j: int) -> list[tuple[int, int, int]]:
-        if i < 0 or j < 0:
-            raise ValueError("negative cohomological degree")
+        check_degree(min(i, j))
         p = self.p
         if i % 2 and j % 2:
             return [(s, p - 2 - s, 1 if s % 2 else p - 1) for s in range(p - 1)]

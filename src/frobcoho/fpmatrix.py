@@ -44,8 +44,8 @@ stack, the cell keys and every _-prefixed name are private to this module:
 other modules see cells only as Grading's weights and degrees, per vector
 and per cell, and as GradedMap entries.
 
-The kernel and the image of one map share one reduction (_echelon), so
-the periodic complex reduces each of its two differentials once.
+graded_kernel_image returns the kernel and the image of one map from one
+reduction; no function keeps a reduction or sets an attribute on its argument.
 """
 
 from __future__ import annotations
@@ -479,26 +479,25 @@ def _joint_rref(maps, cells=slice(None)):
     return g, p, *_rref_stack(np.concatenate([m.stack[cells] for m in maps], axis=1), p)
 
 
-def _echelon(mat: GradedMap, use: str) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced stack and pivot mask of mat's blocks for its "kernel" or
-    "image" (use): taken from mat if the other use left it there, else
-    computed and left on mat for the other use; so one reduction serves one
-    of each, and a map holds none once both are taken."""
-    left = mat.__dict__.pop("_reduction", None)
-    if left is not None and left[0] != use:
-        return left[1]
-    mat._reduction = use, _rref_stack(mat.stack, mat.p)
-    return mat._reduction[1]
+def _kernel_columns(g: Grading, p: int, red: np.ndarray, piv: np.ndarray) -> GradedMap:
+    """The kernel of a reduced stack of blocks from g, as a column set into g."""
+    return column_set(p, g, g.values, _kernels(red, piv, p), ~piv & (g.index[:-1] < g.weights.size))
 
 
 def graded_kernel(*maps: GradedMap) -> GradedMap:
     """Basis of the joint kernel of weight-graded maps from one grading, per
     cell from the blocks of all maps at that cell, stacked: a column set
-    into that grading, in cell order.  The kernel of one map shares its
-    reduction with graded_image (_echelon)."""
-    g, p, red, piv = ((maps[0].source, maps[0].p, *_echelon(maps[0], "kernel")) if len(maps) == 1
-                      else _joint_rref(maps))
-    return column_set(p, g, g.values, _kernels(red, piv, p), ~piv & (g.index[:-1] < g.weights.size))
+    into that grading, in cell order."""
+    return _kernel_columns(*_joint_rref(maps))
+
+
+def graded_kernel_image(mat: GradedMap) -> tuple[GradedMap, GradedMap]:
+    """The kernel of a weight-graded map, as graded_kernel gives it, and its
+    greedy pivot columns, as a column set into its grading: both from one
+    reduction of its blocks."""
+    g, p, red, piv = _joint_rref([mat])
+    return (_kernel_columns(g, p, red, piv),
+            column_set(p, mat.grading, g.values + mat.shift * _CELL, mat.stack, piv))
 
 
 def cell_nullities(maps, cells=slice(None)) -> np.ndarray:
@@ -511,10 +510,9 @@ def cell_nullities(maps, cells=slice(None)) -> np.ndarray:
 
 
 def graded_image(mat: GradedMap) -> GradedMap:
-    """Greedy pivot columns of a weight-graded map, as a column set, from
-    the reduction it shares with graded_kernel (_echelon)."""
-    piv = _echelon(mat, "image")[1]
-    return column_set(mat.p, mat.grading, mat.source.values + mat.shift * _CELL, mat.stack, piv)
+    """Greedy pivot columns of a weight-graded map, as a column set: the
+    image half of graded_kernel_image."""
+    return graded_kernel_image(mat)[1]
 
 
 def graded_complement(cols: GradedMap, n: int) -> list[int]:
@@ -573,19 +571,17 @@ def frobenius_power(mat: GradedMap) -> GradedMap:
     return mat ** q
 
 
-def graded_eigenspaces(mat: GradedMap, values=None) -> dict[int, GradedMap]:
-    """Generalized eigenspaces of a weight-preserving GradedMap at the given
-    eigenvalues (all of F_p by default), the nonzero ones by increasing
-    eigenvalue: each the column set graded_kernel gives of S - lam for the
-    Frobenius power S, one eigenvalue at a time.  Per weight its columns
-    are those generalized_eigenspace gives on that weight's block.  The
-    dimensions add up to the size of mat exactly when its characteristic
-    polynomial splits with every root among the values.
+def graded_eigenspaces(mat: GradedMap) -> dict[int, GradedMap]:
+    """Generalized eigenspaces of a weight-preserving GradedMap at every
+    eigenvalue in F_p, the nonzero ones by increasing eigenvalue: each the
+    column set graded_kernel gives of S - lam for the Frobenius power S,
+    one eigenvalue at a time.  Per weight its columns are those
+    generalized_eigenspace gives on that weight's block.  The dimensions
+    add up to the size of mat exactly when its characteristic polynomial
+    splits over F_p.
     """
     s, one = frobenius_power(mat), GradedMap.identity(mat.p, mat.grading)
-    spaces = {lam: graded_kernel(s - lam * one)
-              for lam in sorted(set(range(mat.p) if values is None else values))}
-    return {lam: cols for lam, cols in spaces.items() if cols.shape[1]}
+    return {lam: cols for lam in range(mat.p) if (cols := graded_kernel(s - lam * one)).shape[1]}
 
 
 def graded_projector(mat: GradedMap) -> GradedMap:

@@ -413,8 +413,8 @@ def simple_module(lam: int, p: int) -> WeightModule:
 def casimir_blocks(M: WeightModule) -> dict[int, GradedMap]:
     """Generalized Casimir eigenspaces, column sets: the tests' reference (no package caller).
 
-    Every value in F_p is tried; on a WeightModule only the Casimir values
-    give a nonzero space, and the dimensions add up to dim M.  The columns
+    graded_eigenspaces tries every value in F_p; on a WeightModule only the
+    Casimir values give a nonzero space, and the dimensions add up to dim M.  The columns
     come cell by cell, by free index within a cell: on a basis listed degree
     by degree that is by weight, then by free index, as the eigenspaces of
     each whole weight block would give them.

@@ -138,6 +138,20 @@ def test_negative_degrees_are_rejected():
         e2_page(M, 0, -1)
 
 
+def test_every_degree_reader_rejects_a_negative_degree():
+    # no method reads a negative degree as a degree of the same parity
+    M = TruncatedSymAlgebra(sl2(5)).module
+    eng, vec = PeriodicCohomology(M), np.zeros(M.dim, dtype=np.int64)
+    for read in (eng.representatives, eng.t1_representatives, eng.character, eng.characters,
+                 eng.d_out, eng.d_in, lambda n: eng.is_cocycle(n, vec),
+                 lambda n: eng.class_coordinates(n, vec), lambda n: eng.is_coboundary(n, vec)):
+        for n in (-1, -2):
+            with pytest.raises(ValueError):
+                read(n)
+    with pytest.raises(ValueError, match="degree 0"):
+        eng.d_in(0)
+
+
 def test_e2_matches_b1_for_borel_coefficients():
     for p in (3, 5):
         total = TruncatedSymAlgebra(borel(p)).module
@@ -173,10 +187,10 @@ def test_collapse_check_takes_the_image_of_f_once(monkeypatch):
 
     def counted(mat):
         seen.append(mat)
-        return image_of(mat)
+        return kernel_image_of(mat)
 
-    image_of = cohomology.graded_image
-    monkeypatch.setattr(cohomology, "graded_image", counted)
+    kernel_image_of = cohomology.graded_kernel_image
+    monkeypatch.setattr(cohomology, "graded_kernel_image", counted)
     rows = collapse_check(M, 8)
     assert sum(mat is M.maps["f"] for mat in seen) == 1
     assert [r.e2_total for r in rows] == [

@@ -6,8 +6,9 @@ blocks on its (weight, degree) spaces, so no step may allocate as much
 as a few dense 1331 x 1331 int64 arrays.  tracemalloc sees numpy's
 buffers; the bounds are on the peak of the traced step alone.  The
 Casimir split at p = 13 is bounded too: it reduces one eigenvalue at a
-time.  A tensor product scatters its factors' entries into blocks, with
-no dense Kronecker product of its actions.
+time, and Sl2Pieces keeps no reduced copy of the Casimir power whose
+kernel it takes.  A tensor product scatters its factors' entries into
+blocks, with no dense Kronecker product of its actions.
 """
 
 import gc
@@ -16,6 +17,7 @@ import tracemalloc
 import numpy as np
 
 from frobcoho import PeriodicCohomology, TruncatedSymAlgebra, casimir_blocks, sl2
+from frobcoho.cohomology import Sl2Pieces
 from frobcoho.verify import verify_propositions
 from frobcoho.wmodules import truncated_sym
 
@@ -55,6 +57,22 @@ def test_whole_algebra_keeps_only_arrays_alive():
         tracemalloc.stop()
     assert alg.dim == 13 ** 3
     assert kept < 0.6e6, f"{kept / 1e6:.2f} MB"
+
+
+def test_pieces_keep_no_reduction_of_the_casimir_power():
+    # p = 17: 4913 monomials.  A reduced copy of the Frobenius power S of the
+    # Casimir, left on S by its kernel for an image never taken, kept
+    # 1.53 MB alive; the algebra, S and its principal block keep 1.34 MB.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pieces = Sl2Pieces(17)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pieces.engine.M.dim < 17 ** 3
+    assert kept < 1.45e6, f"{kept / 1e6:.2f} MB"
 
 
 def test_whole_algebra_actions_are_cut_by_weight_and_degree():

@@ -177,6 +177,8 @@ CASES = [
      lambda n: g1_cohomology_char(PeriodicCohomology(_trivial(5)), n),
      lambda n: (weyl_chi(n) if n % 2 == 0 else LaurentCharacter.zero(), True)),
     ("cup_product", DEGREES, _nonnegative, _cup_unit, lambda n: _whole(3)[2].tolist()),
+    ("PeriodicCohomology", DEGREES, _nonnegative,
+     lambda n: len(PeriodicCohomology(_trivial(5)).representatives(n)), lambda n: 1),
     ("WeightModule", DEGREES, lambda r: r >= 1,
      lambda r: simple_model(1, 3).frobenius_twist(r).weights, lambda r: (3 ** r, -3 ** r)),
 ]
