@@ -71,27 +71,20 @@ class PeriodicCohomology:
     of H^*(U_1, .) and H^*(u, .) comes from its cells, for the whole module
     or per degree of M (top is the largest).
 
-    f and f^(p-1) are each reduced once, on first read, into the pair of
-    their kernel and image (graded_kernel_image): the cocycles of degree n
-    are the kernel of d_out(n), the boundaries the image of d_in(n)."""
+    Each distinct differential (f^(p-1) is f at p = 2) is reduced once, on
+    first read, into its kernel and image (graded_kernel_image); degree n
+    takes its cocycles from ker d_out(n), its boundaries from im d_in(n),
+    and degrees with the same (d_out, d_in) share one table of classes."""
 
     def __init__(self, M: WeightModule):
         self.M = M
         self.F = M.maps["f"]
         self.top = int(M.grading.degrees.max(initial=0))
-        self._cache: dict[str, tuple[GradedMap, np.ndarray]] = {}
+        self._pairs, self._tables = {}, {}  # keyed by a differential, and by (d_out, d_in)
 
     @cached_property
     def Fq(self) -> GradedMap:
         return self.F ** (self.M.p - 1)
-
-    @cached_property
-    def _F_pair(self) -> tuple[GradedMap, GradedMap]:  # even cocycles, odd boundaries
-        return graded_kernel_image(self.F)
-
-    @cached_property
-    def _Fq_pair(self) -> tuple[GradedMap, GradedMap]:  # odd cocycles, even boundaries
-        return graded_kernel_image(self.Fq)
 
     def d_out(self, n: int) -> GradedMap:
         check_degree(n)
@@ -102,22 +95,27 @@ class PeriodicCohomology:
             raise ValueError(f"no incoming differential in degree {n}")
         return self.F if n % 2 else self.Fq
 
+    def _pair(self, d: GradedMap) -> tuple[GradedMap, GradedMap]:
+        """The kernel and the image of the differential d (maps compare by identity)."""
+        if d not in self._pairs:
+            self._pairs[d] = graded_kernel_image(d)
+        return self._pairs[d]
+
     def _data(self, n: int) -> tuple[GradedMap, np.ndarray]:
-        """[B | K] in degree n and the positions in it of the class columns:
-        the cocycles K that complete the boundaries B; in degree 0 no B, and
-        all of K with no reduction, since a kernel basis is independent."""
-        check_degree(n)
-        kind = "deg0" if n == 0 else ("odd" if n % 2 else "even")
-        if kind not in self._cache:
-            K = (self._Fq_pair if n % 2 else self._F_pair)[0]
-            if n:
-                B = (self._F_pair if n % 2 else self._Fq_pair)[1]
+        """[B | K] in degree n and the positions in it of the class columns,
+        built once per (d_out, d_in): the cocycles K = ker d_out(n) that
+        complete B = im d_in(n); in degree 0 no B, and all of K unreduced."""
+        out, into = self.d_out(n), self.d_in(n) if n else None  # d_out checks n >= 0
+        if (out, into) not in self._tables:
+            K = self._pair(out)[0]
+            if into is None:
+                BK, cols = K, np.arange(K.shape[1])
+            else:
+                B = self._pair(into)[1]
                 BK, b = graded_columns(B, K), B.shape[1]
                 cols = b + np.array(graded_complement(BK, b), dtype=np.int64)
-            else:
-                BK, cols = K, np.arange(K.shape[1])
-            self._cache[kind] = BK, cols
-        return self._cache[kind]
+            self._tables[out, into] = BK, cols
+        return self._tables[out, into]
 
     def is_cocycle(self, n: int, vec: np.ndarray) -> bool:
         return not (self.d_out(n) @ vec).any()
@@ -147,7 +145,7 @@ class PeriodicCohomology:
         check_degree(j)
         if j >= 2:
             return [LaurentCharacter.zero()] * (self.top + 1)
-        g, image, root = self.M.grading, self._F_pair[1].source, LaurentCharacter.line(2)
+        g, image, root = self.M.grading, self._pair(self.F)[1].source, LaurentCharacter.line(2)
         return [char - im * root if j == 0 else (char - im) * root
                 for char, im in zip(degree_characters(g.weights, g.degrees, self.top),
                                     degree_characters(image.weights, image.degrees, self.top))]
@@ -180,7 +178,7 @@ class PeriodicCohomology:
         p = self.M.p
         if p == 2:
             raise ValueError("collapse bookkeeping needs p >= 3")
-        w, image = self.M.grading.weights, self._F_pair[1].source.weights + 2
+        w, image = self.M.grading.weights, self._pair(self.F)[1].source.weights + 2
         m0, m1, im = (np.count_nonzero(v % p == 0) for v in (w, w + 2, image))
         e2_dims, rows = [int(m0 - im), int(m1 - im)], []
         for n in range(maxdeg + 1):

@@ -266,6 +266,7 @@ def generalized_eigenspace(m: FpMatrix, lam: int) -> FpMatrix:
 
 
 _CELL = 1 << 32  # a cell key is weight * _CELL + degree, for degrees in [0, _CELL)
+_WEIGHT = 1 << 30  # weights lie in [-_WEIGHT, _WEIGHT)
 
 
 class Grading:
@@ -275,12 +276,14 @@ class Grading:
 
     weights and degrees (zeros when none are given) hold the weight and
     degree per vector, and cell_weights and cell_degrees those per cell, in
-    cell order.  The rest is private to this module: keys holds per vector
-    the key weight * 2^32 + degree of its cell, and values the distinct keys
-    in increasing order; pos and slot give per vector the position of its
-    cell and its place among the vectors of that cell.  Row k of index lists
-    the vectors of cell values[k], padded with n to the widest cell; the
-    extra last row is all padding and stands for a cell that does not occur.
+    cell order.  Weights lie in [-2^30, 2^30) and degrees in [0, 2^32), so
+    every key below, shifted by a map's weight shift too, fits in int64.
+    The rest is private to this module: keys holds per vector the key
+    weight * 2^32 + degree of its cell, and values the distinct keys in
+    increasing order; pos and slot give per vector the position of its cell
+    and its place among the vectors of that cell.  Row k of index lists the
+    vectors of cell values[k], padded with n to the widest cell; the extra
+    last row is all padding and stands for a cell that does not occur.
     """
 
     def __init__(self, weights, degrees=None):
@@ -289,6 +292,8 @@ class Grading:
                         else np.array(degrees, dtype=np.int64).reshape(-1))
         if self.degrees.size and not 0 <= self.degrees.min() <= self.degrees.max() < _CELL:
             raise ValueError("degrees must lie in [0, 2^32)")
+        if self.weights.size and not -_WEIGHT <= self.weights.min() <= self.weights.max() < _WEIGHT:
+            raise ValueError("weights must lie in [-2^30, 2^30)")
         self.keys = self.weights * _CELL + self.degrees
         self.values, self.pos = np.unique(self.keys, return_inverse=True)
         n, counts = self.weights.size, np.bincount(self.pos, minlength=self.values.size)
@@ -507,12 +512,6 @@ def cell_nullities(maps, cells=slice(None)) -> np.ndarray:
     boolean mask over the cells, selects the cells reduced."""
     g, _, _, piv = _joint_rref(maps, cells)
     return g.sizes[:-1][cells] - piv.sum(axis=1)
-
-
-def graded_image(mat: GradedMap) -> GradedMap:
-    """Greedy pivot columns of a weight-graded map, as a column set: the
-    image half of graded_kernel_image."""
-    return graded_kernel_image(mat)[1]
 
 
 def graded_complement(cols: GradedMap, n: int) -> list[int]:

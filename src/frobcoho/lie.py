@@ -156,5 +156,7 @@ def casimir_operator(module) -> GradedMap:
     p = module.p
     if p == 2:
         raise ValueError("Casimir normalization needs p >= 3")
+    if missing := [x for x in ("e", "h", "f") if x not in module.maps]:
+        raise ValueError(f"the Casimir needs e, h and f; missing {', '.join(missing)}")
     e, h, f = module.maps["e"], module.maps["h"], module.maps["f"]
     return e @ f + f @ e + pow(2, p - 2, p) * (h @ h)

@@ -7,8 +7,8 @@ primitives of frobcoho compute, kept in one place.
 * rank, pivots, kernel, column_space, solve and eigenspace: the dense
   FpMatrix reductions and generalized_eigenspace on a whole int64 array,
   one cell of all its rows and columns.  The reference for graded_kernel,
-  graded_image, graded_complement, graded_solve, cell_nullities and
-  graded_eigenspaces, which reduce cell by cell.
+  graded_kernel_image, graded_complement, graded_solve, cell_nullities
+  and graded_eigenspaces, which reduce cell by cell.
 * cell_eigenspaces: generalized_eigenspace on the dense block of each
   cell, at each eigenvalue.  The reference for graded_eigenspaces and
   wmodules.casimir_blocks, which take kernels of a Frobenius power.

@@ -16,7 +16,7 @@ from frobcoho.cohomology import (
     u1_cohomology,
     u_cohomology,
 )
-from frobcoho.fpmatrix import FpMatrix
+from frobcoho.fpmatrix import FpMatrix, Grading
 from frobcoho.lie import borel, nilradical, sl2
 from frobcoho.wmodules import (
     TruncatedSymAlgebra,
@@ -26,6 +26,7 @@ from frobcoho.wmodules import (
     tilting_t2p2_model,
     trivial_module,
     truncated_sym,
+    weight_line,
 )
 
 
@@ -232,6 +233,39 @@ def test_degree0_classes_take_no_complement(monkeypatch):
     monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
     PeriodicCohomology(M).character(0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, shapes", [
+    (2, [(8, 1, 1), (6, 1, 2)]),
+    (5, [(77, 3, 3), (77, 3, 3), (70, 3, 5), (31, 3, 2)]),
+])
+def test_each_differential_and_class_table_is_reduced_once(monkeypatch, p, shapes):
+    """H^0..H^3 of the whole truncated symmetric algebra: one reduction per
+    distinct differential and one complement per (d_out, d_in).  At p = 2,
+    f^(p-1) is f, so f is reduced once and every positive degree shares a
+    table; at p = 5, f, f^4 and the odd and even tables each take one."""
+    from frobcoho import fpmatrix
+
+    engine, calls = PeriodicCohomology(TruncatedSymAlgebra(sl2(p)).module), []
+    reduce = fpmatrix._rref_stack
+
+    def counted(a, q):
+        calls.append(a.shape)
+        return reduce(a, q)
+
+    monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
+    for n in range(4):
+        engine.character(n)
+    assert calls == shapes
+
+
+def test_weights_whose_cell_keys_would_wrap_are_rejected():
+    # a cell key is weight * 2^32 + degree in int64, which 3^20 > 2^31 would wrap
+    with pytest.raises(ValueError, match="weights must lie"):
+        u1_cohomology(weight_line(sl2(3), 3 ** 20), 0)
+    with pytest.raises(ValueError, match="weights must lie"):
+        Grading([2 ** 31, -2 ** 31])
+    assert u1_cohomology(weight_line(sl2(3), 3 ** 18), 0) == line(3 ** 18)
 
 
 def test_ip_expected_dims_shape():

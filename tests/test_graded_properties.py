@@ -26,8 +26,8 @@ from frobcoho.fpmatrix import (
     graded_columns,
     graded_complement,
     graded_eigenspaces,
-    graded_image,
     graded_kernel,
+    graded_kernel_image,
     graded_projector,
     graded_solve,
 )
@@ -104,7 +104,7 @@ def _column_multiset(a: np.ndarray):
 @given(graded_maps())
 def test_graded_image_matches_dense_column_space(case):
     mat, weights, graded = case
-    image, image_weights = _dense(graded_image(graded))
+    image, image_weights = _dense(graded_kernel_image(graded)[1])
     assert _column_multiset(image.a) == _column_multiset(column_space(mat.a, mat.p))
     for j, w in enumerate(image_weights):
         assert _homogeneous(image.a[:, j], w, weights)
@@ -146,7 +146,7 @@ def test_graded_solve_matches_dense_solve(case, seed, consistent):
 @given(graded_maps(), st.integers(0, 2 ** 32 - 1))
 def test_graded_complement_matches_dense_pivots(case, seed):
     mat, weights, graded = case
-    span_cols = graded_image(graded)
+    span_cols = graded_kernel_image(graded)[1]
     span = span_cols.dense()
     # random weight-homogeneous vectors, some of them dependent
     rng = np.random.default_rng(seed)
@@ -194,12 +194,12 @@ def test_graded_eigenspaces_without_split_characteristic_polynomial():
 
 
 def test_each_graded_function_reduces_all_cells_at_once(monkeypatch):
-    """graded_kernel, graded_image, graded_complement and graded_solve (on
-    an array and on a GradedMap) each call _rref_stack once, on a stack of
-    all their cells."""
+    """graded_kernel, graded_kernel_image, graded_complement and
+    graded_solve (on an array and on a GradedMap) each call _rref_stack
+    once, on a stack of all their cells."""
     M = TruncatedSymAlgebra(sl2(5)).module
     e, f = M.maps["e"], M.maps["f"]
-    image = graded_image(f)
+    image = graded_kernel_image(f)[1]
     joined = graded_columns(image, graded_kernel(f))
     stacks = []
 
@@ -208,7 +208,7 @@ def test_each_graded_function_reduces_all_cells_at_once(monkeypatch):
         return _rref_stack(a, p)
 
     monkeypatch.setattr(fpmatrix, "_rref_stack", counted)
-    for run in (lambda: graded_kernel(e, f), lambda: graded_image(f),
+    for run in (lambda: graded_kernel(e, f), lambda: graded_kernel_image(f)[1],
                 lambda: graded_complement(joined, image.shape[1]),
                 lambda: graded_solve(f, f @ np.arange(M.dim)),
                 lambda: graded_solve(f, f @ joined)):
@@ -300,7 +300,7 @@ def test_graded_map_matches_dense(case, power, scalar):
     assert not (stacked @ kb).a.any()
     for j, w in enumerate(kweights):
         assert _homogeneous(kb.a[:, j], w, weights)
-    image, image_weights = _dense(graded_image(gb))
+    image, image_weights = _dense(graded_kernel_image(gb)[1])
     assert _column_multiset(image.a) == _column_multiset(column_space(b.a, p))
     assert all(_homogeneous(image.a[:, j], w, weights) for j, w in enumerate(image_weights))
     if sb != sa and b.a.any():
@@ -325,7 +325,7 @@ def test_column_set_matches_dense(case, scalar):
     assert np.array_equal(gc @ coeffs, c @ coeffs)
     assert np.array_equal(gc @ np.eye(c.cols, dtype=np.int64), c.a)
     # two column sets side by side
-    image = graded_image(ga)
+    image = graded_kernel_image(ga)[1]
     both = np.concatenate([c.a, image.dense().a], axis=1)
     assert graded_columns(gc, image).dense().a.tolist() == both.tolist()
     # solving against the column set: an action's image of it, and a vector
@@ -365,20 +365,20 @@ def labelled_maps(draw, shift=None):
 @SETTINGS
 @given(labelled_maps(), st.integers(0, 2 ** 32 - 1))
 def test_refined_grading_gives_the_weight_only_columns(case, seed):
-    """On a map that keeps a second label, graded_kernel, graded_image,
-    graded_solve and graded_complement on the (weight, label) cells give
-    the columns they give on the weight cells, in the same order, and
-    agree with the dense FpMatrix route."""
+    """On a map that keeps a second label, graded_kernel,
+    graded_kernel_image, graded_solve and graded_complement on the
+    (weight, label) cells give the columns they give on the weight cells,
+    in the same order, and agree with the dense FpMatrix route."""
     p, weights, labels, mat, shift = case
     fine, coarse = Grading(weights, labels), Grading(weights)
     assert fine.values.size == len(set(zip(weights, labels)))
     gf, gc = GradedMap.cut(mat, fine, shift), GradedMap.cut(mat, coarse, shift)
-    for result in (graded_kernel, graded_image):
+    for result in (graded_kernel, lambda m: graded_kernel_image(m)[1]):
         a, b = result(gf), result(gc)
         assert a.dense() == b.dense()
         assert a.source.weights.tolist() == b.source.weights.tolist()
     assert graded_kernel(gf).shape[1] == kernel(mat.a, p).shape[1]
-    image = graded_image(gf).dense()
+    image = graded_kernel_image(gf)[1].dense()
     assert _column_multiset(image.a) == _column_multiset(column_space(mat.a, p))
     # solving: a consistent and a random right-hand side
     rng = np.random.default_rng(seed)
@@ -401,7 +401,7 @@ def test_refined_grading_gives_the_weight_only_columns(case, seed):
     for j, i in enumerate(picks):
         vecs[:, j] = np.where((w == w[i]) & (lab == lab[i]), rng.integers(0, p, size=w.size), 0)
     vecs = FpMatrix(p, vecs)
-    picked = [graded_complement(graded_columns(graded_image(g),
+    picked = [graded_complement(graded_columns(graded_kernel_image(g)[1],
                                                GradedMap.cut(vecs, g.grading, 0, src)),
                                 image.cols)
               for g, src in ((gf, Grading(w[picks], lab[picks])), (gc, Grading(w[picks])))]

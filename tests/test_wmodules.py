@@ -637,3 +637,13 @@ def test_constructions_and_algebra_checks_stay_off_dense_matrices(monkeypatch):
     assert counts == {"FpMatrix": 0, "cut": 0, "dense": 0}
     FpMatrix(p, [[0]])  # the counters see a dense construction
     assert counts["FpMatrix"] == 1
+
+
+@pytest.mark.parametrize("read", [casimir_operator, summand_labels, block_projection_principal,
+                                  casimir_blocks, principal_block_projector])
+def test_casimir_readers_name_the_missing_generators(read):
+    # a b- or u-module has no e (a u-module no h): ValueError, not KeyError
+    with pytest.raises(ValueError, match="missing e$"):
+        read(truncated_sym(borel(5), 2))
+    with pytest.raises(ValueError, match="missing e, h$"):
+        read(truncated_sym(nilradical(5), 2))
