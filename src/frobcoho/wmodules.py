@@ -321,6 +321,9 @@ class TruncatedSymAlgebra:
 
     def mult(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """Bilinear product of coefficient vectors in the monomial basis."""
+        v1, v2 = np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)
+        if v1.shape != (self.dim,) or v2.shape != (self.dim,):
+            raise ValueError("shape mismatch")
         nz1, nz2 = np.flatnonzero(v1), np.flatnonzero(v2)
         target, ok = self._products(nz1[:, None], nz2)
         coeffs = v1[nz1, None] * v2[nz2]
@@ -330,28 +333,20 @@ class TruncatedSymAlgebra:
 
     def duality_ranks(self) -> list[int]:
         """Per degree i, the rank of the product pairing S^i x S^(top-i) -> top
-        line (the top monomial, of code p^dim - 1), by the code rule of
-        mult.  The pairing joins cell (w, i) only to (wt(top) - w, top - i), so
-        it is a map of shift 0 from the partner grading, where each monomial
-        sits at (wt(top) - w, top - i), and all cells are ranked in one
-        reduction; a product that reaches the top line from any other cell
-        raises ValueError."""
-        g, n = self.module.grading, self.top_degree
-        top = self._at_code[self.dim - 1]
-        hits = []
-        for i in range(n + 1):  # one degree pair at a time, keeping only the hits
-            left, right = np.flatnonzero(self._degree == i), np.flatnonzero(self._degree == n - i)
-            target, ok = self._products(left[:, None], right)
-            r, c = np.nonzero(ok & (target == top))
-            hits.append((left[r], right[c]))
-        rows, cols = map(np.concatenate, zip(*hits))
-        partner = Grading(g.weights[top] - g.weights, n - g.degrees)
-        try:
-            pairing = GradedMap.scatter(self.p, g, 0, rows, cols, np.ones_like(rows), partner)
-        except ValueError:
-            raise ValueError("the product pairs cells of unmatched weights") from None
-        lost = np.bincount(partner.cell_degrees, weights=cell_nullities([pairing]), minlength=n + 1)
-        return (np.bincount(partner.degrees, minlength=n + 1) - lost).astype(int).tolist()
+        line (the top monomial, of code p^dim - 1), by the code rule of mult.
+        Two codes add to p^dim - 1 only digit by digit, each digit pair to
+        p - 1, so no such sum carries: a monomial meets the top line with
+        exactly one partner, the monomial of the complement code, and the
+        pairing is a monomial matrix.  Its rank in degree i is the number of
+        degree-i monomials whose product with their partner, read through
+        _products, is the top monomial.  Every partner must have weight
+        wt(top) - w, or ValueError is raised."""
+        g, top = self.module.grading, self._at_code[self.dim - 1]
+        partner = self._at_code[self.dim - 1 - self._codes]
+        if np.any(g.weights[partner] != g.weights[top] - g.weights):
+            raise ValueError("the product pairs cells of unmatched weights")
+        target, ok = self._products(np.arange(self.dim), partner)
+        return np.bincount(self._degree[ok & (target == top)], minlength=self.top_degree + 1).tolist()
 
 
 # -- standard small modules ----------------------------------------------

@@ -248,6 +248,21 @@ def test_duality_ranks_reject_products_across_weights():
         alg.duality_ranks()
 
 
+def test_duality_check_reads_each_complement_product(monkeypatch):
+    """A product that refuses only the pair (unit, top monomial) costs the
+    degree-0 rank: each complement product is read, not assumed."""
+    products = TruncatedSymAlgebra._products
+
+    def refusing(self, i1, i2):
+        target, ok = products(self, i1, i2)
+        return target, ok & ~((i1 == self.unit_index) & (i2 == self._at_code[self.dim - 1]))
+
+    monkeypatch.setattr(TruncatedSymAlgebra, "_products", refusing)
+    assert TruncatedSymAlgebra(sl2(3)).duality_ranks() == [0, 3, 6, 7, 6, 3, 1]
+    failed = {c.name for c in verify_propositions(3).checks if c.status == "fail"}
+    assert failed == {"duality-full-rank-sl2", "duality-full-rank-b", "duality-full-rank-u"}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("name, first, brk", [
     (name, first, brk) for name, first in (("sl2", "e"), ("b", "h"), ("u", "f"))
@@ -388,6 +403,14 @@ def test_mult_matches_exponent_addition(name, p, data):
     v1, v2 = sparse_vector(), sparse_vector()
     assert alg.mult(v1, v2).tolist() == reference_mult(alg, v1, v2)
 
+
+def test_mult_takes_two_vectors_of_the_algebra_dimension():
+    alg = TruncatedSymAlgebra(sl2(3))
+    unit, long = alg.unit_vector(), np.append(alg.unit_vector(), 0)
+    for v1, v2 in ((unit[:5], unit[:5]), (long, unit), (unit, long)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            alg.mult(v1, v2)
+    assert alg.mult(unit.tolist(), unit.tolist()).tolist() == unit.tolist()
 
 def test_submodule_rejects_unstable_span():
     M = truncated_sym(sl2(3), 1)
