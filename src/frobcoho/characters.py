@@ -149,7 +149,8 @@ def weyl_chi(m: int) -> LaurentCharacter:
     return -weyl_chi(-m - 2)
 
 
-def _digits(n: int, p: int) -> list[int]:
+def digits(n: int, p: int) -> list[int]:
+    """The base-p digits of n >= 0, least significant first."""
     if n == 0:
         return [0]
     out = []
@@ -165,7 +166,7 @@ def simple_char(m: int, p: int) -> LaurentCharacter:
     if m < 0:
         raise ValueError("simple characters need a dominant weight")
     out = LaurentCharacter.line(0)
-    for i, d in enumerate(_digits(m, p)):
+    for i, d in enumerate(digits(m, p)):
         out = out * weyl_chi(d).scale_weights(p ** i)
     return out
 

@@ -18,11 +18,10 @@ fixture directory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # lazy submodules (see __init__): a command executes only what it calls,
-# so `table` never runs verify.py and a usage error loads no numpy
+# so `table` never runs verify.py, a usage error loads no numpy and only json output loads json
 from . import characters, cohomology, lie, verify, wmodules
 
 MAX_PRIME = 13
@@ -102,6 +101,7 @@ def run_cli(argv=None) -> int:
     if args.command == "table":
         tab = cohomology.hh_table(args.target, args.p, args.maxdeg)
         if args.format == "json":
+            import json
             sys.stdout.write(json.dumps(tab.to_json_dict(), indent=2) + "\n")
         else:
             sys.stdout.write(tab.to_tsv())

@@ -273,6 +273,9 @@ class CupDiagonal:
         self.p = p
 
     def component(self, i: int, j: int) -> list[tuple[int, int, int]]:
+        """The terms (s, t, c) on g_i (x) g_j.  Odd-odd at odd p, s and p-2-s
+        differ in parity, so each term meets its mirror (p-2-s, s) at the
+        opposite sign; at p = 2 the one term (0, 0, 1) is its own mirror."""
         check_degree(min(i, j))
         p = self.p
         if i % 2 and j % 2:
@@ -287,7 +290,10 @@ def cup_product(engine: PeriodicCohomology, alg: TruncatedSymAlgebra,
     coefficient algebra.  Inputs are checked to be cocycles; the result
     lives in degree a_deg + b_deg.  The diagonal defaults to the closed
     form of CupDiagonal; any object with a chain-homotopic component(i, j)
-    may be passed instead, and gives the same class."""
+    may be passed instead, and gives the same class.  An odd square is the
+    zero cochain for odd p: mult is commutative (its code rule and v1[i] v2[j]
+    are symmetric), so the mirror terms of CupDiagonal's odd-odd component
+    cancel in pairs; at p = 2 nothing cancels.  The terms are still summed."""
     if engine.M is not alg.module:
         raise ValueError("engine and coefficient algebra disagree")
     square = a_vec is b_vec and a_deg == b_deg  # one cocycle check and one list of iterates

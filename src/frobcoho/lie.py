@@ -14,7 +14,7 @@ Structure constants of sl2: [h,e] = 2e, [h,f] = -2f, [e,f] = h; the
 p-power map sends e, f to 0 and fixes h.  Constructors validate weight
 additivity of the bracket, then the Jacobi identity and restrictedness
 (ad(x^[p]) = (ad x)^p) on the adjoint GradedMaps, by the check that
-module validation runs too (_check_relations).
+module validation runs too (check_relations).
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ class RestrictedLieAlgebra:
                     if self.weight(z) != self.weight(x) + self.weight(y):
                         raise ValueError(f"bracket [{x},{y}] is not weight-additive")
         # Jacobi in ad form, ad([x,y]) = [ad x, ad y], and ad(x^[p]) = (ad x)^p
-        _check_relations(self, self._ads, "Jacobi identity fails on ({x},{y})",
-                         "restrictedness fails on {x}")
+        check_relations(self, self._ads, "Jacobi identity fails on ({x},{y})",
+                        "restrictedness fails on {x}")
 
 
-def _check_relations(alg: RestrictedLieAlgebra, maps: dict, bracket_error: str,
-                     power_error: str) -> None:
+def check_relations(alg: RestrictedLieAlgebra, maps: dict, bracket_error: str,
+                    power_error: str) -> None:
     """Check that maps, a GradedMap per generator on one grading, respect the
     bracket (pairs x before y) and the p-power map of alg; the first failure
     raises ValueError with bracket_error or power_error, formatted with x, y."""
@@ -115,34 +115,34 @@ def _check_relations(alg: RestrictedLieAlgebra, maps: dict, bracket_error: str,
             raise ValueError(power_error.format(x=x))
 
 
+# [x, y] for x before y in e, h, f, and x^[p], over Z: each algebra is a span in sl2
+_BRACKET = {("e", "h"): {"e": -2}, ("e", "f"): {"h": 1}, ("h", "f"): {"f": -2}}
+_P_POWER = {"e": {}, "h": {"h": 1}, "f": {}}
+
+
+def _span(p: int, gens: tuple[str, ...]) -> RestrictedLieAlgebra:
+    check_prime(p)  # before c % p
+    bracket = {(x, y): {z: c % p for z, c in out.items()} for (x, y), out in _BRACKET.items()
+               if x in gens and y in gens}
+    return RestrictedLieAlgebra(p, gens, bracket, {x: dict(_P_POWER[x]) for x in gens})
+
+
 # one instance per prime (the dataclass is frozen): construction validates
 @cache
 def sl2(p: int) -> RestrictedLieAlgebra:
-    check_prime(p)  # before -2 % p
-    return RestrictedLieAlgebra(
-        p=p,
-        generators=("e", "h", "f"),
-        bracket={("e", "h"): {"e": -2 % p}, ("e", "f"): {"h": 1}, ("h", "f"): {"f": -2 % p}},
-        p_power={"e": {}, "h": {"h": 1}, "f": {}},
-    )
+    return _span(p, ("e", "h", "f"))
 
 
 @cache
 def borel(p: int) -> RestrictedLieAlgebra:
     """The negative Borel subalgebra b = span{h, f} of sl2."""
-    check_prime(p)  # before -2 % p
-    return RestrictedLieAlgebra(
-        p=p,
-        generators=("h", "f"),
-        bracket={("h", "f"): {"f": -2 % p}},
-        p_power={"h": {"h": 1}, "f": {}},
-    )
+    return _span(p, ("h", "f"))
 
 
 @cache
 def nilradical(p: int) -> RestrictedLieAlgebra:
     """The one-dimensional abelian u = span{f} with trivial p-power map."""
-    return RestrictedLieAlgebra(p=p, generators=("f",), bracket={}, p_power={"f": {}})
+    return _span(p, ("f",))
 
 
 def casimir_operator(module) -> GradedMap:

@@ -25,7 +25,6 @@ failures.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import Counter
@@ -57,8 +56,8 @@ from .lie import borel, nilradical, sl2
 from .wmodules import (
     TruncatedSymAlgebra,
     WeightModule,
-    _class_labels,
     casimir_nullities,
+    class_labels,
     simple_model,
     trivial_module,
 )
@@ -104,10 +103,8 @@ class AppendixFixture:
 
 
 def _parse_label(text: str) -> tuple[str, int]:
-    fam, rest = text.strip().split("(", 1)
-    fam = fam.strip()
-    if fam not in ("T", "L", "Delta", "Nabla"):
-        raise ValueError(f"unknown summand family {fam!r}")
+    fam, rest = (part.strip() for part in text.split("(", 1))
+    _lookup(FAMILIES, fam, "summand family")  # an unknown family is a malformed label
     return fam, int(rest.rstrip(")"))
 
 
@@ -149,21 +146,34 @@ def load_fixture(p: int) -> AppendixFixture:
     return AppendixFixture(p, tuple(rows))
 
 
+def _simple_socle(m: int, p: int) -> list[tuple[int, int]]:
+    if m >= p * p:
+        raise ValueError("summand weight outside the supported range")
+    return [(m, 0)] if m < p else [(m % p, p * (m // p)), (m % p, -p * (m // p))]
+
+
+# summand family -> (its character, its socle constituents as in predicted_socle)
+FAMILIES = {
+    "T": (tilting_char, lambda m, p: [(min(m, 2 * p - 2 - m), 0)]),
+    "L": (simple_char, _simple_socle),
+    "Delta": (lambda m, p: weyl_chi(m), lambda m, p: [(0, 0)]),
+    "Nabla": (lambda m, p: weyl_chi(m), lambda m, p: [(0, 2), (0, -2)]),
+}
+
+
+def _lookup(table: dict, key: str, what: str):
+    if key not in table:
+        raise ValueError(f"unknown {what} {key!r}")
+    return table[key]
+
+
 def label_char(fam: str, m: int, p: int) -> LaurentCharacter:
-    if fam == "T":
-        return tilting_char(m, p)
-    if fam == "L":
-        return simple_char(m, p)
-    if fam in ("Delta", "Nabla"):
-        return weyl_chi(m)
-    raise ValueError(f"unknown summand family {fam!r}")
+    return _lookup(FAMILIES, fam, "summand family")[0](m, p)
 
 
 def pattern_char(pattern: str, degree: int, p: int) -> LaurentCharacter:
     """Predicted induced character of the pattern at one degree."""
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern id {pattern!r}")
-    return PATTERNS[pattern](degree)
+    return _lookup(PATTERNS, pattern, "pattern id")(degree)
 
 
 def predicted_socle(summands, p: int) -> dict[tuple[int, int], int]:
@@ -173,19 +183,7 @@ def predicted_socle(summands, p: int) -> dict[tuple[int, int], int]:
     at twist 0, two-digit simples split into the two p-twists."""
     out: Counter = Counter()
     for fam, m in summands:
-        if fam == "T":
-            out[(m, 0) if m <= p - 1 else (2 * p - 2 - m, 0)] += 1
-        elif fam == "L" and m <= p - 1:
-            out[(m, 0)] += 1
-        elif fam == "L":
-            m0, m1 = m % p, m // p
-            if m1 >= p:
-                raise ValueError("summand weight outside the supported range")
-            out.update([(m0, p * m1), (m0, -p * m1)])
-        elif fam in ("Delta", "Nabla"):
-            out.update([(0, 0)] if fam == "Delta" else [(0, 2), (0, -2)])
-        else:
-            raise ValueError(f"unknown summand family {fam!r}")
+        out.update(_lookup(FAMILIES, fam, "summand family")[1](m, p))
     return dict(out)
 
 
@@ -203,7 +201,7 @@ def _synthesized(pieces: Sl2Pieces) -> AppendixFixture:
     p, g, rows = pieces.p, pieces.module.grading, []
     nullities = casimir_nullities(pieces.S)
     for n in range(pieces.top + 1):
-        dec = _class_labels(nullities, g, p, g.cell_degrees == n)
+        dec = class_labels(nullities, g, p, g.cell_degrees == n)
         inside = p - 1 <= n <= 2 * (p - 1)
         pattern = ("K_DEG0" if inside else "KNULL") if n % 2 == 0 else ("ODD_IND" if inside else "ZERO")
         labels = tuple((fam, w) for fam, w, mult in dec.entries for _ in range(mult))
@@ -256,6 +254,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json  # here, so the text reports never load it
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
     def to_text(self) -> str:
@@ -505,14 +504,16 @@ def _cup_checks(report: VerificationReport, pieces: Sl2Pieces) -> None:
     Every T_1 class is read from pieces.engine and lifted by ker S: L(lam)
     has B_1-cohomology only if p divides -lam (ker f) or lam + 2 (coker f), so
     for lam in {0, p - 2}, the principal block.  A product's principal part is
-    its image under 1 - S^(p-1) (S^p = S: the Casimir splits), solved in ker S."""
+    its image under 1 - S^(p-1) (S^p = S: the Casimir splits), solved in ker S.
+    Each odd square is the zero cochain (cup_product), so cup-odd-squares-zero
+    solves zeros and can fail only on the number of odd classes."""
     p, total, principal, S = pieces.p, pieces.algebra, pieces.principal, pieces.S
     engine = PeriodicCohomology(total.module)  # cup_product's argument only
     degrees = pieces.engine.M.grading.degrees
 
     # the invariant quadratic element 4ef + h^2 and its powers
     x_rep = np.zeros(total.dim, dtype=np.int64)
-    x_rep[total._at_code[[p * p + 1, 2 * p]]] = 4 % p, 1  # ef and h^2, by their base-p codes
+    x_rep[[total.position((1, 0, 1)), total.position((0, 2, 0))]] = 4 % p, 1  # ef and h^2
     powers = [total.unit_vector()]
     for _ in range(p):
         powers.append(total.mult(powers[-1], x_rep))

@@ -3,7 +3,7 @@
 A WeightModule is a labeled basis with an integer weight per basis
 vector and one action per available Lie generator.  Every constructor
 validates the four structural invariants exactly (the middle two by
-lie._check_relations, the check the algebra runs on its adjoint maps):
+lie.check_relations, the check the algebra runs on its adjoint maps):
 
   * each generator moves the weight-m subspace into weight m + wt(x),
   * action([x,y]) equals the commutator of the action matrices,
@@ -45,9 +45,9 @@ import numpy as np
 from .characters import (
     DecompList,
     LaurentCharacter,
-    _digits,
     decompose_simples,
     decompose_tilting_greedy,
+    digits,
     weyl_chi,
 )
 from .fpmatrix import (
@@ -62,7 +62,7 @@ from .fpmatrix import (
     graded_projector,
     graded_solve,
 )
-from .lie import RestrictedLieAlgebra, _check_relations, casimir_operator, sl2
+from .lie import RestrictedLieAlgebra, casimir_operator, check_relations, sl2
 
 
 class WeightModule:
@@ -125,8 +125,8 @@ class WeightModule:
     def validate(self) -> None:
         """The last three invariants; weight compatibility is checked when
         the actions are cut at construction."""
-        _check_relations(self.algebra, self.maps, "bracket compatibility fails on ({x},{y})",
-                         "restricted compatibility fails on {x}")
+        check_relations(self.algebra, self.maps, "bracket compatibility fails on ({x},{y})",
+                        "restricted compatibility fails on {x}")
         if "h" in self.algebra.generators:
             rows, cols, vals = self.maps["h"].entries()
             scalars = self.grading.weights % self.p
@@ -275,8 +275,8 @@ class TruncatedSymAlgebra:
     is the sum of the two degrees; the product is the monomial of the
     code sum.  Per monomial only arrays are kept: the module's exponent rows
     and grading, the codes and each code's position (_codes, _at_code).
-    exponents (tuples), degrees and index (a dict from exponent tuple to
-    position) are built on first read; unit_index is the position of code 0."""
+    exponents (tuples), degrees and index (exponent tuple -> position) are
+    built on first read; position(exponents) looks one code up, unit_index code 0."""
 
     def __init__(self, alg: RestrictedLieAlgebra):
         p = self.p = alg.p
@@ -301,6 +301,14 @@ class TruncatedSymAlgebra:
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {e: k for k, e in enumerate(self.exponents)}
+
+    def position(self, exponents) -> int:
+        """The basis position of the monomial with these exponents, one integer
+        in [0, p) per generator, looked up by its base-p code."""
+        e, p = np.asarray(exponents), self.p
+        if e.shape != (self.algebra.dim,) or e.dtype.kind not in "iu" or np.any((e < 0) | (e >= p)):
+            raise ValueError(f"need {self.algebra.dim} integer exponents in [0, {p})")
+        return int(self._at_code[e.astype(np.int64) @ p ** np.arange(e.size - 1, -1, -1)])
 
     @property
     def unit_index(self) -> int:
@@ -395,7 +403,7 @@ def simple_module(lam: int, p: int) -> WeightModule:
     check_prime(p)
     if lam < 0:
         raise ValueError("dominant weight required")
-    first, *rest = _digits(lam, p)
+    first, *rest = digits(lam, p)
     out = simple_model(first, p)
     for r, d in enumerate(rest, start=1):
         out = out.tensor(simple_model(d, p).frobenius_twist(r))
@@ -521,10 +529,10 @@ def summand_labels(M: WeightModule) -> DecompList:
             fam = "Delta" if cell_nullities(maps, M.grading.cell_weights == 0).any() else "Nabla"
             return DecompList([(fam, 2, 1)])
         raise ValueError("p=2 module outside the supported label patterns")
-    return _class_labels(casimir_nullities(frobenius_power(casimir_operator(M))), M.grading, p)
+    return class_labels(casimir_nullities(frobenius_power(casimir_operator(M))), M.grading, p)
 
 
-def _class_labels(nullities, grading: Grading, p: int, cells=slice(None)) -> DecompList:
+def class_labels(nullities, grading: Grading, p: int, cells=slice(None)) -> DecompList:
     """summand_labels for odd p, from the casimir_nullities on the cells of
     grading that cells selects (all by default); empty classes are skipped."""
     entries = []

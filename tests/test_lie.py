@@ -3,6 +3,7 @@
 import pytest
 
 from frobcoho.lie import (
+    RestrictedLieAlgebra,
     borel,
     casimir_operator,
     nilradical,
@@ -101,3 +102,25 @@ def test_weight_additivity_is_enforced():
             bracket={("h", "f"): {"h": 1}},  # weight(-2) target weight 0
             p_power={"h": {"h": 1}, "f": {}},
         )
+
+
+def _written_out(p):
+    """sl2, b and u with every constant written out: the values that the
+    spans of sl2's one table must equal."""
+    return {
+        sl2: RestrictedLieAlgebra(
+            p=p, generators=("e", "h", "f"),
+            bracket={("e", "h"): {"e": -2 % p}, ("e", "f"): {"h": 1}, ("h", "f"): {"f": -2 % p}},
+            p_power={"e": {}, "h": {"h": 1}, "f": {}}),
+        borel: RestrictedLieAlgebra(
+            p=p, generators=("h", "f"), bracket={("h", "f"): {"f": -2 % p}},
+            p_power={"h": {"h": 1}, "f": {}}),
+        nilradical: RestrictedLieAlgebra(p=p, generators=("f",), bracket={}, p_power={"f": {}}),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_spans_equal_the_written_out_algebras(p):
+    for make, algebra in _written_out(p).items():
+        assert make(p) == algebra, make.__name__
+        assert make(p) is make(p)

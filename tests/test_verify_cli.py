@@ -8,6 +8,7 @@ import pytest
 from frobcoho.cli import run_cli
 from frobcoho.verify import (
     ALLOWLISTED_FLAGS,
+    label_char,
     load_fixture,
     pattern_char,
     predicted_socle,
@@ -239,3 +240,16 @@ def test_cli_no_fixture_synthesis(capsys):
     assert run_cli(["verify", "appendix", "--p", "11", "--no-fixture",
                     "--maxdeg", "4"]) == 0
     capsys.readouterr()
+
+
+def test_family_and_pattern_readers_name_an_unknown_id():
+    with pytest.raises(ValueError, match="^unknown summand family 'Q'$"):
+        label_char("Q", 0, 3)
+    with pytest.raises(ValueError, match="^unknown summand family 'Q'$"):
+        predicted_socle((("T", 0), ("Q", 0)), 3)
+    with pytest.raises(ValueError, match="^unknown pattern id 'NOPE'$"):
+        pattern_char("NOPE", 0, 3)
+    with pytest.raises(ValueError, match="^summand weight outside the supported range$"):
+        predicted_socle((("L", 25),), 5)
+    assert [label_char(f, 2, 3).dim() for f in ("T", "L", "Delta", "Nabla")] == [3, 3, 3, 3]
+    assert predicted_socle((("L", 24),), 5) == {(4, 20): 1, (4, -20): 1}

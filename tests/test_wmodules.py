@@ -670,3 +670,20 @@ def test_casimir_readers_name_the_missing_generators(read):
         read(truncated_sym(borel(5), 2))
     with pytest.raises(ValueError, match="missing e, h$"):
         read(truncated_sym(nilradical(5), 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("make", [sl2, borel, nilradical])
+def test_position_agrees_with_index(p, make):
+    alg = TruncatedSymAlgebra(make(p))
+    assert len(alg.index) == alg.dim
+    assert all(alg.position(e) == k for e, k in alg.index.items())
+
+
+@pytest.mark.parametrize("make, bad", [
+    (sl2, (1, 0)), (sl2, (1, 0, 1, 0)), (sl2, (3, 0, 0)), (sl2, (0, -1, 0)),
+    (borel, (1,)), (borel, (0, 3)), (nilradical, ()), (nilradical, (1, 1)), (nilradical, (3,))])
+def test_position_rejects_a_wrong_count_or_an_exponent_outside_the_digits(make, bad):
+    alg = TruncatedSymAlgebra(make(3))
+    with pytest.raises(ValueError, match=rf"need {alg.algebra.dim} integer exponents in \[0, 3\)"):
+        alg.position(bad)
